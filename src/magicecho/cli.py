@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -63,6 +64,8 @@ def _finish(args, t_start, columns=None, meta=None, obj=None,
             "rows": rows,
             "output": os.path.basename(out),
             "tolerances": TOLERANCES,
+            "eigendecompositions": {"computed": engine.EIGENSYSTEMS.computed,
+                                    "reused": engine.EIGENSYSTEMS.reused},
             "wall_time_s": time.perf_counter() - t_start,
         }
         output.write_manifest(out, manifest)
@@ -556,11 +559,34 @@ def _apply_config(parser, registry, argv):
     sub.set_defaults(**defaults)
 
 
+# flags whose values may be comma lists starting with a minus sign
+_NEGATIVE_VALUE_FLAGS = ("--orientation", "--kernel-from-cluster")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite '--orientation -0.6,0.8,0' as '--orientation=-0.6,0.8,0'.
+
+    argparse reads a token that starts with '-' and is not a plain number
+    as an option, so a negative first direction component would leave the
+    flag without a value.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1] in _NEGATIVE_VALUE_FLAGS
+                and re.match(r"-\.?\d", tok)):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     _apply_config(parser, registry, argv)
     args = parser.parse_args(argv)
+    # eigendecomposition counts in the manifest are per job
+    engine.EIGENSYSTEMS.clear()
     try:
         return args.handler(args)
     except (ConvergenceError, InvariantViolation) as exc:

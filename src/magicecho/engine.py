@@ -9,9 +9,14 @@ sample a normalized transverse signal
 
 while Delta evolves freely under the secular dipolar Hamiltonian. All
 exponentials go through Hermitian eigendecomposition, so propagators are
-unitary to round-off and Tr(Delta), Tr(Delta^2) and the spectrum of Delta
-are conserved exactly up to floating-point noise; each segment checks this
-and raises :class:`~magicecho.errors.InvariantViolation` on drift.
+unitary to round-off. Acquisition works in the eigenbasis of H', where each
+sample is a phase sum over eigenvalue gaps (:func:`phase_sum`) and Delta is
+advanced once by the propagator of the whole window. Eigendecompositions
+are cached process-wide for the most recent coupling table, so a sweep
+decomposes each distinct Hamiltonian once. After every segment Tr(Delta)
+and the Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
+values, and every acquired sample must be real; drift raises
+:class:`~magicecho.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -205,21 +210,62 @@ def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0) -> DeviationS
     return DeviationState(delta=delta, beta=beta)
 
 
-class _EvolverCache:
-    """Eigendecompositions of the distinct Hamiltonians in one plan."""
+class EigenCache:
+    """Eigendecompositions (w, v) of the Hamiltonians of one coupling table.
 
-    def __init__(self, cluster_or_matrix):
-        self.cluster = cluster_or_matrix
+    Only the most recent coupling table is held: a lookup with another
+    table drops every entry, so memory is bounded by the distinct
+    Hamiltonian specs of one cluster. ``computed`` and ``reused`` count
+    lookups since the last :meth:`clear`. The returned arrays are shared
+    and read-only.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._couplings = None
         self._eigs: dict[HamiltonianSpec, tuple] = {}
+        self.computed = 0
+        self.reused = 0
 
-    def propagator(self, spec: HamiltonianSpec, t: float) -> np.ndarray:
-        if spec not in self._eigs:
-            self._eigs[spec] = np.linalg.eigh(build_hamiltonian(spec, self.cluster))
-        w, v = self._eigs[spec]
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+    def get(self, spec: HamiltonianSpec, cluster_or_matrix) -> tuple:
+        a = ops.couplings_of(cluster_or_matrix)
+        key = a.tobytes()
+        if key != self._couplings:
+            self._couplings, self._eigs = key, {}
+        if spec in self._eigs:
+            self.reused += 1
+            return self._eigs[spec]
+        w, v = np.linalg.eigh(build_hamiltonian(spec, a))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        self._eigs[spec] = (w, v)
+        self.computed += 1
+        return w, v
 
+
+EIGENSYSTEMS = EigenCache()
+"""Process-wide cache used by :func:`evolve` and the spectral helpers."""
 
 _DIPOLAR = HamiltonianSpec("dipolar")
+_PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
+
+
+def phase_sum(w, m, times) -> np.ndarray:
+    """s(t) = sum_jk m_jk exp(-i (w_j - w_k) t) at every t in ``times``.
+
+    With Delta~ and O~ the deviation and the observable in the eigenbasis
+    of H (eigenvalues w), Tr(exp(-iHt) Delta exp(iHt) O) is the phase sum
+    of m = Delta~ * O~.T. Evaluated as e(t) @ m @ e(t)* per row, in blocks
+    of sample times.
+    """
+    times = np.atleast_1d(np.asarray(times, float))
+    out = np.empty(times.shape, complex)
+    for k in range(0, times.size, _PHASE_SUM_BLOCK):
+        e = np.exp(-1j * np.outer(times[k:k + _PHASE_SUM_BLOCK], w))
+        out[k:k + _PHASE_SUM_BLOCK] = ((e @ m) * e.conj()).sum(axis=1)
+    return out
 
 
 def _check_drift(delta, norm0, tr0, where):
@@ -241,7 +287,6 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     dim = 2**n
     if state.delta.shape != (dim, dim):
         raise ValueError("state dimension does not match the plan's cluster")
-    cache = _EvolverCache(plan.cluster)
     delta = state.delta.copy()
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
@@ -255,29 +300,27 @@ def evolve(state: DeviationState, plan: PropagationPlan):
             delta = u @ delta @ u.conj().T
         elif isinstance(seg, Evolve):
             if seg.duration > 0.0:
-                u = cache.propagator(seg.hamiltonian, seg.duration)
+                w, v = EIGENSYSTEMS.get(seg.hamiltonian, a)
+                u = (v * np.exp(-1j * w * seg.duration)) @ v.conj().T
                 delta = u @ delta @ u.conj().T
                 t_abs += seg.duration
         elif isinstance(seg, Acquire):
+            w, v = EIGENSYSTEMS.get(_DIPOLAR, a)
             o = ops.collective(seg.observable, n)
-            tro2 = float(np.trace(o @ o).real)
+            tro2 = float(np.vdot(o, o).real)
             n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
-            u_step = cache.propagator(_DIPOLAR, seg.step)
-            vals = np.empty(n_samp)
-            for m in range(n_samp):
-                if m:
-                    delta = u_step @ delta @ u_step.conj().T
-                s = complex(np.trace(delta @ o)) / (state.beta * tro2)
-                if abs(s.imag) > 1e-9 * max(1.0, abs(s.real)):
-                    raise InvariantViolation(f"complex signal in {where}")
-                vals[m] = s.real
-            remainder = seg.window - (n_samp - 1) * seg.step
-            if remainder > 1e-15 * seg.window:
-                u = cache.propagator(_DIPOLAR, remainder)
-                delta = u @ delta @ u.conj().T
+            times = np.arange(n_samp) * seg.step
+            delta_eig = v.conj().T @ delta @ v
+            o_eig = v.conj().T @ o @ v
+            s = phase_sum(w, delta_eig * o_eig.T, times) / (state.beta * tro2)
+            if np.any(np.abs(s.imag)
+                      > 1e-9 * np.maximum(1.0, np.abs(s.real))):
+                raise InvariantViolation(f"complex signal in {where}")
+            vw = v * np.exp(-1j * w * seg.window)
+            delta = vw @ delta_eig @ vw.conj().T
             curves.append(SignalCurve(
-                times=np.arange(n_samp) * seg.step, values=vals,
-                observable=seg.observable, start=t_abs, label=seg.label))
+                times=times, values=s.real, observable=seg.observable,
+                start=t_abs, label=seg.label))
             t_abs += seg.window
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")

@@ -27,7 +27,6 @@ single-quantum part defined in :func:`operator_q`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,22 +63,44 @@ def site_count(cluster_or_matrix) -> int:
     return couplings_of(cluster_or_matrix).shape[0]
 
 
-@lru_cache(maxsize=256)
-def _site_op(key: str, site: int, n: int) -> np.ndarray:
-    """op on one site, identity elsewhere (site 0 = most significant)."""
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        out = np.kron(out, _S[key] if k == site else np.eye(2, dtype=complex))
-    out.setflags(write=False)
-    return out
-
-
 def site_op(key: str, site: int, n: int) -> np.ndarray:
+    """op on one site, identity elsewhere (site 0 = most significant)."""
     if key not in _S:
         raise ValueError(f"unknown single-site operator {key!r}")
     if not 0 <= site < n:
         raise ValueError("site index out of range")
-    return _site_op(key, site, n)
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n):
+        out = np.kron(out, _S[key] if k == site else np.eye(2, dtype=complex))
+    return out
+
+
+# The many-spin builders below work on bit patterns of basis-state indices
+# instead of products of kron-built site operators: bit (n-1-i) of a state
+# index is 1 where site i is spin-down. Pair terms are then a diagonal zz
+# part plus couplings between basis states that differ by reversed spins.
+
+def _basis(n: int):
+    """(states, z): the basis-state indices 0..2^n-1 and z[i, b], the I_z
+    eigenvalue (+1/2 up, -1/2 down) of site i in state b."""
+    states = np.arange(2**n)
+    return states, 0.5 - ((states >> (n - 1 - np.arange(n))[:, None]) & 1)
+
+
+def _mask(site: int, n: int) -> int:
+    return 1 << (n - 1 - site)
+
+
+def _flips(out: np.ndarray, mask: int, cols, values) -> None:
+    """out[b ^ mask, b] += values for b in cols: couple each basis state to
+    the one with the spins under ``mask`` reversed."""
+    out[cols ^ mask, cols] += values
+
+
+def _coupled_pairs(a: np.ndarray):
+    n = a.shape[0]
+    return [(i, j, a[i, j]) for i in range(n) for j in range(i + 1, n)
+            if a[i, j] != 0.0]
 
 
 def collective(axis: str, n: int) -> np.ndarray:
@@ -89,9 +110,15 @@ def collective(axis: str, n: int) -> np.ndarray:
         sign, axis = -1.0, axis[1:]
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown axis {axis!r}")
+    states, z = _basis(n)
     out = np.zeros((2**n, 2**n), complex)
-    for i in range(n):
-        out += site_op(axis, i, n)
+    if axis == "z":
+        out[states, states] = z.sum(axis=0)
+    else:
+        for i in range(n):
+            # on site i, <b ^ m|I_x|b> = 1/2 and <b ^ m|I_y|b> = i I_z(b)
+            _flips(out, _mask(i, n), states,
+                   0.5 if axis == "x" else 1j * z[i])
     return sign * out
 
 
@@ -99,15 +126,15 @@ def secular_dipolar(cluster_or_matrix) -> np.ndarray:
     """H' = sum_{i<j} a_ij [ I_zi I_zj - 1/4 (I+i I-j + I-i I+j) ]."""
     a = couplings_of(cluster_or_matrix)
     n = a.shape[0]
+    states, z = _basis(n)
     h = np.zeros((2**n, 2**n), complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] == 0.0:
-                continue
-            h += a[i, j] * (
-                site_op("z", i, n) @ site_op("z", j, n)
-                - 0.25 * (site_op("p", i, n) @ site_op("m", j, n)
-                          + site_op("m", i, n) @ site_op("p", j, n)))
+    diag = np.zeros(2**n)
+    for i, j, aij in _coupled_pairs(a):
+        diag += aij * (z[i] * z[j])
+        # the flip-flop term only connects antiparallel spins i, j
+        _flips(h, _mask(i, n) | _mask(j, n), states[z[i] != z[j]],
+               -0.25 * aij)
+    h[states, states] = diag
     return h
 
 
@@ -118,12 +145,12 @@ def nonsecular_pair_raising(cluster_or_matrix):
     """
     a = couplings_of(cluster_or_matrix)
     n = a.shape[0]
+    states, z = _basis(n)
     h2 = np.zeros((2**n, 2**n), complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] == 0.0:
-                continue
-            h2 += a[i, j] * (site_op("p", i, n) @ site_op("p", j, n))
+    for i, j, aij in _coupled_pairs(a):
+        # raises both spins: only states with i and j down
+        _flips(h2, _mask(i, n) | _mask(j, n),
+               states[(z[i] < 0) & (z[j] < 0)], aij)
     hm2 = h2.conj().T
     return h2, hm2, h2 + hm2
 
@@ -132,14 +159,12 @@ def operator_q(cluster_or_matrix) -> np.ndarray:
     """Single-quantum part Q = sum_{i<j} a_ij [I_zi (I+j + I-j) + (i <-> j)]."""
     a = couplings_of(cluster_or_matrix)
     n = a.shape[0]
+    states, z = _basis(n)
     q = np.zeros((2**n, 2**n), complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] == 0.0:
-                continue
-            xi = site_op("p", i, n) + site_op("m", i, n)
-            xj = site_op("p", j, n) + site_op("m", j, n)
-            q += a[i, j] * (site_op("z", i, n) @ xj + site_op("z", j, n) @ xi)
+    for i, j, aij in _coupled_pairs(a):
+        # I+ + I- flips one spin; I_z of the other is the same on both sides
+        _flips(q, _mask(j, n), states, aij * z[i])
+        _flips(q, _mask(i, n), states, aij * z[j])
     return q
 
 

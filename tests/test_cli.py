@@ -138,6 +138,32 @@ def test_run_determinism(tmp_path):
     assert ma == mb
 
 
+def test_run_manifest_counts_eigendecompositions(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    argv = ["run", "builtin:seq1", "--orientation", "100", "--radius", "1",
+            "--max-sites", "4", "--t1-grid", "2:6:2hc", "--out", out]
+    # counts are per job: the second run in this process reports the same
+    for _ in range(2):
+        assert run_main(argv) == 0
+        manifest = json.load(open(out + ".manifest.json"))
+        # burst +, burst - and H' once each; every later lookup is reused
+        # (3 points x 2 components x 4 lookups)
+        assert manifest["eigendecompositions"] == {"computed": 3,
+                                                   "reused": 21}
+
+
+def test_run_negative_orientation_space_separated(tmp_path):
+    a = str(tmp_path / "a.csv")
+    b = str(tmp_path / "b.csv")
+    common = ["run", "builtin:seq2", "--radius", "1", "--max-sites", "3",
+              "--ideal", "--window-us", "10", "--step-us", "2"]
+    assert run_main(common + ["--orientation", "-0.63,0.78,0.05",
+                              "--out", a]) == 0
+    assert run_main(common + ["--orientation=-0.63,0.78,0.05",
+                              "--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
 def test_run_error_codes(tmp_path):
     base = ["--orientation", "100", "--radius", "1", "--max-sites", "4"]
     assert run_main(["run"] + base) == 2                       # no sequence
@@ -190,6 +216,17 @@ def test_thermo_microscopic_kernel(tmp_path):
     assert meta["kernel"] == "tabulated"
     assert meta["ordering_flipped"] == "True"
     assert cols["beta"][0] == 1.0
+
+
+def test_thermo_negative_kernel_cluster_space_separated(tmp_path):
+    a = str(tmp_path / "a.csv")
+    b = str(tmp_path / "b.csv")
+    common = ["thermo", "--t-end-us", "50", "--step-us", "1"]
+    assert run_main(common + ["--kernel-from-cluster", "-0.6,0.8,0:1:4",
+                              "--out", a]) == 0
+    assert run_main(common + ["--kernel-from-cluster=-0.6,0.8,0:1:4",
+                              "--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_thermo_error_codes(tmp_path):

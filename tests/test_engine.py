@@ -158,6 +158,76 @@ def test_acquire_grid_and_state_advance():
     np.testing.assert_allclose(out.delta, expected, atol=1e-9)
 
 
+def _stepwise_acquire(delta, a, observable, window, step, beta):
+    """Oracle: sample Tr(Delta O) after each step of repeated conjugation by
+    exp(-i H' step), then advance by the remainder of the window."""
+    w, v = np.linalg.eigh(ops.secular_dipolar(a))
+
+    def u(t):
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+    o = ops.collective(observable, a.shape[0])
+    n_samp = int(np.floor(window / step + 1e-9)) + 1
+    u_step = u(step)
+    values = []
+    for m in range(n_samp):
+        if m:
+            delta = u_step @ delta @ u_step.conj().T
+        values.append(np.trace(delta @ o) / (beta * np.trace(o @ o)))
+    u_rest = u(window - (n_samp - 1) * step)
+    return np.array(values), u_rest @ delta @ u_rest.conj().T
+
+
+def test_spectral_acquire_matches_stepwise_oracle():
+    cluster = build_cluster("100", radius=1.0, max_sites=5)
+    a = cluster.couplings
+    wl = local_field(cluster)
+    window, step = 5.3 / wl, 0.07 / wl          # window is not a multiple
+    assert window / step % 1.0 > 0.1
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    delta0 = m + m.conj().T
+    delta0 -= np.trace(delta0) / 32 * np.eye(32)
+    beta = 2.0
+    for observable in ("x", "y"):
+        plan = PropagationPlan(cluster=cluster,
+                               segments=(Acquire(observable, window, step),))
+        out, (curve,) = evolve(DeviationState(delta0, beta), plan)
+        values, delta = _stepwise_acquire(delta0, a, observable, window,
+                                          step, beta)
+        assert curve.values.size == values.size == 76
+        assert np.abs(curve.values - values).max() <= \
+            1e-12 * np.abs(values).max()
+        assert np.linalg.norm(out.delta - delta) <= \
+            1e-12 * np.linalg.norm(delta)
+
+
+def test_phase_sum_blocks_match_direct_sum():
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=6)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    times = np.linspace(0.0, 7.0, 600)          # spans three blocks
+    gaps = np.subtract.outer(w, w)
+    direct = [(m * np.exp(-1j * gaps * t)).sum() for t in times]
+    np.testing.assert_allclose(engine.phase_sum(w, m, times), direct,
+                               rtol=0, atol=1e-12)
+
+
+def test_eigen_cache_holds_one_coupling_table():
+    cache = engine.EigenCache()
+    spec = HamiltonianSpec("dipolar")
+    w, v = cache.get(spec, PAIR)
+    assert cache.get(spec, PAIR)[1] is v
+    cache.get(HamiltonianSpec("ideal_burst"), PAIR)
+    cache.get(spec, 2.0 * PAIR)      # a new table drops the old entries
+    cache.get(spec, PAIR)
+    assert (cache.computed, cache.reused) == (4, 1)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    cache.clear()
+    assert (cache.computed, cache.reused) == (0, 0)
+
+
 def test_ideal_rpw_echo_is_exact(four_spin):
     tau = 20.0e-6
     plan = PropagationPlan(cluster=four_spin, segments=(

@@ -7,6 +7,7 @@ identities that must hold for any cluster.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicecho import operators as ops
 from magicecho.lattice import build_cluster, second_moment
@@ -168,3 +169,69 @@ def test_asymmetric_table_rejected():
     a = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         ops.secular_dipolar(a)
+
+
+# ------------------------------------------------- kron oracle for builders
+
+_KRON_S = {
+    "x": np.array([[0.0, 0.5], [0.5, 0.0]], complex),
+    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], complex),
+    "z": np.array([[0.5, 0.0], [0.0, -0.5]], complex),
+    "p": np.array([[0.0, 1.0], [0.0, 0.0]], complex),
+    "m": np.array([[0.0, 0.0], [1.0, 0.0]], complex),
+}
+
+
+def _kron_site(key, site, n):
+    out = np.ones((1, 1), complex)
+    for k in range(n):
+        out = np.kron(out, _KRON_S[key] if k == site else np.eye(2))
+    return out
+
+
+def _kron_oracle(a):
+    """H', H2, Q and I_x,y,z from dense products of kron site operators."""
+    n = a.shape[0]
+    s = {key: [_kron_site(key, i, n) for i in range(n)] for key in _KRON_S}
+    dim = 2**n
+    hd, h2, q = (np.zeros((dim, dim), complex) for _ in range(3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            hd += a[i, j] * (s["z"][i] @ s["z"][j]
+                             - 0.25 * (s["p"][i] @ s["m"][j]
+                                       + s["m"][i] @ s["p"][j]))
+            h2 += a[i, j] * (s["p"][i] @ s["p"][j])
+            q += a[i, j] * (s["z"][i] @ (s["p"][j] + s["m"][j])
+                            + s["z"][j] @ (s["p"][i] + s["m"][i]))
+    return {"hd": hd, "h2": h2, "q": q,
+            **{axis: sum(s[axis]) for axis in "xyz"}}
+
+
+@st.composite
+def coupling_tables(draw):
+    """Symmetric tables, n = 2..7, with some pairs uncoupled."""
+    n = draw(st.integers(2, 7))
+    value = st.one_of(st.just(0.0),
+                      st.floats(-1e5, 1e5, allow_nan=False, width=64))
+    upper = draw(st.lists(value, min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    return a + a.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupling_tables())
+def test_bit_pattern_builders_match_kron_oracle(a):
+    n = a.shape[0]
+    ref = _kron_oracle(a)
+    atol = 1e-13 * max(1.0, np.abs(a).max())
+    h2, hm2, p = ops.nonsecular_pair_raising(a)
+    built = {"hd": ops.secular_dipolar(a), "h2": h2, "q": ops.operator_q(a),
+             **{axis: ops.collective(axis, n) for axis in "xyz"}}
+    for name, matrix in built.items():
+        np.testing.assert_allclose(matrix, ref[name], rtol=0, atol=atol,
+                                   err_msg=name)
+    np.testing.assert_allclose(hm2, ref["h2"].conj().T, rtol=0, atol=atol)
+    np.testing.assert_allclose(p, ref["h2"] + ref["h2"].conj().T, rtol=0,
+                               atol=atol)
