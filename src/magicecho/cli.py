@@ -34,7 +34,6 @@ TOLERANCES = {
     "hermiticity": engine.HERMITICITY_TOL,
     "unitarity": engine.UNITARITY_TOL,
     "segment_drift": engine.SEGMENT_DRIFT_TOL,
-    "time_ordered_exp": engine.TEXP_TOL,
     "thermo_step": thermo.STEP_TOL,
 }
 
@@ -48,7 +47,7 @@ def _resolved_config(args) -> dict:
 
 
 def _finish(args, t_start, columns=None, meta=None, obj=None,
-            cluster=None) -> int:
+            cluster=None, extra=None) -> int:
     """Emit the result to --out or stdout, plus a manifest for files."""
     out = getattr(args, "out", None)
     if out:
@@ -66,6 +65,7 @@ def _finish(args, t_start, columns=None, meta=None, obj=None,
             "tolerances": TOLERANCES,
             "eigendecompositions": {"computed": engine.EIGENSYSTEMS.computed,
                                     "reused": engine.EIGENSYSTEMS.reused},
+            **(extra or {}),
             "wall_time_s": time.perf_counter() - t_start,
         }
         output.write_manifest(out, manifest)
@@ -238,20 +238,21 @@ def _cmd_thermo(args) -> int:
         # the unitary ideal-reversal prediction is flat at the ideal
         # amplitude; the memory-kernel model decays. Emit both.
         model = thermo.amplitude_curve(traj)
-        fmt = output.CSV_FLOAT_FORMAT
-        meta = {"ideal_amplitude": fmt % 1.0, "macroscopic": "True",
-                "method": traj.method, "label": "divergence",
-                "kernel": kernel.kind}
-        meta.update({str(k): str(v) for k, v in kernel.meta.items()})
+        meta = {"ideal_amplitude": output.CSV_FLOAT_FORMAT % 1.0,
+                "macroscopic": "True", "method": traj.method,
+                "label": "divergence"}
         columns = {"t1_us": traj.times * 1e6,
                    "model_amplitude": model.values,
                    "ideal_amplitude": np.ones_like(model.values)}
-        return _finish(args, t0, columns=columns, meta=meta, cluster=cluster)
+    else:
+        columns, meta = output.object_columns(traj)
     # record which kernel produced this trajectory
-    columns, meta = output.object_columns(traj)
     meta["kernel"] = kernel.kind
     meta.update({str(k): str(v) for k, v in kernel.meta.items()})
-    return _finish(args, t0, columns=columns, meta=meta, cluster=cluster)
+    history = {"passes": traj.refinements + 1, "grid_points": len(traj.times),
+               "drift_per_halving": list(traj.drift_history)}
+    return _finish(args, t0, columns=columns, meta=meta, cluster=cluster,
+                   extra={"thermo": history})
 
 
 _OPERATOR_BUILDERS = {

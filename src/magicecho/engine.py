@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .errors import ConvergenceError, InvariantViolation
+from .errors import InvariantViolation
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
 SEGMENT_DRIFT_TOL = 1e-9
-TEXP_TOL = 1e-8
-TEXP_BASE_SLICES = 200
 
 
 @dataclass(frozen=True)
@@ -365,49 +363,24 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
             **errs}
 
 
-def _texp_slices(hd_eig, h1, t1, slices):
-    """Slicewise midpoint time-ordered exponential of the interaction-picture
-    first-order correction, later times multiplying on the left."""
-    w, v = hd_eig
-    dt = t1 / slices
-    out = np.eye(h1.shape[0], dtype=complex)
-    for k in range(slices):
-        t_mid = (k + 0.5) * dt
-        # frame of the zeroth-order average -H'/2: conjugate by exp(-i H' t/2)
-        ph = np.exp(-0.5j * w * t_mid)
-        frame = (v * ph) @ v.conj().T
-        h_t = frame @ h1 @ frame.conj().T
-        wk, vk = np.linalg.eigh(h_t)
-        out = ((vk * np.exp(-1j * wk * dt)) @ vk.conj().T) @ out
-    return out
-
-
-def effective_propagator_a3(cluster_or_matrix, omega1: float, t1: float,
-                            slices: int = TEXP_BASE_SLICES,
-                            tol: float = TEXP_TOL) -> Propagator:
+def effective_propagator_a3(cluster_or_matrix, omega1: float,
+                            t1: float) -> Propagator:
     """Time-ordered exponential of the interaction-picture correction.
 
-    A3 = Texp{ -i integral_0^t1 exp(-i H' t/2) H1 exp(+i H' t/2) dt },
-    evaluated by slicewise midpoint products, doubling the slice count until
-    two successive refinements agree to ``tol`` in Frobenius norm. For zero
-    couplings (H1 = 0) this is the identity: the burst then reverses
-    nothing and corrects nothing.
+    A3 = Texp{ -i integral_0^t1 exp(-i H' t/2) H1 exp(+i H' t/2) dt }.
+    The integrand is H1 in the interaction picture of H0 = -H'/2, so the
+    product closes exactly: A3 = exp(-i H' t1/2) exp(-i (-H'/2 + H1) t1),
+    two eigendecompositions. For zero couplings (H1 = 0) this is the
+    identity: the burst then reverses nothing and corrects nothing.
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     a = ops.couplings_of(cluster_or_matrix)
     hd = ops.secular_dipolar(a)
     h1, _ = ops.magnus_first_correction(a, omega1)
-    hd_eig = np.linalg.eigh(hd)
-    prev = _texp_slices(hd_eig, h1, t1, slices)
-    for _ in range(8):
-        slices *= 2
-        cur = _texp_slices(hd_eig, h1, t1, slices)
-        if np.linalg.norm(cur - prev) < tol:
-            return Propagator(matrix=cur, duration=float(t1))
-        prev = cur
-    raise ConvergenceError(
-        f"time-ordered product did not converge below {tol} by {slices} slices")
+    u_frame = expm_hermitian(hd, 0.5 * t1).matrix
+    u_full = expm_hermitian(-0.5 * hd + h1, t1).matrix
+    return Propagator(matrix=u_frame @ u_full, duration=float(t1))
 
 
 def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> Propagator:

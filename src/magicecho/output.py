@@ -19,6 +19,7 @@ from .engine import SignalCurve
 from .thermo import BetaTrajectory
 
 CSV_FLOAT_FORMAT = "%.12g"
+CSV_ROW_CHUNK = 4096
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -49,9 +50,13 @@ def _build_csv(columns: dict, meta: dict | None):
             raise ValueError(f"column {name!r} contains non-finite values")
     lines = [f"# {key}={meta[key]}" for key in sorted(meta or {})]
     lines.append(",".join(names))
-    for k in range(length):
-        lines.append(",".join(CSV_FLOAT_FORMAT % arr[k] for arr in arrays))
-    return "\n".join(lines) + "\n", length
+    # one % per chunk of rows; chunking bounds the temporary value tuple
+    row = ",".join([CSV_FLOAT_FORMAT] * len(names)) + "\n"
+    table = np.column_stack(arrays)
+    body = [(row * len(block)) % tuple(block.ravel().tolist())
+            for block in (table[k:k + CSV_ROW_CHUNK]
+                          for k in range(0, length, CSV_ROW_CHUNK))]
+    return "\n".join(lines) + "\n" + "".join(body), length
 
 
 def csv_text(columns: dict, meta: dict | None = None) -> str:

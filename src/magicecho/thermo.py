@@ -13,6 +13,11 @@ microscopically from a cluster's double-quantum fluctuations. The kernel
 onset can be delayed by an offset: beta stays at 1 until the onset and the
 memory integral runs from there (shifted clock).
 
+The solver halves a fixed step until successive passes agree. A pass (Heun
+steps, trapezoidal memory) is linear with coefficients that depend only on
+the lag, so it is one lower-triangular Toeplitz solve: Newton power-series
+inversion with FFT products, O(N log N).
+
 Trajectories and the derived amplitude curves carry macroscopic=True
 metadata: they model the bulk behavior that the exactly evolved clusters
 cannot show, and the point of the package is comparing the two.
@@ -135,6 +140,8 @@ class BetaTrajectory:
     converged: bool
     refinements: int
     meta: dict = field(default_factory=dict)
+    # max-norm drift of each step halving; kept out of meta (CSV header)
+    drift_history: tuple = ()
 
     def __post_init__(self):
         beta = np.asarray(self.beta, float)
@@ -145,33 +152,62 @@ class BetaTrajectory:
 
 
 def _integrate(kernel: KernelSpec, t_end: float, n_steps: int):
-    """One fixed-step pass: Heun predictor-corrector, trapezoidal memory."""
+    """One fixed-step pass: Heun predictor-corrector, trapezoidal memory.
+
+    From the onset on the memory at t_{j0+m} is M_m = G_m + sum_i a_{m-i}
+    beta_{j0+i}: weights a_0 = c = h G1(0)/2, a_l = h G1(l h), and G holds
+    the onset sliver and the reweighted beta[j0] column. Heun step m reads
+    (1 - h c/2)(beta_{m+1} - beta_m) + h/2 [M_{m+1} + (1 - c h) M_m] = 0.
+    The unknown is beta - 1, so a zero kernel keeps beta == 1 exactly.
+    """
+    from numpy.fft import irfft, rfft   # not loaded by "import numpy"
+
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
     beta = np.ones(n_steps + 1)
-    kgrid = kernel_values(kernel, times)                  # G1(k h)
-    koff = kernel_values(kernel, times - kernel.offset)   # G1(t_k - onset)
     # first grid index strictly past the onset; before it beta holds at 1
     j0 = int(np.searchsorted(times, kernel.offset, side="right"))
     if j0 > n_steps:
         return times, beta
     w0 = max(times[j0] - kernel.offset, 0.0)
+    size = n_steps + 1 - j0
+    kgrid = kernel_values(kernel, times[:size])                # G1(l h)
+    koff = kernel_values(kernel, times[j0:] - kernel.offset)   # G1(t - onset)
+    # beta[j0] - 1: the step onto it has no memory before it to predict from
+    y0 = -0.25 * h * w0 * (koff[0] + kgrid[0])
+    a = h * kgrid
+    a[0] *= 0.5
+    c = a[0]
+    # G plus the beta = 1 part of the convolution
+    g = (0.5 * w0 * koff + 0.5 * (w0 - h) * (1.0 + y0) * kgrid
+         + np.cumsum(a))
+    # the steps as one series identity P(x) Y(x) = R(x) mod x^size for
+    # Y = beta[j0:] - 1; P(0) = 1 and R(0) = y0 reproduce the first step
+    lead, damp = 1.0 - 0.5 * h * c, 1.0 - h * c
+    p = 0.5 * h * a
+    p[1:] += 0.5 * h * damp * a[:-1]
+    p[0] += lead
+    p[1:2] -= lead
+    rhs = -0.5 * h * g
+    rhs[1:] -= 0.5 * h * damp * g[:-1]
+    rhs[0] = y0
 
-    def memory(k):
-        # integral of beta(t') G1(t' - t_k) from the onset to t_k
-        if k < j0:
-            return 0.0
-        acc = 0.5 * w0 * (koff[k] + beta[j0] * kgrid[k - j0])
-        if k > j0:
-            seg = beta[j0:k + 1] * kgrid[:k - j0 + 1][::-1]
-            acc += h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-        return acc
+    def mul(u, v, n):
+        # first n coefficients of the product. A short factor is convolved
+        # directly: faster, and its round-off stays relative to each
+        # coefficient, which a coarse grid with a growing beta needs
+        if min(u.size, v.size) <= 32:
+            return np.convolve(u, v)[:n]
+        fft_size = 1 << (u.size + v.size - 2).bit_length()
+        return irfft(rfft(u, fft_size) * rfft(v, fft_size), fft_size)[:n]
 
-    for k in range(n_steps):
-        f0 = -memory(k)
-        beta[k + 1] = beta[k] + h * f0
-        f1 = -memory(k + 1)
-        beta[k + 1] = beta[k] + 0.5 * h * (f0 + f1)
+    # Newton iteration q <- q (2 - p q) doubles the known terms of 1/p
+    q = np.array([1.0 / p[0]])
+    while q.size < size:
+        m = min(2 * q.size, size)
+        e = mul(p[:m], q, m)[q.size:]
+        q = np.concatenate([q, -mul(q, e, m - q.size)])
+    beta[j0:] += mul(rhs, q, size)
     return times, beta
 
 
@@ -192,17 +228,20 @@ def solve_beta(kernel: KernelSpec, t_end: float, step: float
     n = max(2, int(np.ceil(t_end / step - 1e-12)))
     _, beta = _integrate(kernel, t_end, n)
     drift = np.inf
+    drifts = []
     for refinement in range(1, MAX_REFINEMENTS + 1):
         n *= 2
         times2, beta2 = _integrate(kernel, t_end, n)
         drift = float(np.abs(beta2[::2] - beta).max())
+        drifts.append(drift)
         beta = beta2
         if drift < STEP_TOL:
             return BetaTrajectory(times=times2, beta=beta2, step=t_end / n,
                                   method="heun-trapezoid", converged=True,
                                   refinements=refinement,
                                   meta={"step_drift": drift,
-                                        "offset": kernel.offset})
+                                        "offset": kernel.offset},
+                                  drift_history=tuple(drifts))
     raise ConvergenceError(
         f"beta trajectory still moving by {drift:.3e} after "
         f"{MAX_REFINEMENTS} step halvings")

@@ -192,6 +192,28 @@ def test_thermo_gaussian_defaults(tmp_path):
     assert early.min() >= 0.99
 
 
+def test_thermo_manifest_records_refinement_history(tmp_path, capsys):
+    out = str(tmp_path / "beta.csv")
+    argv = ["thermo", "--orientation", "100", "--t-end-us", "200"]
+    assert run_main(argv + ["--out", out]) == 0
+    meta, cols = output.read_csv(out)
+    history = json.load(open(out + ".manifest.json"))["thermo"]
+    assert set(history) == {"passes", "grid_points", "drift_per_halving"}
+    refinements = int(meta["refinements"])
+    assert history["passes"] == refinements + 1
+    assert history["grid_points"] == len(cols["beta"])
+    drifts = history["drift_per_halving"]
+    assert len(drifts) == refinements
+    assert drifts[-1] == float(meta["step_drift"]) < thermo.STEP_TOL
+    assert all(d >= thermo.STEP_TOL for d in drifts[:-1])
+    # the history is manifest-only: CSV header and stdout are unchanged
+    assert not any("drift_per_halving" in key or "history" in key
+                   for key in meta)
+    capsys.readouterr()
+    assert run_main(argv) == 0
+    assert capsys.readouterr().out == open(out).read()
+
+
 def test_thermo_divergence_columns(tmp_path):
     out = str(tmp_path / "div.csv")
     assert run_main(["thermo", "--orientation", "110", "--t-end-us", "400",

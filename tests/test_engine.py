@@ -313,21 +313,31 @@ def test_a3_identity_for_zero_couplings():
     np.testing.assert_allclose(prop.matrix, np.eye(8), atol=1e-12)
 
 
-def test_a3_unitary_and_self_convergent(four_spin):
+def test_a3_closed_form_product_unitary_and_time_ordered(four_spin):
     wl = local_field(four_spin)
     omega1 = 10.0 * wl
     a = four_spin.couplings
-    hd_eig = np.linalg.eigh(ops.secular_dipolar(a))
+    hd = ops.secular_dipolar(a)
     h1, _ = ops.magnus_first_correction(a, omega1)
-    # over one half-cycle the base grid is already below the tolerance
-    t_half = np.pi / omega1
-    u200 = engine._texp_slices(hd_eig, h1, t_half, 200)
-    u400 = engine._texp_slices(hd_eig, h1, t_half, 400)
-    assert np.linalg.norm(u200 - u400) < 1e-8
-    # longer windows converge through the doubling loop and stay unitary
-    prop = effective_propagator_a3(four_spin, omega1, 8.0 * t_half)
-    dim = u200.shape[0]
-    assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T - np.eye(dim)) < 1e-10
+    t1 = 8.0 * np.pi / omega1
+    prop = effective_propagator_a3(four_spin, omega1, t1)
+    two_factor = (expm_hermitian(hd, 0.5 * t1).matrix
+                  @ expm_hermitian(-0.5 * hd + h1, t1).matrix)
+    np.testing.assert_array_equal(prop.matrix, two_factor)
+    assert prop.duration == t1
+    dim = prop.matrix.shape[0]
+    assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T
+                          - np.eye(dim)) < 1e-10
+    # it solves the time-ordered equation dA/dt = -i H1(t) A, with H1(t)
+    # the correction in the frame exp(-i H' t/2); central difference
+    dt = 1e-4 * t1
+    frame = expm_hermitian(hd, 0.5 * t1).matrix
+    h1_t = frame @ h1 @ frame.conj().T
+    slope = (effective_propagator_a3(four_spin, omega1, t1 + dt).matrix
+             - effective_propagator_a3(four_spin, omega1, t1 - dt).matrix
+             ) / (2.0 * dt)
+    expected = -1j * h1_t @ prop.matrix
+    assert np.linalg.norm(slope - expected) < 1e-6 * np.linalg.norm(expected)
 
 
 def test_a3_matches_exact_cycle_composition(four_spin):

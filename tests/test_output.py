@@ -47,6 +47,25 @@ def test_csv_format_details(tmp_path):
     assert raw.endswith(b"\n")
 
 
+def test_csv_body_matches_per_value_formatting():
+    # chunked one-pass formatting must give the bytes of formatting each
+    # value on its own, across chunk edges and for zero rows
+    fmt = output.CSV_FLOAT_FORMAT
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, -1.5, 1e-300, -1e-300, 1e300, -1e300, 7.0, -42.0,
+               123456789012345.0, 1.0 / 3.0]
+    for length in (0, 1, len(special), output.CSV_ROW_CHUNK,
+                   2 * output.CSV_ROW_CHUNK + 5):
+        values = np.resize(special, length) * np.where(
+            rng.random(length) < 0.5, 1.0, rng.normal(size=length))
+        cols = {"t": np.arange(length, dtype=float), "v": values,
+                "w": -values[::-1]}
+        expected = "# k=v\nt,v,w\n" + "".join(
+            ",".join(fmt % cols[name][k] for name in cols) + "\n"
+            for k in range(length))
+        assert output.csv_text(cols, {"k": "v"}) == expected
+
+
 def test_csv_text_matches_file(tmp_path):
     cols = {"a": [1.5, 2.5], "b": [0.25, 0.75]}
     meta = {"k": "v"}

@@ -11,6 +11,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicecho import experiments as ex, thermo
 from magicecho.errors import ConvergenceError
@@ -109,6 +110,84 @@ def test_solver_is_second_order():
             for n in (128, 256, 512)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+
+
+def _stepper_oracle(kernel, t_end, n_steps):
+    """The original O(N^2) per-step pass, kept as the oracle for _integrate."""
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    beta = np.ones(n_steps + 1)
+    kgrid = thermo.kernel_values(kernel, times)                  # G1(k h)
+    koff = thermo.kernel_values(kernel, times - kernel.offset)   # G1(t_k - onset)
+    # first grid index strictly past the onset; before it beta holds at 1
+    j0 = int(np.searchsorted(times, kernel.offset, side="right"))
+    if j0 > n_steps:
+        return times, beta
+    w0 = max(times[j0] - kernel.offset, 0.0)
+
+    def memory(k):
+        # integral of beta(t') G1(t' - t_k) from the onset to t_k
+        if k < j0:
+            return 0.0
+        acc = 0.5 * w0 * (koff[k] + beta[j0] * kgrid[k - j0])
+        if k > j0:
+            seg = beta[j0:k + 1] * kgrid[:k - j0 + 1][::-1]
+            acc += h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
+        return acc
+
+    for k in range(n_steps):
+        f0 = -memory(k)
+        beta[k + 1] = beta[k] + h * f0
+        f1 = -memory(k + 1)
+        beta[k + 1] = beta[k] + 0.5 * h * (f0 + f1)
+    return times, beta
+
+
+@st.composite
+def solver_cases(draw):
+    """(kernel, t_end, n_steps): Gaussian or tabulated kernels over a few
+    oscillation periods, onsets at 0, on and between grid points, and past
+    the end."""
+    n_steps = draw(st.integers(2, 2000))
+    omega = draw(st.floats(1.0e4, 1.0e5))
+    t_end = draw(st.floats(0.5, 30.0)) / omega
+    if draw(st.booleans()):
+        kernel = thermo.KernelSpec(
+            "gaussian", n=draw(st.floats(0.0, 1.0)), omega_loc=omega,
+            curvature=draw(st.floats(0.01, 4.0)) * omega**2)
+    else:
+        size = draw(st.integers(2, 12))
+        lags = np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=size,
+                                       max_size=size))) / omega
+        head = draw(st.floats(0.0, 1.0))
+        tail = draw(st.lists(st.floats(-0.5, 1.0), min_size=size - 1,
+                             max_size=size - 1))
+        kernel = thermo.KernelSpec(
+            "tabulated", times=np.concatenate([[0.0], lags[:-1]]),
+            values=np.array([head] + tail) * omega**2)
+    grid = np.linspace(0.0, t_end, n_steps + 1)
+    k = draw(st.integers(0, n_steps))
+    onset = draw(st.sampled_from(["zero", "on", "between", "past"]))
+    offset = {"zero": 0.0, "on": grid[k],
+              "between": grid[min(k, n_steps - 1)]
+              + draw(st.floats(0.01, 0.99)) * t_end / n_steps,
+              "past": t_end * draw(st.floats(1.0, 2.0))}[onset]
+    return dataclasses.replace(kernel, offset=offset), t_end, n_steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases())
+def test_toeplitz_pass_matches_stepper_oracle(case):
+    kernel, t_end, n_steps = case
+    times, beta = thermo._integrate(kernel, t_end, n_steps)
+    ref_times, ref = _stepper_oracle(kernel, t_end, n_steps)
+    np.testing.assert_array_equal(times, ref_times)
+    # FFT products carry round-off relative to the largest coefficient, so
+    # the bound is in max norm: a negative kernel that grows beta by 1e7
+    # leaves its early samples accurate only relative to that growth
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert np.abs(beta - ref).max() <= 1e-11 * scale
+    assert np.all(beta[times <= kernel.offset] == 1.0)
 
 
 def test_solver_argument_validation():
