@@ -1,0 +1,101 @@
+"""Golden outputs: fixed CLI commands rerun against captured CSVs.
+
+Each command in COMMANDS writes a CSV with --out; ``tests/golden/<name>.csv``
+holds the output captured before the engine moved to symmetry blocks. A
+rerun must have the same metadata keys and columns, equal non-numeric
+metadata, and every column and numeric metadata value within
+GOLDEN_RTOL of that column's (or value's) maximum absolute value.
+
+Recapture only when an output is meant to change:
+
+    PYTHONPATH=src python3 tests/test_golden.py --capture
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from magicecho import cli, output
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_RTOL = 1e-9
+
+# name -> argv without --out; commands run in GOLDEN_DIR, next to the .pp files
+COMMANDS = {
+    "run-seq1": ["run", "builtin:seq1", "--orientation", "100",
+                 "--radius", "1", "--max-sites", "7", "--halfcycles", "24"],
+    "run-seq2-ideal": ["run", "builtin:seq2", "--ideal", "--orientation",
+                       "110", "--radius", "1", "--max-sites", "7"],
+    "run-rpw": ["run", "builtin:rpw", "--orientation=-0.31,0.52,0.8",
+                "--radius", "1", "--max-sites", "6", "--omega1-gauss", "40",
+                "--halfcycles", "16", "--window-us", "30", "--step-us", "0.5"],
+    "sweep-seq1-n7": ["run", "builtin:seq1", "--orientation", "111",
+                      "--radius", "1", "--max-sites", "7",
+                      "--omega1-gauss", "35", "--t1-grid", "4:12:4hc"],
+    "sweep-seq2-n5": ["run", "builtin:seq2", "--orientation", "100",
+                      "--radius", "1", "--max-sites", "5",
+                      "--t1-grid", "2:14:6hc"],
+    "pp-iz-n7": ["run", "iz_n7.pp", "--orientation", "0.2,0.3,0.93",
+                 "--radius", "1", "--max-sites", "7"],
+    "pp-seq2-n8": ["run", "seq2_n8.pp", "--orientation", "110",
+                   "--radius", "2", "--max-sites", "8"],
+    "thermo-micro-n7": ["thermo", "--kernel-from-cluster", "110:1:7",
+                        "--kernel-samples", "81", "--t-end-us", "100"],
+}
+
+
+def _run(name: str, out: Path) -> None:
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        assert cli.main(COMMANDS[name] + ["--out", str(out)]) == 0
+    finally:
+        os.chdir(cwd)
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    _run(name, out)
+    gold_meta, gold_cols = output.read_csv(str(GOLDEN_DIR / f"{name}.csv"))
+    meta, cols = output.read_csv(str(out))
+    assert sorted(meta) == sorted(gold_meta)
+    assert list(cols) == list(gold_cols)
+    for key, gold in gold_meta.items():
+        x, x0 = _number(meta[key]), _number(gold)
+        if x0 is None:
+            assert meta[key] == gold, key
+        else:
+            assert abs(x - x0) <= GOLDEN_RTOL * abs(x0), key
+    for column, gold in gold_cols.items():
+        assert cols[column].shape == gold.shape, column
+        scale = np.abs(gold).max()
+        assert np.abs(cols[column] - gold).max() <= GOLDEN_RTOL * scale, \
+            column
+
+
+def capture() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMMANDS):
+            out = Path(tmp) / f"{name}.csv"
+            _run(name, out)
+            shutil.copyfile(out, GOLDEN_DIR / f"{name}.csv")
+            print(f"captured {name}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: test_golden.py --capture")
+    capture()
