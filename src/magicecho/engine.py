@@ -9,19 +9,33 @@ sample a normalized transverse signal
 
 while Delta evolves freely under the secular dipolar Hamiltonian. All
 exponentials go through Hermitian eigendecomposition, so propagators are
-unitary to round-off. Acquisition works in the eigenbasis of H', where each
-sample is a phase sum over eigenvalue gaps (:func:`phase_sum`) and Delta is
-advanced once by the propagator of the whole window. Eigendecompositions
+unitary to round-off.
+
+The engine works in symmetry blocks. :func:`evolve` carries Delta in the
+sorted basis of :func:`~magicecho.operators.sector_layout` and permutes it
+back once at the end. H' is block-diagonal in magnetization and the burst
+Hamiltonian in the parity of the down-spin count, so an eigendecomposition
+is a tuple of (slice, w, v) blocks over contiguous slices of that basis and
+every propagation step is a set of blockwise products. The global spin
+flip X maps burst(+) onto burst(-), so burst(-) is burst(+) with the
+eigenvector rows permuted by X, and the ideal burst -H'/2 is H' with the
+eigenvalues scaled by -1/2; neither is decomposed again. Decompositions
 are cached process-wide for the most recent coupling table, so a sweep
-decomposes each distinct Hamiltonian once. After every segment Tr(Delta)
-and the Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
-values, and every acquired sample must be real; drift raises
+decomposes each distinct Hamiltonian once.
+
+Acquisition works in the eigenbasis of H', where each sample is a phase sum
+over eigenvalue gaps (:func:`phase_sum`) and Delta is advanced once by the
+propagator of the whole window. A pulse applies the single-site 2x2 factor
+to every site index of Delta (:func:`~magicecho.operators.rotate`). After
+every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)), which the
+sorting leaves unchanged, are checked against their initial values, and
+every acquired sample must be real; drift raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,13 +223,17 @@ def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0) -> DeviationS
 
 
 class EigenCache:
-    """Eigendecompositions (w, v) of the Hamiltonians of one coupling table.
+    """Blockwise eigendecompositions of the Hamiltonians of one coupling table.
 
-    Only the most recent coupling table is held: a lookup with another
-    table drops every entry, so memory is bounded by the distinct
-    Hamiltonian specs of one cluster. ``computed`` and ``reused`` count
-    lookups since the last :meth:`clear`. The returned arrays are shared
-    and read-only.
+    :meth:`get` returns a tuple of (slice, w, v) blocks in the sorted basis:
+    one per magnetization sector for H' and the ideal burst, one per parity
+    class for a burst. Only burst(+) and H' are decomposed; burst(-) and
+    the ideal burst are derived from them (see the module docstring). Only
+    the most recent coupling table is held: a lookup with another table
+    drops every entry, so memory is bounded by the distinct Hamiltonian
+    specs of one cluster. ``computed`` counts lookups since the last
+    :meth:`clear` that ran an eigendecomposition and ``reused`` the rest,
+    derived spectra included. The returned arrays are shared and read-only.
     """
 
     def __init__(self):
@@ -232,22 +250,66 @@ class EigenCache:
         key = a.tobytes()
         if key != self._couplings:
             self._couplings, self._eigs = key, {}
-        if spec in self._eigs:
+        computed = self.computed
+        blocks = self._blocks(spec, a)
+        if self.computed == computed:
             self.reused += 1
-            return self._eigs[spec]
-        w, v = np.linalg.eigh(build_hamiltonian(spec, a))
-        w.setflags(write=False)
-        v.setflags(write=False)
-        self._eigs[spec] = (w, v)
-        self.computed += 1
-        return w, v
+        return blocks
 
+    def _blocks(self, spec: HamiltonianSpec, a: np.ndarray) -> tuple:
+        if spec in self._eigs:
+            return self._eigs[spec]
+        layout = ops.sector_layout(a.shape[0])
+        if spec.kind == "ideal_burst":
+            blocks = [(s, -0.5 * w, v)
+                      for s, w, v in self._blocks(_DIPOLAR, a)]
+        elif spec.kind == "burst" and spec.sign < 0:
+            # X H+ X = H-, and X keeps each parity class for even n and
+            # swaps the two for odd n
+            plus = self._blocks(replace(spec, sign=1), a)
+            blocks = []
+            for k, (s, _, _) in enumerate(plus):
+                t, w, v = plus[k ^ (a.shape[0] % 2)]
+                blocks.append((s, w, v[layout.flip[s] - t.start]))
+        else:
+            h = layout.sort(build_hamiltonian(spec, a))
+            slices = layout.sectors if spec.kind == "dipolar" \
+                else layout.parities
+            blocks = [(s, *np.linalg.eigh(h[s, s])) for s in slices]
+            self.computed += 1
+        for _, w, v in blocks:
+            w.setflags(write=False)
+            v.setflags(write=False)
+        self._eigs[spec] = tuple(blocks)
+        return self._eigs[spec]
+
+
+_DIPOLAR = HamiltonianSpec("dipolar")
 
 EIGENSYSTEMS = EigenCache()
 """Process-wide cache used by :func:`evolve` and the spectral helpers."""
 
-_DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
+
+
+def spectrum(blocks) -> np.ndarray:
+    """Eigenvalues of all blocks, in sorted-basis order."""
+    return np.concatenate([w for _, w, _ in blocks])
+
+
+def _sandwich(factors, x: np.ndarray) -> np.ndarray:
+    """M x M^dagger for block-diagonal M given as (slice, block) pairs."""
+    out = np.empty_like(x)
+    for s, m in factors:
+        out[s] = m @ x[s]
+    for s, m in factors:
+        out[:, s] = out[:, s] @ m.conj().T
+    return out
+
+
+def to_eigenbasis(blocks, op: np.ndarray) -> np.ndarray:
+    """V^dagger op V for op in the sorted basis, one block at a time."""
+    return _sandwich([(s, v.conj().T) for s, _, v in blocks], op)
 
 
 def phase_sum(w, m, times) -> np.ndarray:
@@ -285,7 +347,8 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     dim = 2**n
     if state.delta.shape != (dim, dim):
         raise ValueError("state dimension does not match the plan's cluster")
-    delta = state.delta.copy()
+    layout = ops.sector_layout(n)
+    delta = layout.sort(state.delta)
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
     curves = []
@@ -294,28 +357,31 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Pulse):
             # positive-gamma pulse convention: conjugate by exp(+i angle I)
-            u = ops.rotation(seg.axis, -seg.angle, n)
-            delta = u @ delta @ u.conj().T
+            delta = layout.sort(ops.rotate(layout.unsort(delta), seg.axis,
+                                           -seg.angle))
         elif isinstance(seg, Evolve):
             if seg.duration > 0.0:
-                w, v = EIGENSYSTEMS.get(seg.hamiltonian, a)
-                u = (v * np.exp(-1j * w * seg.duration)) @ v.conj().T
-                delta = u @ delta @ u.conj().T
+                blocks = EIGENSYSTEMS.get(seg.hamiltonian, a)
+                delta = _sandwich(
+                    [(sl, (v * np.exp(-1j * w * seg.duration)) @ v.conj().T)
+                     for sl, w, v in blocks], delta)
                 t_abs += seg.duration
         elif isinstance(seg, Acquire):
-            w, v = EIGENSYSTEMS.get(_DIPOLAR, a)
-            o = ops.collective(seg.observable, n)
+            blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
+            w = spectrum(blocks)
+            o = layout.sort(ops.collective(seg.observable, n))
             tro2 = float(np.vdot(o, o).real)
             n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
             times = np.arange(n_samp) * seg.step
-            delta_eig = v.conj().T @ delta @ v
-            o_eig = v.conj().T @ o @ v
+            delta_eig = to_eigenbasis(blocks, delta)
+            o_eig = to_eigenbasis(blocks, o)
             s = phase_sum(w, delta_eig * o_eig.T, times) / (state.beta * tro2)
             if np.any(np.abs(s.imag)
                       > 1e-9 * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")
-            vw = v * np.exp(-1j * w * seg.window)
-            delta = vw @ delta_eig @ vw.conj().T
+            phase = np.exp(-1j * w * seg.window)
+            delta = _sandwich([(sl, v) for sl, _, v in blocks],
+                              delta_eig * np.outer(phase, phase.conj()))
             curves.append(SignalCurve(
                 times=times, values=s.real, observable=seg.observable,
                 start=t_abs, label=seg.label))
@@ -323,7 +389,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         _check_drift(delta, norm0, tr0, where)
-    return DeviationState(delta=delta, beta=state.beta), curves
+    return DeviationState(delta=layout.unsort(delta), beta=state.beta), curves
 
 
 def halfcycle_duration(omega1: float, n_halfcycles: int) -> float:
@@ -382,22 +448,3 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
     u_full = expm_hermitian(-0.5 * hd + h1, t1).matrix
     return Propagator(matrix=u_frame @ u_full, duration=float(t1))
 
-
-def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> Propagator:
-    """First-order defect propagator of one full time-reversal cycle.
-
-    A4 = exp(-i H' t1/2) exp[+i (H'/2 + H1) t1/2] exp[+i (H'/2 - H1) t1/2]:
-    the + phase burst half, the - phase half (where the first-order
-    correction flips sign), then the free evolution the burst is meant to
-    unwind. With H1 = 0 the three factors cancel exactly, so A4 measures
-    the first-order deviation from perfect reversal.
-    """
-    if not t1 > 0:
-        raise ValueError("t1 must be positive")
-    a = ops.couplings_of(cluster_or_matrix)
-    hd = ops.secular_dipolar(a)
-    h1, _ = ops.magnus_first_correction(a, omega1)
-    u_free = expm_hermitian(hd, 0.5 * t1).matrix
-    u_minus = expm_hermitian(-(0.5 * hd + h1), 0.5 * t1).matrix
-    u_plus = expm_hermitian(-(0.5 * hd - h1), 0.5 * t1).matrix
-    return Propagator(matrix=u_free @ u_minus @ u_plus, duration=float(t1))

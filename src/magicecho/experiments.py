@@ -69,11 +69,12 @@ def local_field_of(cluster) -> float:
 
 def _fid_spectral_data(cluster):
     a = ops.couplings_of(cluster)
-    ix = ops.collective("x", a.shape[0])
-    w, v = engine.EIGENSYSTEMS.get(HamiltonianSpec("dipolar"), a)
-    m = v.conj().T @ ix @ v
+    n = a.shape[0]
+    ix = ops.sector_layout(n).sort(ops.collective("x", n))
+    blocks = engine.EIGENSYSTEMS.get(HamiltonianSpec("dipolar"), a)
+    m = engine.to_eigenbasis(blocks, ix)
     weights = (m * m.conj()).real / float(np.vdot(ix, ix).real)
-    return w, weights
+    return engine.spectrum(blocks), weights
 
 
 def fid_values(cluster, times) -> np.ndarray:

@@ -6,6 +6,17 @@ Every builder accepts either a :class:`~magicecho.lattice.SpinCluster` or a
 bare symmetric coupling matrix in rad/s, so synthetic coupling tables can be
 fed straight in.
 
+:func:`sector_layout` gives the symmetry-sorted order of the same basis
+that the engine works in: states sorted by the parity of their down-spin
+count, then by the count, then by index. Magnetization sectors (which H'
+conserves) and the two parity classes (which the burst Hamiltonian
+conserves) are then contiguous slices, and the global spin flip
+X = prod sigma^x is a permutation of sorted positions.
+
+:func:`rotate` conjugates by a collective rotation without forming it: it
+applies the single-site 2x2 factor to every site index of the operator,
+O(N 4^N) instead of the O(8^N) of two dense products.
+
 Sign conventions, fixed once here and relied on everywhere else:
 
 * ``rotation(axis, angle)`` returns exp(-i * angle * I_axis).
@@ -27,6 +38,7 @@ single-quantum part defined in :func:`operator_q`.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +50,6 @@ _S = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], complex),
     "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], complex),
     "z": np.array([[0.5, 0.0], [0.0, -0.5]], complex),
-    "p": np.array([[0.0, 1.0], [0.0, 0.0]], complex),
-    "m": np.array([[0.0, 0.0], [1.0, 0.0]], complex),
 }
 
 
@@ -63,18 +73,6 @@ def site_count(cluster_or_matrix) -> int:
     return couplings_of(cluster_or_matrix).shape[0]
 
 
-def site_op(key: str, site: int, n: int) -> np.ndarray:
-    """op on one site, identity elsewhere (site 0 = most significant)."""
-    if key not in _S:
-        raise ValueError(f"unknown single-site operator {key!r}")
-    if not 0 <= site < n:
-        raise ValueError("site index out of range")
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        out = np.kron(out, _S[key] if k == site else np.eye(2, dtype=complex))
-    return out
-
-
 # The many-spin builders below work on bit patterns of basis-state indices
 # instead of products of kron-built site operators: bit (n-1-i) of a state
 # index is 1 where site i is spin-down. Pair terms are then a diagonal zz
@@ -95,6 +93,49 @@ def _flips(out: np.ndarray, mask: int, cols, values) -> None:
     """out[b ^ mask, b] += values for b in cols: couple each basis state to
     the one with the spins under ``mask`` reversed."""
     out[cols ^ mask, cols] += values
+
+
+class SectorLayout(NamedTuple):
+    """Symmetry-sorted order of the 2^n basis states (see module docstring).
+
+    order[p] is the basis index at sorted position p and position its
+    inverse. sectors holds one slice per magnetization sector and parities
+    the even- and odd-count slices, all in sorted order. flip[p] is the
+    sorted position of X applied to the state at p (b -> b XOR (2^n - 1)).
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    sectors: tuple
+    parities: tuple
+    flip: np.ndarray
+
+    def sort(self, op: np.ndarray) -> np.ndarray:
+        """op with rows and columns in sorted order."""
+        return op.take(self.order, axis=0).take(self.order, axis=1)
+
+    def unsort(self, op: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`sort`."""
+        return op.take(self.position, axis=0).take(self.position, axis=1)
+
+
+@lru_cache(maxsize=None)
+def sector_layout(n: int) -> SectorLayout:
+    """The sorted layout for n sites, built once per n on first use."""
+    states, z = _basis(n)
+    downs = (0.5 * n - z.sum(axis=0)).round().astype(int)
+    order = np.lexsort((states, downs, downs % 2))
+    position = np.empty_like(order)
+    position[order] = states
+    bounds = np.flatnonzero(np.diff(downs[order])) + 1
+    edges = [0, *bounds.tolist(), 2**n]
+    sectors = tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
+    n_even = int((downs % 2 == 0).sum())
+    flip = position[order ^ (2**n - 1)]
+    for arr in (order, position, flip):
+        arr.setflags(write=False)
+    return SectorLayout(order, position, sectors,
+                        (slice(0, n_even), slice(n_even, 2**n)), flip)
 
 
 def _coupled_pairs(a: np.ndarray):
@@ -168,29 +209,48 @@ def operator_q(cluster_or_matrix) -> np.ndarray:
     return q
 
 
-def rotation(axis: str, angle: float, n: int) -> np.ndarray:
-    """Collective rotation exp(-i * angle * I_axis) as a kron of 2x2 blocks."""
+def _site_rotation(axis: str, angle: float) -> np.ndarray:
+    """Single-site factor exp(-i * angle * S_axis); axis may carry a '-'."""
     sign = 1.0
     if axis.startswith("-"):
         sign, axis = -1.0, axis[1:]
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown axis {axis!r}")
     theta = sign * angle
-    u1 = (np.cos(theta / 2.0) * np.eye(2, dtype=complex)
-          - 2.0j * np.sin(theta / 2.0) * _S[axis])
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        out = np.kron(out, u1)
-    return out
+    return (np.cos(theta / 2.0) * np.eye(2, dtype=complex)
+            - 2.0j * np.sin(theta / 2.0) * _S[axis])
+
+
+def rotation(axis: str, angle: float, n: int) -> np.ndarray:
+    """Collective rotation exp(-i * angle * I_axis) as a kron of 2x2 blocks."""
+    return reduce(np.kron, [_site_rotation(axis, angle)] * n)
+
+
+# site indices per product in rotate: a 16x16 factor keeps each of the 2n/4
+# steps one BLAS product; on 2 cores it beat 1, 2, 3 and 5 sites at n = 7..11
+_FACTOR_SITES = 4
 
 
 def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
-    """Conjugate: R op R^dagger with R = rotation(axis, angle)."""
+    """Conjugate: R op R^dagger with R = rotation(axis, angle).
+
+    R is the kron of n copies of the site factor u, so op, read as a tensor
+    of n row and n column site indices, gets u on every row index and u* on
+    every column index. Each product takes the leading _FACTOR_SITES
+    indices (u kron u ... as one small factor) and moves them to the back,
+    so after all of them the index order is restored: O(n 4^n), with no
+    dense R.
+    """
     n = int(round(np.log2(op.shape[0])))
     if 2**n != op.shape[0]:
         raise ValueError("operator dimension is not a power of 2")
-    r = rotation(axis, angle, n)
-    return r @ op @ r.conj().T
+    u1 = _site_rotation(axis, angle)
+    factors = [reduce(np.kron, [u1] * min(_FACTOR_SITES, n - k))
+               for k in range(0, n, _FACTOR_SITES)]
+    out = np.asarray(op, complex)
+    for f in factors + [f.conj() for f in factors]:
+        out = out.reshape(f.shape[0], -1).T @ f.T
+    return out.reshape(op.shape)
 
 
 class TiltReport(NamedTuple):
@@ -263,17 +323,3 @@ def h1_magnitude_proxy(m2: float, omega1: float) -> float:
     if omega1 <= 0:
         raise ValueError("omega1 must be positive")
     return float(m2) / (2.0 * omega1)
-
-
-def second_moment_trace(cluster_or_matrix) -> float:
-    """M2 = Tr([H', I_x]^dagger [H', I_x]) / Tr(I_x^2), the trace route.
-
-    Equals the pair-sum Van Vleck formula exactly for any coupling table;
-    used as a cross-check against :func:`magicecho.lattice.second_moment`.
-    """
-    a = couplings_of(cluster_or_matrix)
-    n = a.shape[0]
-    hd = secular_dipolar(a)
-    ix = collective("x", n)
-    c = commutator(hd, ix)
-    return float(np.trace(c.conj().T @ c).real / np.trace(ix @ ix).real)

@@ -247,25 +247,6 @@ def solve_beta(kernel: KernelSpec, t_end: float, step: float
         f"{MAX_REFINEMENTS} step halvings")
 
 
-def short_time_check(kernel: KernelSpec) -> float:
-    """Fitted quadratic coefficient of 1 - beta(t) at short times.
-
-    The equation's own expansion gives beta = 1 - (n omega_loc)^2 t^2 / 2,
-    so the returned coefficient should be (n omega_loc)^2 / 2. The onset
-    delay is bypassed: this probes the equation, not the shifted clock.
-    """
-    if kernel.kind != "gaussian":
-        raise ValueError("short-time check needs a gaussian kernel")
-    if kernel.n == 0.0:
-        return 0.0
-    probe = KernelSpec("gaussian", n=kernel.n, omega_loc=kernel.omega_loc,
-                       curvature=kernel.curvature, offset=0.0)
-    t_fit = 0.1 / np.sqrt(kernel.curvature)
-    traj = solve_beta(probe, t_fit, t_fit / 64)
-    t, b = traj.times, traj.beta
-    return float(((1.0 - b) @ t**2) / (t**4).sum())
-
-
 def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     """Tabulated kernel from a cluster's double-quantum fluctuations.
 
@@ -289,16 +270,20 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     if tau.ndim != 1 or tau.size < 2 or tau[0] != 0.0 \
             or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must start at 0 and strictly increase")
+    layout = ops.sector_layout(nspins)
     h2, hm2, _ = ops.nonsecular_pair_raising(a)
-    norm = float(np.trace(h2 @ hm2).real)
+    norm = float(np.vdot(hm2, hm2).real)      # Tr(H2 Hm2)
     if not norm > 0.0:
         raise ValueError("degenerate kernel: cluster has no "
                          "double-quantum weight")
-    w, v = engine.EIGENSYSTEMS.get(engine.HamiltonianSpec("dipolar"), a)
-    dim = h2.shape[0]
+    h2, hm2 = layout.sort(h2), layout.sort(hm2)
+    blocks = engine.EIGENSYSTEMS.get(engine.HamiltonianSpec("dipolar"), a)
+    w = engine.spectrum(blocks)
     # weight matrix in the dipolar eigenbasis: the lag dependence is a pure
-    # phase factor per eigenvalue gap, so the pair loop runs once
-    wmat = np.zeros((dim, dim), complex)
+    # phase factor per eigenvalue gap, so the pair loop runs once. Each
+    # [H2_ij, Hm2] conserves the magnetization, so only the diagonal
+    # sector blocks of the commutators and of the weights are nonzero
+    wmat = np.zeros(h2.shape, complex)
     for i in range(nspins):
         for j in range(i + 1, nspins):
             if a[i, j] == 0.0:
@@ -306,9 +291,12 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
             mask = np.zeros_like(a)
             mask[i, j] = mask[j, i] = a[i, j]
             h2ij, hm2ij, _ = ops.nonsecular_pair_raising(mask)
-            cp = v.conj().T @ ops.commutator(h2ij, hm2) @ v
-            cm = v.conj().T @ ops.commutator(hm2ij, h2) @ v
-            wmat += cp * cm.T
+            h2ij, hm2ij = layout.sort(h2ij), layout.sort(hm2ij)
+            for s, _, v in blocks:
+                cp = h2ij[s] @ hm2[:, s] - hm2[s] @ h2ij[:, s]
+                cm = hm2ij[s] @ h2[:, s] - h2[s] @ hm2ij[:, s]
+                wmat[s, s] += ((v.conj().T @ cp @ v)
+                               * (v.conj().T @ cm @ v).T)
 
     def samples(sign):
         # conjugation at half rate: phases exp(-i gap t/2) per lag t

@@ -146,10 +146,24 @@ def test_run_manifest_counts_eigendecompositions(tmp_path):
     for _ in range(2):
         assert run_main(argv) == 0
         manifest = json.load(open(out + ".manifest.json"))
-        # burst +, burst - and H' once each; every later lookup is reused
+        # burst + and H' once each; burst - is derived from burst + by the
+        # global spin flip, and every later lookup is reused
         # (3 points x 2 components x 4 lookups)
-        assert manifest["eigendecompositions"] == {"computed": 3,
-                                                   "reused": 21}
+        assert manifest["eigendecompositions"] == {"computed": 2,
+                                                   "reused": 22}
+
+
+def test_run_pp_burst_pair_computes_two_eigendecompositions(tmp_path):
+    pp = tmp_path / "pair.pp"
+    pp.write_text("init ix\nburst + 30G 8hc\nburst - 30G 8hc\n"
+                  "delay 10us\nacquire Ix for 10us step 1us\n")
+    out = str(tmp_path / "pair.csv")
+    assert run_main(["run", str(pp), "--orientation", "100", "--radius", "1",
+                     "--max-sites", "5", "--out", out]) == 0
+    manifest = json.load(open(out + ".manifest.json"))
+    # burst + and H' are decomposed; burst - comes from burst + by the
+    # global spin flip; the acquire reuses the delay's H'
+    assert manifest["eigendecompositions"] == {"computed": 2, "reused": 2}
 
 
 def test_run_negative_orientation_space_separated(tmp_path):

