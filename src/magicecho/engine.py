@@ -272,7 +272,9 @@ class EigenCache:
                 t, w, v = plus[k ^ (a.shape[0] % 2)]
                 blocks.append((s, w, v[layout.flip[s] - t.start]))
         else:
-            h = layout.sort(build_hamiltonian(spec, a))
+            # every kind is real in the product basis (I_z, H' and P have
+            # real matrix elements), so the blocks are real symmetric
+            h = layout.sort(build_hamiltonian(spec, a).real)
             slices = layout.sectors if spec.kind == "dipolar" \
                 else layout.parities
             blocks = [(s, *np.linalg.eigh(h[s, s])) for s in slices]
