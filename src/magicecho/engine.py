@@ -286,11 +286,10 @@ class EigenCache:
         return self._eigs[spec]
 
 
-_DIPOLAR = HamiltonianSpec("dipolar")
-
 EIGENSYSTEMS = EigenCache()
 """Process-wide cache used by :func:`evolve` and the spectral helpers."""
 
+_DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
 
 
