@@ -1,14 +1,17 @@
 """Golden outputs: fixed CLI commands rerun against captured CSVs.
 
 Each command in COMMANDS writes a CSV with --out; ``tests/golden/<name>.csv``
-holds the output captured before the engine moved to symmetry blocks. A
-rerun must have the same metadata keys and columns, equal non-numeric
-metadata, and every column and numeric metadata value within
+holds its output captured before a refactor of the code it runs: the first
+eight before the engine moved to symmetry blocks, the ideal sweep, the
+zero-burst sweep and the ideal rpw run before the builtin sequences got one
+definition. A rerun must have the same metadata keys and columns, equal
+non-numeric metadata, and every column and numeric metadata value within
 GOLDEN_RTOL of that column's (or value's) maximum absolute value.
 
-Recapture only when an output is meant to change:
+Capture a new golden, or recapture one whose output is meant to change,
+by name; the other files are left as they are:
 
-    PYTHONPATH=src python3 tests/test_golden.py --capture
+    PYTHONPATH=src python3 tests/test_golden.py --capture NAME [NAME ...]
 """
 
 import os
@@ -44,6 +47,15 @@ COMMANDS = {
                  "--radius", "1", "--max-sites", "7"],
     "pp-seq2-n8": ["run", "seq2_n8.pp", "--orientation", "110",
                    "--radius", "2", "--max-sites", "8"],
+    "sweep-seq1-ideal-n6": ["run", "builtin:seq1", "--ideal", "--orientation",
+                            "100", "--radius", "1", "--max-sites", "6",
+                            "--t1-grid", "0:3:1hc"],
+    "sweep-seq2-zero-n6": ["run", "builtin:seq2", "--orientation", "110",
+                           "--radius", "1", "--max-sites", "6",
+                           "--omega1-gauss", "30", "--t1-grid", "0:8:4hc"],
+    "run-rpw-ideal": ["run", "builtin:rpw", "--ideal", "--orientation", "110",
+                      "--radius", "1", "--max-sites", "6",
+                      "--halfcycles", "12"],
     "thermo-micro-n7": ["thermo", "--kernel-from-cluster", "110:1:7",
                         "--kernel-samples", "81", "--t-end-us", "100"],
 }
@@ -86,9 +98,12 @@ def test_golden_output(name, tmp_path):
             column
 
 
-def capture() -> None:
+def capture(names) -> None:
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown golden(s): {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(COMMANDS):
+        for name in names:
             out = Path(tmp) / f"{name}.csv"
             _run(name, out)
             shutil.copyfile(out, GOLDEN_DIR / f"{name}.csv")
@@ -96,6 +111,7 @@ def capture() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
-        sys.exit("usage: test_golden.py --capture")
-    capture()
+    if sys.argv[1:2] != ["--capture"] or len(sys.argv) < 3:
+        sys.exit("usage: test_golden.py --capture NAME [NAME ...]\n"
+                 f"names: {' '.join(sorted(COMMANDS))}")
+    capture(sys.argv[2:])
