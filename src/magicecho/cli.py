@@ -165,25 +165,22 @@ def _cmd_run(args) -> int:
                              f"builtin:seq2, not {source!r}")
         omega1 = gamma * args.omega1_gauss
         counts = _parse_t1_grid(args.t1_grid)
-        window = args.window_us * 1e-6 if args.window_us else None
-        step = args.step_us * 1e-6 if args.step_us else None
-        curve = experiments.sweep_t1(name, cluster, omega1,
-                                     counts * np.pi / omega1,
-                                     ideal_reversal=args.ideal,
-                                     window=window, step=step)
+        window = None if args.window_us is None else args.window_us * 1e-6
+        step = None if args.step_us is None else args.step_us * 1e-6
+        curve = experiments.sweep_t1(
+            name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
+            ideal_reversal=args.ideal, window=window, step=step)
         return _finish(args, t0, obj=curve, cluster=cluster)
     if source.startswith("builtin:"):
-        name = source[len("builtin:"):]
-        text = pulseprog.builtin_program(
-            name, amplitude_gauss=args.omega1_gauss,
+        program = pulseprog.builtin(
+            source[len("builtin:"):], amplitude_gauss=args.omega1_gauss,
             halfcycles=args.halfcycles,
-            window_us=args.window_us if args.window_us else 60.0,
-            step_us=args.step_us if args.step_us else 0.5,
+            window_us=60.0 if args.window_us is None else args.window_us,
+            step_us=0.5 if args.step_us is None else args.step_us,
             gamma=gamma)
     else:
         with open(source, "r") as fh:
-            text = fh.read()
-    program = pulseprog.parse(text)
+            program = pulseprog.parse(fh.read())
     plan = pulseprog.compile(program, cluster, ideal_reversal=args.ideal)
     acquires = sum(isinstance(s, engine.Acquire) for s in plan.segments)
     if acquires != 1:
@@ -453,9 +450,11 @@ def build_parser():
     p.add_argument("--ideal", action="store_true",
                    help="replace bursts with the exact reversed evolution")
     p.add_argument("--window-us", type=float, default=None,
-                   help="acquisition window (default: 5/omega_L)")
+                   help="acquisition window (default: 60 for a single "
+                        "builtin run, 5/omega_L for a --t1-grid sweep)")
     p.add_argument("--step-us", type=float, default=None,
-                   help="acquisition step (default: 0.02/omega_L)")
+                   help="acquisition step (default: 0.5 for a single "
+                        "builtin run, 0.02/omega_L for a --t1-grid sweep)")
     p.add_argument("--out", help="write CSV here (default: stdout)")
 
     p = sub("thermo", _cmd_thermo,

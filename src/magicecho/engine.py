@@ -157,7 +157,6 @@ class PropagationPlan:
     cluster: object
     segments: tuple
     initial_state_kind: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -393,13 +392,11 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     return DeviationState(delta=layout.unsort(delta), beta=state.beta), curves
 
 
-def halfcycle_duration(omega1: float, n_halfcycles: int) -> float:
-    """Duration of an integer number of burst half-cycles, n pi / omega1."""
+def halfcycle_duration(omega1: float, n_halfcycles):
+    """Duration of n burst half-cycles, n pi / omega1 (n may be an array)."""
     if not omega1 > 0:
         raise ValueError("omega1 must be positive")
-    if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
-        raise ValueError("half-cycle count must be a positive integer")
-    return int(n_halfcycles) * np.pi / omega1
+    return n_halfcycles * np.pi / omega1
 
 
 def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
@@ -414,7 +411,9 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     a = ops.couplings_of(cluster_or_matrix)
     n = a.shape[0]
     dim = 2**n
-    t1 = halfcycle_duration(omega1, n_halfcycles)
+    if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
+        raise ValueError("half-cycle count must be a positive integer")
+    t1 = halfcycle_duration(omega1, int(n_halfcycles))
     h_burst = build_hamiltonian(HamiltonianSpec("burst", 1, omega1), a)
     u_exact = expm_hermitian(h_burst, t1).matrix
     iz = ops.collective("z", n)

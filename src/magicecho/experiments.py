@@ -6,7 +6,9 @@ max|dG/dt| with no free scale. Echo amplitudes are the peak |s| over an
 acquisition grid anchored at the predicted echo center; |dG/dt| is even
 about the center, so the outward-running grid sees the full peak, and using
 the same grid for every sequence makes amplitude ratios exact in the ideal
-limit.
+limit. The echo sequences are the builtin programs of the pulseprog module,
+compiled; this module adds only the default grid, t1 validation and
+snapping, and the split of the seq1 signal into its two components.
 
 All curves carry a ``macroscopic: False`` metadata flag: a handful of spins
 evolved unitarily realizes the exact density-matrix predictions, not the
@@ -16,20 +18,12 @@ is precisely where the two disagree (see the thermo module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import engine, operators as ops
-from .engine import (
-    Acquire,
-    Evolve,
-    HamiltonianSpec,
-    PropagationPlan,
-    Pulse,
-    SignalCurve,
-    evolve,
-)
+from . import engine, operators as ops, pulseprog
+from .engine import HamiltonianSpec, SignalCurve, evolve
 from .lattice import local_field
 
 DEFAULT_WINDOW_FACTOR = 5.0   # acquisition window, units of 1/omega_L
@@ -112,12 +106,6 @@ def max_abs_fid_derivative(cluster, window=None, step=None) -> float:
     return float(np.abs(fid_derivative(cluster, times)).max())
 
 
-def _halfcycle(omega1: float) -> float:
-    if not omega1 > 0:
-        raise ValueError("omega1 must be positive")
-    return np.pi / omega1
-
-
 def check_burst_duration(t1: float, omega1: float) -> int:
     """Validate t1 against the phase-alternated burst timing.
 
@@ -128,43 +116,43 @@ def check_burst_duration(t1: float, omega1: float) -> int:
     """
     if t1 < 0:
         raise ValueError("t1 must be nonnegative")
-    hc = _halfcycle(omega1)
+    hc = engine.halfcycle_duration(omega1, 1)
     n = int(round(t1 / hc))
     if abs(t1 - n * hc) > 1e-9 * max(t1, hc) or n % 2:
         raise ValueError(
             f"t1 = {t1} is not an even number of half-cycles pi/omega1; "
-            f"nearest valid value is {2 * round(t1 / (2 * hc)) * hc}")
+            f"nearest valid value is {snap_t1(t1, omega1)}")
     return n
 
 
 def snap_t1(t1: float, omega1: float) -> float:
     """Nearest even multiple of the half-cycle pi/omega1."""
-    hc = _halfcycle(omega1)
+    hc = engine.halfcycle_duration(omega1, 1)
     return 2 * int(round(t1 / (2 * hc))) * hc
 
 
-def _burst_segments(omega1, t1, ideal_reversal):
-    """Phase-alternated burst of total duration t1 (+ half then - half)."""
-    if t1 == 0.0:
-        return []
-    if ideal_reversal:
-        return [Evolve(HamiltonianSpec("ideal_burst"), t1)]
-    check_burst_duration(t1, omega1)
-    half = 0.5 * t1
-    return [Evolve(HamiltonianSpec("burst", +1, omega1), half),
-            Evolve(HamiltonianSpec("burst", -1, omega1), half)]
+def _plan(name, cluster, omega1, t1, ideal_reversal, window, step):
+    """The compiled builtin sequence with a burst of total length t1.
+
+    Unless ideal, t1 must be an even number of half-cycles; the acquisition
+    grid defaults to 5/omega_L in steps of 0.02/omega_L.
+    """
+    half = None
+    if t1 != 0:
+        if not ideal_reversal:
+            check_burst_duration(t1, omega1)
+        gauss = omega1 / pulseprog.gamma_of(cluster)
+        half = pulseprog.Burst(sign=1, amplitude_gauss=gauss, seconds=0.5 * t1)
+    window, step = _acquisition_grid(cluster, window, step)
+    program = pulseprog.sequence(name, half, 0.5 * t1, window, step)
+    return pulseprog.compile(program, cluster, ideal_reversal)
 
 
-def _reversal_tail(cluster, omega1, t1, ideal_reversal, window, step,
-                   read_pulse: bool):
-    """Burst, free evolution to the echo center, optional 45 readout."""
-    segments = list(_burst_segments(omega1, t1, ideal_reversal))
-    if t1 > 0:
-        segments.append(Evolve(HamiltonianSpec("dipolar"), 0.5 * t1))
-    if read_pulse:
-        segments.append(Pulse("y", np.pi / 4))
-    segments.append(Acquire("y", window, step))
-    return tuple(segments)
+def _signal(state, plan, label, **meta) -> SignalCurve:
+    _, (curve,) = evolve(state, plan)
+    return SignalCurve(times=curve.times, values=curve.values,
+                       observable=curve.observable, start=curve.start,
+                       label=label, meta=_cluster_meta(plan.cluster, **meta))
 
 
 def _split_after_90(cluster):
@@ -186,23 +174,13 @@ def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
     the state prepared by the initial 90-degree pulse. Their sum is the
     full sequence signal (evolution is linear in the deviation).
     """
-    window, step = _acquisition_grid(cluster, window, step)
-    tail = _reversal_tail(cluster, omega1, t1, ideal_reversal, window, step,
-                          read_pulse=True)
-    plan = PropagationPlan(cluster=cluster, segments=tail,
-                           initial_state_kind="dipolar")
-    state_p, state_hd = _split_after_90(cluster)
-    curves = []
-    for part, state in (("p", state_p), ("hd", state_hd)):
-        _, (curve,) = evolve(state, plan)
-        meta = _cluster_meta(cluster, sequence="seq1", component=part,
-                            omega1=omega1, t1=t1,
-                            ideal_reversal=bool(ideal_reversal))
-        curves.append(SignalCurve(times=curve.times, values=curve.values,
-                                  observable=curve.observable,
-                                  start=curve.start, label=f"seq1-{part}",
-                                  meta=meta))
-    return tuple(curves)
+    plan = _plan("seq1", cluster, omega1, t1, ideal_reversal, window, step)
+    # each part runs the compiled plan after its leading 90-degree y pulse
+    tail = replace(plan, segments=plan.segments[1:])
+    return tuple(
+        _signal(state, tail, f"seq1-{part}", sequence="seq1", component=part,
+                omega1=omega1, t1=t1, ideal_reversal=bool(ideal_reversal))
+        for part, state in zip(("p", "hd"), _split_after_90(cluster)))
 
 
 def sequence1_amplitude(cluster, omega1, t1, ideal_reversal=False,
@@ -222,18 +200,10 @@ def sequence2_signal(cluster, omega1, t1, ideal_reversal=False,
     reach the transverse observable (coherence order is conserved under
     dipolar evolution), so no component splitting is needed.
     """
-    window, step = _acquisition_grid(cluster, window, step)
-    tail = _reversal_tail(cluster, omega1, t1, ideal_reversal, window, step,
-                          read_pulse=False)
-    plan = PropagationPlan(cluster=cluster, segments=tail,
-                           initial_state_kind="seq2")
-    state = engine.initial_state("seq2", cluster)
-    _, (curve,) = evolve(state, plan)
-    meta = _cluster_meta(cluster, sequence="seq2", omega1=omega1, t1=t1,
-                        ideal_reversal=bool(ideal_reversal))
-    return SignalCurve(times=curve.times, values=curve.values,
-                       observable=curve.observable, start=curve.start,
-                       label="seq2", meta=meta)
+    plan = _plan("seq2", cluster, omega1, t1, ideal_reversal, window, step)
+    state = engine.initial_state(plan.initial_state_kind, cluster)
+    return _signal(state, plan, "seq2", sequence="seq2", omega1=omega1,
+                   t1=t1, ideal_reversal=bool(ideal_reversal))
 
 
 def sequence2_amplitude(cluster, omega1, t1, ideal_reversal=False,
@@ -252,18 +222,11 @@ def rpw_magic_echo(cluster, omega1, tau, ideal_reversal=False,
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    window, step = _acquisition_grid(cluster, window, step)
-    segments = [Evolve(HamiltonianSpec("dipolar"), tau)]
-    segments += _burst_segments(omega1, 2.0 * tau, ideal_reversal)
-    segments.append(Acquire("x", window, step))
-    plan = PropagationPlan(cluster=cluster, segments=tuple(segments),
-                           initial_state_kind="ix")
-    _, (curve,) = evolve(engine.initial_state("ix", cluster), plan)
-    meta = _cluster_meta(cluster, sequence="rpw", omega1=omega1, tau=tau,
-                        ideal_reversal=bool(ideal_reversal))
-    return SignalCurve(times=curve.times, values=curve.values,
-                       observable="x", start=curve.start, label="rpw",
-                       meta=meta)
+    plan = _plan("rpw", cluster, omega1, 2.0 * tau, ideal_reversal, window,
+                 step)
+    state = engine.initial_state(plan.initial_state_kind, cluster)
+    return _signal(state, plan, "rpw", sequence="rpw", omega1=omega1,
+                   tau=tau, ideal_reversal=bool(ideal_reversal))
 
 
 _SEQUENCE_AMPLITUDES = {

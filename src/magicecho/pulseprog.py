@@ -25,12 +25,17 @@ frame's reversed Hamiltonian plus the double-quantum part. The frame
 declaration is descriptive: plans always execute in the frame the burst
 Hamiltonian is written in, and the explicit pulse statements carry the
 frame change, so 'tilted' and 'rotating' programs compile identically.
+
+The standard sequences seq1, seq2 and rpw are spelled out once, as
+statements, in :func:`sequence`; single runs, sweeps and the experiments
+module all compile those statements, and :func:`builtin_program` prints
+them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -266,6 +271,11 @@ def print_program(program: PulseProgram) -> str:
     return "\n".join(out) + "\n"
 
 
+def gamma_of(cluster) -> float:
+    """Gyromagnetic ratio of a cluster; GAMMA_F19 for a bare coupling table."""
+    return getattr(getattr(cluster, "constants", None), "gamma", GAMMA_F19)
+
+
 def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
             ) -> engine.PropagationPlan:
     """Lower a program to engine segments for the given cluster.
@@ -274,9 +284,8 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
     With ideal_reversal, bursts evolve under -H'/2 (the infinite-amplitude
     limit) for the same duration.
     """
-    gamma = getattr(getattr(cluster, "constants", None), "gamma", GAMMA_F19)
+    gamma = gamma_of(cluster)
     segments = []
-    init_kind = program.init_kind
     for s in program.statements:
         if isinstance(s, (Init, Frame)):
             continue
@@ -286,10 +295,8 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
             if not s.amplitude_gauss > 0:
                 raise CompileError("burst amplitude must be positive")
             omega1 = gamma * s.amplitude_gauss
-            if s.halfcycles is not None:
-                duration = s.halfcycles * np.pi / omega1
-            else:
-                duration = s.seconds
+            duration = (s.seconds if s.halfcycles is None
+                        else engine.halfcycle_duration(omega1, s.halfcycles))
             spec = (engine.HamiltonianSpec("ideal_burst") if ideal_reversal
                     else engine.HamiltonianSpec("burst", s.sign, omega1))
             segments.append(engine.Evolve(hamiltonian=spec, duration=duration))
@@ -302,67 +309,68 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
                                            window=s.window, step=s.step))
         else:
             raise CompileError(f"cannot compile {type(s).__name__}")
-    return engine.PropagationPlan(
-        cluster=cluster, segments=tuple(segments),
-        initial_state_kind=init_kind,
-        meta={"frame": program.frame, "ideal_reversal": bool(ideal_reversal)})
+    return engine.PropagationPlan(cluster=cluster, segments=tuple(segments),
+                                  initial_state_kind=program.init_kind)
 
 
-def builtin_program(name: str, amplitude_gauss: float = 25.3,
-                    halfcycles: int = 40, window_us: float = 60.0,
-                    step_us: float = 0.5, gamma: float = GAMMA_F19) -> str:
-    """DSL source for the standard sequences.
+BUILTIN_NAMES = ("seq1", "seq2", "rpw")
 
-    'seq1': dipolar order, 90-degree pulse, phase-alternated burst of
-    ``halfcycles`` total half-cycles, free evolution for half the burst
-    duration, 45-degree read pulse, acquisition on Iy from the echo center.
+
+def sequence(name: str, half: Burst | None, delay: float, window: float,
+             step: float) -> PulseProgram:
+    """The statements of a standard sequence; the only place they are spelled.
+
+    ``half`` is the + phase half of the burst and the - phase half mirrors
+    it; ``delay`` is the free evolution, half the total burst length t1,
+    in seconds. ``half=None`` (t1 = 0) leaves out the burst and the delay.
+    The acquisition runs ``window`` seconds in ``step`` steps.
+
+    'seq1': dipolar order, 90-degree pulse, phase-alternated burst, free
+    evolution for half the burst duration, 45-degree read pulse,
+    acquisition on Iy from the echo center.
 
     'seq2': same reversal block but with the 45-degree pulse applied first,
     acquisition starting at the echo center 3/2 burst durations in.
 
     'rpw': transverse order, free evolution, burst of twice that duration,
     acquisition on Ix from the burst end (the original magic-echo timing).
+    """
+    burst = () if half is None else (half, replace(half, sign=-1))
+    free = () if half is None else (Delay(delay),)
+    if name == "seq1":
+        body = (Init("dipolar"), Pulse(np.pi / 2, "y"), *burst, *free,
+                Pulse(np.pi / 4, "y"), Acquire("y", window, step))
+    elif name == "seq2":
+        body = (Init("dipolar"), Pulse(np.pi / 4, "y"), *burst, *free,
+                Acquire("y", window, step))
+    elif name == "rpw":
+        body = (Init("ix"), *free, *burst, Acquire("x", window, step))
+    else:
+        raise ValueError(f"unknown builtin program {name!r}")
+    return PulseProgram(statements=body)
 
-    ``halfcycles`` is the total burst length and must be even so each phase
-    half is an integer number of half-cycles.
+
+def builtin(name: str, amplitude_gauss: float = 25.3, halfcycles: int = 40,
+            window_us: float = 60.0, step_us: float = 0.5,
+            gamma: float = GAMMA_F19) -> PulseProgram:
+    """A standard sequence with a burst of ``halfcycles`` total half-cycles.
+
+    ``halfcycles`` must be even so each phase half is an integer number of
+    half-cycles; the delay is then exactly half the burst, n pi / omega1.
     """
     if halfcycles < 2 or halfcycles % 2:
         raise ValueError("halfcycles must be an even integer >= 2")
     if not amplitude_gauss > 0:
         raise ValueError("amplitude must be positive")
-    omega1 = gamma * amplitude_gauss
-    half_us = 0.5 * halfcycles * np.pi / omega1 * 1e6  # t1/2 in microseconds
-    amp = _fmt(amplitude_gauss)
     n2 = halfcycles // 2
-    acq = f"for {_fmt(window_us)}us step {_fmt(step_us)}us"
-    if name == "seq1":
-        return (
-            "# time reversal of dipolar order, read through a 45-degree pulse\n"
-            "init dipolar\n"
-            "pulse 90 y\n"
-            f"burst + {amp}G {n2}hc\n"
-            f"burst - {amp}G {n2}hc\n"
-            f"delay {_fmt(half_us)}us\n"
-            "pulse 45 y\n"
-            f"acquire Iy {acq}\n")
-    if name == "seq2":
-        return (
-            "# 45-degree pulse first; the echo forms during acquisition\n"
-            "init dipolar\n"
-            "pulse 45 y\n"
-            f"burst + {amp}G {n2}hc\n"
-            f"burst - {amp}G {n2}hc\n"
-            f"delay {_fmt(half_us)}us\n"
-            f"acquire Iy {acq}\n")
-    if name == "rpw":
-        return (
-            "# magic echo on transverse order\n"
-            "init ix\n"
-            f"delay {_fmt(half_us)}us\n"
-            f"burst + {amp}G {n2}hc\n"
-            f"burst - {amp}G {n2}hc\n"
-            f"acquire Ix {acq}\n")
-    raise ValueError(f"unknown builtin program {name!r}")
+    half = Burst(sign=1, amplitude_gauss=amplitude_gauss, halfcycles=n2)
+    delay = engine.halfcycle_duration(gamma * amplitude_gauss, n2)
+    return sequence(name, half, delay, window_us * 1e-6, step_us * 1e-6)
 
 
-BUILTIN_NAMES = ("seq1", "seq2", "rpw")
+def builtin_program(name: str, amplitude_gauss: float = 25.3,
+                    halfcycles: int = 40, window_us: float = 60.0,
+                    step_us: float = 0.5, gamma: float = GAMMA_F19) -> str:
+    """DSL source of :func:`builtin` (see :func:`sequence`)."""
+    return print_program(builtin(name, amplitude_gauss, halfcycles,
+                                 window_us, step_us, gamma))

@@ -99,6 +99,59 @@ def test_run_single_builtin_echo(tmp_path):
     assert meta["macroscopic"] == "False"
 
 
+def test_run_single_zero_window_or_step_exits_2(capsys):
+    base = ["run", "builtin:seq2", "--orientation", "100", "--radius", "1",
+            "--max-sites", "2"]
+    for grid in (["--window-us", "0"], ["--step-us", "0"],
+                 ["--window-us", "-5"]):
+        assert run_main(base + grid) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
+def test_run_sweep_zero_window_or_step_exits_2(capsys):
+    base = ["run", "builtin:seq1", "--orientation", "100", "--radius", "1",
+            "--max-sites", "2", "--t1-grid", "2:4:2hc"]
+    for grid in (["--window-us", "0"], ["--step-us", "0"],
+                 ["--step-us", "-0.5"]):
+        assert run_main(base + grid) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
+# a one-point sweep and a single run on the same explicit grid
+_SAME_GRID = ["--orientation", "110", "--radius", "1", "--max-sites", "5",
+              "--omega1-gauss", "30", "--window-us", "40", "--step-us", "0.5"]
+
+
+def test_one_point_sweep_equals_single_run_seq2(tmp_path):
+    sweep, single = str(tmp_path / "sweep.csv"), str(tmp_path / "single.csv")
+    assert run_main(["run", "builtin:seq2", "--t1-grid", "12:12:2hc",
+                     *_SAME_GRID, "--out", sweep]) == 0
+    assert run_main(["run", "builtin:seq2", "--halfcycles", "12",
+                     *_SAME_GRID, "--out", single]) == 0
+    (amp,) = output.read_csv(sweep)[1]["amplitude"]
+    peak = np.abs(output.read_csv(single)[1]["value"]).max()
+    assert amp == pytest.approx(peak, rel=1e-12)
+
+
+def test_one_point_sweep_equals_p_component_seq1(tmp_path):
+    """A seq1 sweep reports only the double-quantum-borne part of the echo
+    (the P component), not the full signal a single run emits, so the
+    reference is max |P component| of sequence1_components on that grid,
+    rounded to the CSV's 12 digits."""
+    from magicecho import build_cluster, experiments
+
+    sweep = str(tmp_path / "sweep.csv")
+    assert run_main(["run", "builtin:seq1", "--t1-grid", "12:12:2hc",
+                     *_SAME_GRID, "--out", sweep]) == 0
+    (amp,) = output.read_csv(sweep)[1]["amplitude"]
+    cluster = build_cluster("110", radius=1.0, max_sites=5)
+    omega1 = cluster.constants.gamma * 30.0
+    p_curve, _ = experiments.sequence1_components(
+        cluster, omega1, 12 * np.pi / omega1, window=40e-6, step=0.5e-6)
+    peak = float(output.CSV_FLOAT_FORMAT % np.abs(p_curve.values).max())
+    assert amp == pytest.approx(peak, rel=1e-12)
+
+
 def test_run_pp_file(tmp_path, capsys):
     pp = tmp_path / "fid.pp"
     pp.write_text("init ix\nacquire Ix for 20us step 4us\n")

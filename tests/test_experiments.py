@@ -10,6 +10,7 @@ the 2:1 ratio hold to machine precision, not just to a tolerance band.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magicecho import engine, experiments as ex, pulseprog as pp
 from magicecho import operators as ops
@@ -153,20 +154,39 @@ def test_ideal_amplitude_ratio_is_two(four_spin):
     assert a2 / a1 == pytest.approx(2.0, rel=1e-9)
 
 
+@st.composite
+def coupling_tables(draw):
+    """Symmetric tables, n = 4..6, with some pairs uncoupled."""
+    n = draw(st.integers(4, 6))
+    value = st.one_of(st.just(0.0), st.floats(1e3, 1e5), st.floats(-1e5, -1e3))
+    upper = draw(st.lists(value, min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    return a + a.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling_tables(), st.floats(0.0, 5e-5))
+def test_ideal_ratio_is_two_for_random_tables(a, t1):
+    # bare tables go through the compiled builtins with the GAMMA_F19
+    # fallback; the 2:1 ratio is exact on any shared grid
+    assume(np.any(a))
+    a1 = ex.sequence1_amplitude(a, 1.0e6, t1, ideal_reversal=True)
+    a2 = ex.sequence2_amplitude(a, 1.0e6, t1, ideal_reversal=True)
+    assert a2 / a1 == pytest.approx(2.0, abs=1e-9)
+
+
 def test_seq1_components_sum_to_full_signal(four_spin):
     # evolution is linear in the deviation: running the literal program
     # (init dipolar, 90 pulse, tail) reproduces the component sum
     omega1 = 20.0 * local_field(four_spin)
     t1 = 8 * np.pi / omega1
     p_curve, hd_curve = ex.sequence1_components(four_spin, omega1, t1)
-    window = p_curve.times[-1]
-    step = p_curve.times[1]
-    tail = ex._reversal_tail(four_spin, omega1, t1, False, window, step,
-                             read_pulse=True)
-    plan = engine.PropagationPlan(
-        cluster=four_spin,
-        segments=(engine.Pulse("y", np.pi / 2),) + tail,
-        initial_state_kind="dipolar")
+    program = pp.builtin("seq1", omega1 / four_spin.constants.gamma,
+                         halfcycles=8, window_us=p_curve.times[-1] * 1e6,
+                         step_us=p_curve.times[1] * 1e6)
+    plan = pp.compile(program, four_spin)
     _, (full,) = engine.evolve(engine.initial_state("dipolar", four_spin),
                                plan)
     total = p_curve.values + hd_curve.values

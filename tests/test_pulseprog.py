@@ -119,7 +119,6 @@ def test_compile_sequence_segments():
     cluster = build_cluster("100", radius=1.0, max_sites=2)
     plan = pp.compile(pp.parse(SEQ1_TEXT), cluster)
     assert plan.initial_state_kind == "dipolar"
-    assert plan.meta["frame"] == "tilted"
     seg = plan.segments
     assert isinstance(seg[0], engine.Pulse) and seg[0].angle == pytest.approx(
         np.pi / 2)
