@@ -9,9 +9,10 @@ Times on the command line and in files are microseconds; half-cycle counts
 parameterize burst lengths. Exit codes: 0 success, 1 numerical failure
 (non-convergence, invariant violation), 2 configuration error.
 
-A config file (--config, line-oriented key=value matching the long flag
-names) supplies defaults; explicit flags win over it, it wins over the
-built-in defaults.
+A config file (--config) holds key=value lines named after the long flags.
+Each line is read as the flag --key=value (a switch as true/false) placed
+before the command-line flags, so the file may supply any flag, required
+ones included, and a flag given on the command line wins over it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +44,7 @@ TOLERANCES = {
 
 def _resolved_config(args) -> dict:
     # "out" is recorded separately as the manifest's output field
-    skip = {"handler", "subcommand", "sequence_flag", "out"}
+    skip = {"handler", "subcommand", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -141,17 +143,12 @@ def _cmd_lattice_info(args) -> int:
     return _finish(args, t0, columns=columns, meta=meta, cluster=cluster)
 
 
-def _resolve_sequence(args):
-    name = args.sequence_flag or args.sequence
-    if not name:
-        raise ValueError("a pulse program is required: a .pp file path or "
-                         "builtin:{seq1,seq2,rpw}")
-    return name
-
-
 def _cmd_run(args) -> int:
     t0 = time.perf_counter()
-    source = _resolve_sequence(args)
+    source = args.sequence
+    if not source:
+        raise ValueError("a pulse program is required: a .pp file path or "
+                         "builtin:{seq1,seq2,rpw}")
     cluster = _cluster_from_args(args)
     gamma = cluster.constants.gamma
     if args.omega1_gauss is not None and not args.omega1_gauss > 0:
@@ -188,15 +185,8 @@ def _cmd_run(args) -> int:
                          "acquire statement")
     state = engine.initial_state(plan.initial_state_kind, cluster)
     _, (curve,) = engine.evolve(state, plan)
-    meta = dict(curve.meta)
-    meta.update({"sequence": source, "ideal_reversal": args.ideal,
-                 "orientation": cluster.orientation.label,
-                 "cluster_hash": cluster.hash_hex,
-                 "n_sites": cluster.n_sites, "macroscopic": False})
-    curve = engine.SignalCurve(times=curve.times, values=curve.values,
-                               observable=curve.observable,
-                               start=curve.start,
-                               label=curve.label or "signal", meta=meta)
+    curve = replace(curve, meta=experiments.cluster_meta(
+        cluster, sequence=source, ideal_reversal=args.ideal))
     return _finish(args, t0, obj=curve, cluster=cluster)
 
 
@@ -285,9 +275,19 @@ def _cmd_dump_operator(args) -> int:
 # --------------------------------------------------------------- verify
 
 def _check_rotation_unitarity(rng):
+    # pulses apply the 2x2 site factor on every site index (ops.rotate)
+    op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    op = op + op.conj().T
+    norm = np.linalg.norm(op)
     for axis in "xyz":
-        u = ops.rotation(axis, rng.uniform(-np.pi, np.pi), 3)
-        assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
+        angle = rng.uniform(-np.pi, np.pi)
+        u = ops._site_rotation(axis, angle)
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+        turned = ops.rotate(op, axis, angle)
+        assert abs(np.linalg.norm(turned) - norm) < 1e-12 * norm
+        assert np.abs(turned - turned.conj().T).max() < 1e-12 * norm
+        assert np.abs(ops.rotate(turned, axis, -angle) - op).max() \
+            < 1e-12 * norm
 
 
 def _random_couplings(rng, n):
@@ -433,9 +433,11 @@ def build_parser():
 
     p = sub("run", _cmd_run,
             help="run a pulse program, or sweep amplitude vs burst length")
-    p.add_argument("sequence", nargs="?",
+    # one dest for both spellings, the later one winning; the positional's
+    # SUPPRESS default keeps an absent positional from clearing --sequence
+    p.add_argument("sequence", nargs="?", default=argparse.SUPPRESS,
                    help="pulse program: .pp file or builtin:{seq1,seq2,rpw}")
-    p.add_argument("--sequence", dest="sequence_flag", metavar="SEQUENCE",
+    p.add_argument("--sequence", metavar="SEQUENCE",
                    help="alternative to the positional argument")
     _add_cluster_flags(p, radius=1.0, max_sites=6)
     p.add_argument("--omega1-gauss", type=float, default=25.3,
@@ -500,63 +502,51 @@ def build_parser():
     return parser, registry
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: expected key=value, "
-                                 f"got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+def _splice_config(registry, argv: list) -> list:
+    """argv with the --config file's lines as flags right after the subcommand.
 
-
-def _apply_config(parser, registry, argv):
-    """Install config-file values as subcommand defaults (flags still win)."""
-    if "--config" not in " ".join(argv):
-        return
-    subcommand = next((tok for tok in argv if not tok.startswith("-")), None)
-    if subcommand not in registry:
-        return
-    sub = registry[subcommand]
+    A key=value line becomes --key=value (underscores read as dashes), a
+    true switch --key and a false one nothing. argparse then types and
+    checks every value, and a flag given on the command line wins because
+    it comes later.
+    """
+    at = next((k for k, tok in enumerate(argv) if tok in registry), None)
+    if at is None:
+        return argv
+    sub = registry[argv[at]]
     path = None
-    for k, tok in enumerate(argv):
+    for tok, value in zip(argv, argv[1:] + [None]):
         if tok == "--config":
-            if k + 1 >= len(argv):
-                parser.error("--config needs a file argument")
-            path = argv[k + 1]
+            path = value
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
     if path is None:
-        return
+        return argv
     try:
-        raw = _load_config_file(path)
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, text in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in actions or dest in ("help", "config"):
-            parser.error(f"unknown config key {key!r} for {subcommand!r}")
-        action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
-            defaults[dest] = text.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                defaults[dest] = action.type(text)
-            except ValueError:
-                parser.error(f"config key {key!r}: bad value {text!r}")
-        else:
-            defaults[dest] = text
-    sub.set_defaults(**defaults)
+        sub.error(f"cannot read config file: {exc}")
+    flags = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            sub.error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            sub.error(f"{path}:{lineno}: unknown config key {key!r}")
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            sub.error(f"{path}:{lineno}: switch {key!r} takes "
+                      f"true/false, not {value!r}")
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 # flags whose values may be comma lists starting with a minus sign
@@ -583,8 +573,7 @@ def _attach_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    _apply_config(parser, registry, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_splice_config(registry, argv))
     # eigendecomposition counts in the manifest are per job
     engine.EIGENSYSTEMS.clear()
     try:

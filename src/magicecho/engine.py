@@ -138,7 +138,6 @@ class Acquire:
     observable: str
     window: float
     step: float
-    label: str = ""
 
     def __post_init__(self):
         if self.observable not in ("x", "y", "z"):
@@ -147,9 +146,6 @@ class Acquire:
             raise ValueError("window and step must be positive")
         if self.step > self.window:
             raise ValueError("step exceeds acquisition window")
-
-
-Segment = Pulse | Evolve | Acquire
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
                               delta_eig * np.outer(phase, phase.conj()))
             curves.append(SignalCurve(
                 times=times, values=s.real, observable=seg.observable,
-                start=t_abs, label=seg.label))
+                start=t_abs))
             t_abs += seg.window
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")

@@ -30,7 +30,8 @@ DEFAULT_WINDOW_FACTOR = 5.0   # acquisition window, units of 1/omega_L
 DEFAULT_STEP_FACTOR = 0.02    # acquisition step, units of 1/omega_L
 
 
-def _cluster_meta(cluster, **extra):
+def cluster_meta(cluster, **extra):
+    """Metadata every curve of a cluster carries, plus ``extra``."""
     orientation = getattr(cluster, "orientation", None)
     meta = {
         "orientation": getattr(orientation, "label", None),
@@ -95,7 +96,7 @@ def fid(cluster, window=None, step=None) -> SignalCurve:
     times = np.arange(n_samp) * step
     values = fid_values(cluster, times)
     return SignalCurve(times=times, values=values, observable="x", start=0.0,
-                       label="fid", meta=_cluster_meta(cluster, sequence="fid"))
+                       label="fid", meta=cluster_meta(cluster, sequence="fid"))
 
 
 def max_abs_fid_derivative(cluster, window=None, step=None) -> float:
@@ -150,19 +151,23 @@ def _plan(name, cluster, omega1, t1, ideal_reversal, window, step):
 
 def _signal(state, plan, label, **meta) -> SignalCurve:
     _, (curve,) = evolve(state, plan)
-    return SignalCurve(times=curve.times, values=curve.values,
-                       observable=curve.observable, start=curve.start,
-                       label=label, meta=_cluster_meta(plan.cluster, **meta))
+    return replace(curve, label=label,
+                   meta=cluster_meta(plan.cluster, **meta))
 
 
-def _split_after_90(cluster):
-    """State after init dipolar + 90y pulse, split into its P-borne and
-    H'-borne parts (exact: the tilt of H' has no other components)."""
+def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
+                    step) -> SignalCurve:
+    """The P-borne ('p') or H'-borne ('hd') part of the state after init
+    dipolar + 90y pulse (exact: the tilt of H' has no other components),
+    run through the compiled seq1 plan after that pulse."""
     a = ops.couplings_of(cluster)
-    hd = ops.secular_dipolar(a)
-    _, _, p = ops.nonsecular_pair_raising(a)
-    return (engine.DeviationState(delta=-(3.0 / 8.0) * p),
-            engine.DeviationState(delta=0.5 * hd))
+    delta = (-(3.0 / 8.0) * ops.nonsecular_pair_raising(a)[2] if part == "p"
+             else 0.5 * ops.secular_dipolar(a))
+    plan = _plan("seq1", cluster, omega1, t1, ideal_reversal, window, step)
+    return _signal(engine.DeviationState(delta=delta),
+                   replace(plan, segments=plan.segments[1:]), f"seq1-{part}",
+                   sequence="seq1", component=part, omega1=omega1, t1=t1,
+                   ideal_reversal=bool(ideal_reversal))
 
 
 def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
@@ -174,21 +179,17 @@ def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
     the state prepared by the initial 90-degree pulse. Their sum is the
     full sequence signal (evolution is linear in the deviation).
     """
-    plan = _plan("seq1", cluster, omega1, t1, ideal_reversal, window, step)
-    # each part runs the compiled plan after its leading 90-degree y pulse
-    tail = replace(plan, segments=plan.segments[1:])
-    return tuple(
-        _signal(state, tail, f"seq1-{part}", sequence="seq1", component=part,
-                omega1=omega1, t1=t1, ideal_reversal=bool(ideal_reversal))
-        for part, state in zip(("p", "hd"), _split_after_90(cluster)))
+    return tuple(_sequence1_part(part, cluster, omega1, t1, ideal_reversal,
+                                 window, step) for part in ("p", "hd"))
 
 
 def sequence1_amplitude(cluster, omega1, t1, ideal_reversal=False,
                         window=None, step=None) -> float:
-    """Peak |s| of the double-quantum-borne echo component."""
-    p_curve, _ = sequence1_components(cluster, omega1, t1, ideal_reversal,
-                                      window, step)
-    return float(np.abs(p_curve.values).max())
+    """Peak |s| of the double-quantum-borne echo component, the only part
+    evolved."""
+    curve = _sequence1_part("p", cluster, omega1, t1, ideal_reversal, window,
+                            step)
+    return float(np.abs(curve.values).max())
 
 
 def sequence2_signal(cluster, omega1, t1, ideal_reversal=False,
@@ -255,7 +256,7 @@ def sweep_t1(sequence: str, cluster, omega1, t1_grid, ideal_reversal=False,
                 else np.array([snap_t1(t, omega1) for t in requested]))
     amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step)
                      for t in executed])
-    meta = _cluster_meta(cluster, sequence=sequence, omega1=omega1,
+    meta = cluster_meta(cluster, sequence=sequence, omega1=omega1,
                         ideal_reversal=bool(ideal_reversal),
                         t1_requested=requested.tolist())
     return SignalCurve(times=executed, values=amps, observable="y",

@@ -267,18 +267,6 @@ def local_field(cluster: SpinCluster) -> float:
     return float(np.sqrt(second_moment(cluster) / 3.0))
 
 
-def local_field_trace(cluster: SpinCluster, hd: np.ndarray) -> float:
-    """omega_L from the trace route sqrt(Tr(H'^2) / Tr(Iz^2)).
-
-    Agrees with :func:`local_field` identically; kept as an independent
-    cross-check route. ``hd`` is the secular dipolar matrix of the cluster.
-    """
-    n = cluster.n_sites
-    tr_iz2 = n * 2.0 ** (n - 2)
-    tr_h2 = float(np.trace(hd @ hd).real)
-    return float(np.sqrt(tr_h2 / tr_iz2))
-
-
 def bulk_second_moment(orientation, radius: float = BULK_SUM_RADIUS,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
                        prefactor: float | None = None) -> float:

@@ -19,9 +19,9 @@ O(N 4^N) instead of the O(8^N) of two dense products.
 
 Sign conventions, fixed once here and relied on everywhere else:
 
-* ``rotation(axis, angle)`` returns exp(-i * angle * I_axis).
+* ``rotate(op, axis, angle)`` conjugates op by exp(-i * angle * I_axis).
 * A resonant RF pulse of flip angle theta about ``axis`` conjugates
-  operators by exp(+i * theta * I_axis), i.e. ``rotation(axis, -theta)``.
+  operators by exp(+i * theta * I_axis), i.e. ``rotate(op, axis, -theta)``.
   This is the positive-gamma convention; the tilt identity below only holds
   with this sign.
 
@@ -221,18 +221,13 @@ def _site_rotation(axis: str, angle: float) -> np.ndarray:
             - 2.0j * np.sin(theta / 2.0) * _S[axis])
 
 
-def rotation(axis: str, angle: float, n: int) -> np.ndarray:
-    """Collective rotation exp(-i * angle * I_axis) as a kron of 2x2 blocks."""
-    return reduce(np.kron, [_site_rotation(axis, angle)] * n)
-
-
 # site indices per product in rotate: a 16x16 factor keeps each of the 2n/4
 # steps one BLAS product; on 2 cores it beat 1, 2, 3 and 5 sites at n = 7..11
 _FACTOR_SITES = 4
 
 
 def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
-    """Conjugate: R op R^dagger with R = rotation(axis, angle).
+    """Conjugate: R op R^dagger with R = exp(-i * angle * I_axis).
 
     R is the kron of n copies of the site factor u, so op, read as a tensor
     of n row and n column site indices, gets u on every row index and u* on
@@ -274,7 +269,7 @@ def tilt_decompose(cluster_or_matrix, theta: float) -> TiltReport:
     hd = secular_dipolar(a)
     _, _, p = nonsecular_pair_raising(a)
     q = operator_q(a)
-    # pulse convention: conjugate by exp(+i theta I_y) = rotation('y', -theta)
+    # pulse convention: conjugate by exp(+i theta I_y)
     tilted = rotate(hd, "y", -theta)
     coeffs = []
     rem = tilted.copy()

@@ -15,8 +15,10 @@ durations must be positive integers and are converted at compile time to
 n * pi / omega1 with omega1 = gamma * B1, so compiled burst durations are
 exact integer multiples of the half-cycle.
 
-Compilation is literal: each pulse statement becomes an instantaneous
-rotation, each burst an evolution under the tilted-rotating-frame burst
+Pulse and acquire statements parse straight into the engine's own
+:class:`~magicecho.engine.Pulse` and :class:`~magicecho.engine.Acquire`
+segments. Compilation is literal: those pass through as they are, each
+burst becomes an evolution under the tilted-rotating-frame burst
 Hamiltonian (or its infinite-field limit -H'/2 when ideal reversal is
 requested), each delay a free dipolar evolution. No statement is absorbed
 or reordered; the standard programs compose to the intended sequences
@@ -62,12 +64,6 @@ class Init:
 
 
 @dataclass(frozen=True)
-class Pulse:
-    angle: float  # radians
-    axis: str
-
-
-@dataclass(frozen=True)
 class Burst:
     sign: int
     amplitude_gauss: float
@@ -82,13 +78,6 @@ class Burst:
 @dataclass(frozen=True)
 class Delay:
     seconds: float
-
-
-@dataclass(frozen=True)
-class Acquire:
-    observable: str  # 'x' | 'y' | 'z'
-    window: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ def _parse_statement(toks: _Tokens):
         _positive(angle_deg, "flip angle", line, acol)
         axis, _ = toks.keyword(_AXES, "an axis")
         toks.done()
-        return Pulse(angle=float(np.radians(angle_deg)), axis=axis)
+        return engine.Pulse(axis, float(np.radians(angle_deg)))
     if head == "burst":
         sign_tok, _ = toks.keyword(("+", "-"), "'+' or '-' after 'burst'")
         amp, _, acol = toks.number("a field amplitude", units=("G",))
@@ -206,8 +195,8 @@ def _parse_statement(toks: _Tokens):
         if step > window:
             raise ParseError("acquisition step exceeds the window", line, scol)
         toks.done()
-        return Acquire(observable=_OBSERVABLES[obs_tok],
-                       window=window * 1e-6, step=step * 1e-6)
+        return engine.Acquire(_OBSERVABLES[obs_tok], window * 1e-6,
+                              step * 1e-6)
     if head == "frame":
         kind, _ = toks.keyword(("tilted", "rotating"), "a frame kind")
         toks.done()
@@ -250,7 +239,7 @@ def print_program(program: PulseProgram) -> str:
     for s in program.statements:
         if isinstance(s, Init):
             out.append(f"init {s.kind}")
-        elif isinstance(s, Pulse):
+        elif isinstance(s, engine.Pulse):
             out.append(f"pulse {_fmt(np.degrees(s.angle))} {s.axis}")
         elif isinstance(s, Burst):
             sign = "+" if s.sign > 0 else "-"
@@ -261,7 +250,7 @@ def print_program(program: PulseProgram) -> str:
             out.append(f"burst {sign} {_fmt(s.amplitude_gauss)}G {dur}")
         elif isinstance(s, Delay):
             out.append(f"delay {_fmt(s.seconds * 1e6)}us")
-        elif isinstance(s, Acquire):
+        elif isinstance(s, engine.Acquire):
             out.append(f"acquire I{s.observable} for {_fmt(s.window * 1e6)}us"
                        f" step {_fmt(s.step * 1e6)}us")
         elif isinstance(s, Frame):
@@ -287,10 +276,8 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
     gamma = gamma_of(cluster)
     segments = []
     for s in program.statements:
-        if isinstance(s, (Init, Frame)):
-            continue
-        if isinstance(s, Pulse):
-            segments.append(engine.Pulse(axis=s.axis, angle=s.angle))
+        if isinstance(s, (engine.Pulse, engine.Acquire)):
+            segments.append(s)
         elif isinstance(s, Burst):
             if not s.amplitude_gauss > 0:
                 raise CompileError("burst amplitude must be positive")
@@ -304,10 +291,7 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
             segments.append(engine.Evolve(
                 hamiltonian=engine.HamiltonianSpec("dipolar"),
                 duration=s.seconds))
-        elif isinstance(s, Acquire):
-            segments.append(engine.Acquire(observable=s.observable,
-                                           window=s.window, step=s.step))
-        else:
+        elif not isinstance(s, (Init, Frame)):
             raise CompileError(f"cannot compile {type(s).__name__}")
     return engine.PropagationPlan(cluster=cluster, segments=tuple(segments),
                                   initial_state_kind=program.init_kind)
@@ -338,13 +322,14 @@ def sequence(name: str, half: Burst | None, delay: float, window: float,
     burst = () if half is None else (half, replace(half, sign=-1))
     free = () if half is None else (Delay(delay),)
     if name == "seq1":
-        body = (Init("dipolar"), Pulse(np.pi / 2, "y"), *burst, *free,
-                Pulse(np.pi / 4, "y"), Acquire("y", window, step))
+        body = (Init("dipolar"), engine.Pulse("y", np.pi / 2), *burst,
+                *free, engine.Pulse("y", np.pi / 4),
+                engine.Acquire("y", window, step))
     elif name == "seq2":
-        body = (Init("dipolar"), Pulse(np.pi / 4, "y"), *burst, *free,
-                Acquire("y", window, step))
+        body = (Init("dipolar"), engine.Pulse("y", np.pi / 4), *burst,
+                *free, engine.Acquire("y", window, step))
     elif name == "rpw":
-        body = (Init("ix"), *free, *burst, Acquire("x", window, step))
+        body = (Init("ix"), *free, *burst, engine.Acquire("x", window, step))
     else:
         raise ValueError(f"unknown builtin program {name!r}")
     return PulseProgram(statements=body)

@@ -271,32 +271,30 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
             or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must start at 0 and strictly increase")
     layout = ops.sector_layout(nspins)
-    h2, hm2, _ = ops.nonsecular_pair_raising(a)
+    _, hm2, _ = ops.nonsecular_pair_raising(a)
     norm = float(np.vdot(hm2, hm2).real)      # Tr(H2 Hm2)
     if not norm > 0.0:
         raise ValueError("degenerate kernel: cluster has no "
                          "double-quantum weight")
-    h2, hm2 = layout.sort(h2), layout.sort(hm2)
+    hm2 = layout.sort(hm2)
     blocks = engine.EIGENSYSTEMS.get(engine.HamiltonianSpec("dipolar"), a)
     w = engine.spectrum(blocks)
     # weight matrix in the dipolar eigenbasis: the lag dependence is a pure
-    # phase factor per eigenvalue gap, so the pair loop runs once. Each
-    # [H2_ij, Hm2] conserves the magnetization, so only the diagonal
-    # sector blocks of the commutators and of the weights are nonzero
-    wmat = np.zeros(h2.shape, complex)
+    # phase factor per eigenvalue gap, so the pair loop runs once. For real
+    # couplings [Hm2_ij, H2] = -[H2_ij, Hm2]^dagger, and v is real, so each
+    # pair adds -|v^T [H2_ij, Hm2] v|^2. Each commutator conserves the
+    # magnetization, so only the diagonal sector blocks are nonzero
+    wmat = np.zeros(hm2.shape)
     for i in range(nspins):
         for j in range(i + 1, nspins):
             if a[i, j] == 0.0:
                 continue
             mask = np.zeros_like(a)
             mask[i, j] = mask[j, i] = a[i, j]
-            h2ij, hm2ij, _ = ops.nonsecular_pair_raising(mask)
-            h2ij, hm2ij = layout.sort(h2ij), layout.sort(hm2ij)
+            h2ij = layout.sort(ops.nonsecular_pair_raising(mask)[0])
             for s, _, v in blocks:
-                cp = h2ij[s] @ hm2[:, s] - hm2[s] @ h2ij[:, s]
-                cm = hm2ij[s] @ h2[:, s] - h2[s] @ hm2ij[:, s]
-                wmat[s, s] += ((v.conj().T @ cp @ v)
-                               * (v.conj().T @ cm @ v).T)
+                c = v.T @ (h2ij[s] @ hm2[:, s] - hm2[s] @ h2ij[:, s]) @ v
+                wmat[s, s] -= np.abs(c) ** 2
 
     def samples(sign):
         # conjugation at half rate: phases exp(-i gap t/2) per lag t

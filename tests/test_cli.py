@@ -200,10 +200,10 @@ def test_run_manifest_counts_eigendecompositions(tmp_path):
         assert run_main(argv) == 0
         manifest = json.load(open(out + ".manifest.json"))
         # burst + and H' once each; burst - is derived from burst + by the
-        # global spin flip, and every later lookup is reused
-        # (3 points x 2 components x 4 lookups)
+        # global spin flip, and every later lookup is reused (3 points x
+        # 4 lookups for the P component, the only one a sweep evolves)
         assert manifest["eigendecompositions"] == {"computed": 2,
-                                                   "reused": 22}
+                                                   "reused": 10}
 
 
 def test_run_pp_burst_pair_computes_two_eigendecompositions(tmp_path):
@@ -398,6 +398,54 @@ def test_unknown_config_key_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_main(["lattice-info", "--config", str(cfg)])
     assert err.value.code == 2
+
+
+def test_config_file_supplies_required_thermo_flag(tmp_path):
+    cfg = tmp_path / "thermo.cfg"
+    cfg.write_text("orientation=100\nt-end-us=100\n")
+    out = str(tmp_path / "beta.csv")
+    assert run_main(["thermo", "--config", str(cfg), "--out", out]) == 0
+    _, cols = output.read_csv(out)
+    assert cols["t1_us"][-1] == pytest.approx(100.0)
+
+
+def test_config_file_supplies_required_operator_name(tmp_path, capsys):
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text("name=h2\nmax_sites=2\n")
+    assert run_main(["dump-operator", "--config", str(cfg)]) == 0
+    meta = stdout_meta(capsys.readouterr().out)
+    assert (meta["name"], meta["n_sites"]) == ("h2", "2")
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["dump-operator"], "name=bogus", "invalid choice"),
+    (["run", "builtin:seq2"], "ideal=maybe", "true/false"),
+], ids=["bad-choice", "bad-switch"])
+def test_config_bad_choice_or_switch_exits_2(tmp_path, capsys, argv, line,
+                                             message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as err:
+        run_main(argv + ["--config", str(cfg)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_switch_spellings_and_sequence_precedence(tmp_path, capsys):
+    common = ["--orientation", "100", "--radius", "1", "--max-sites", "4",
+              "--window-us", "10", "--step-us", "2"]
+    cfg = tmp_path / "run.cfg"
+    for text, argv, sequence, ideal in [
+            ("sequence=builtin:rpw\nideal=YES\n", [], "builtin:rpw", "True"),
+            ("sequence=builtin:rpw\nideal=off\n", ["builtin:seq2"],
+             "builtin:seq2", "False"),
+            ("sequence=builtin:rpw\nideal=On\n",
+             ["builtin:seq2", "--sequence", "builtin:seq1"], "builtin:seq1",
+             "True")]:
+        cfg.write_text(text)
+        assert run_main(["run"] + argv + common + ["--config", str(cfg)]) == 0
+        meta = stdout_meta(capsys.readouterr().out)
+        assert (meta["sequence"], meta["ideal_reversal"]) == (sequence, ideal)
 
 
 def test_version_flag():

@@ -26,6 +26,7 @@ from magicecho.engine import (
     verify_average_hamiltonian,
 )
 from magicecho.lattice import build_cluster, local_field
+from test_operators import rotation
 
 PAIR = np.array([[0.0, 1.0], [1.0, 0.0]]) * 1.0e5  # a = 1e5 rad/s
 
@@ -100,7 +101,7 @@ def test_seq2_state_is_tilted_dipolar_order(four_spin):
     # 45-degree pulse about y (positive-gamma convention)
     n = four_spin.n_sites
     direct = initial_state("seq2", four_spin).delta
-    u = ops.rotation("y", -np.pi / 4, n)
+    u = rotation("y", -np.pi / 4, n)
     tilted = u @ initial_state("dipolar", four_spin).delta @ u.conj().T
     np.testing.assert_allclose(direct, tilted, atol=1e-9 * np.linalg.norm(tilted))
 
@@ -218,7 +219,7 @@ def _dense_evolve(delta, beta, a, segments):
     samples = []
     for seg in segments:
         if isinstance(seg, Pulse):
-            u = ops.rotation(seg.axis, -seg.angle, n)
+            u = rotation(seg.axis, -seg.angle, n)
         elif isinstance(seg, Evolve):
             u = propagator(build_hamiltonian(seg.hamiltonian, a),
                            seg.duration)

@@ -6,7 +6,9 @@ eight before the engine moved to symmetry blocks, the ideal sweep, the
 zero-burst sweep and the ideal rpw run before the builtin sequences got one
 definition. A rerun must have the same metadata keys and columns, equal
 non-numeric metadata, and every column and numeric metadata value within
-GOLDEN_RTOL of that column's (or value's) maximum absolute value.
+GOLDEN_RTOL of that column's (or value's) maximum absolute value. A value
+that is a list of numbers, such as a sweep's t1_requested, must have the
+same length and match element by element in the same way.
 
 Capture a new golden, or recapture one whose output is meant to change,
 by name; the other files are left as they are:
@@ -70,11 +72,22 @@ def _run(name: str, out: Path) -> None:
         os.chdir(cwd)
 
 
-def _number(text: str):
+def _numbers(text: str):
+    """The numbers a metadata value holds (one, or a bracketed list), or
+    None when it is not numeric."""
+    items = text[1:-1].split(",") if text[:1] + text[-1:] == "[]" else [text]
     try:
-        return float(text)
+        return np.array([float(item) for item in items])
     except ValueError:
         return None
+
+
+def _meta_matches(value: str, gold: str) -> bool:
+    x, x0 = _numbers(value), _numbers(gold)
+    if x0 is None:
+        return value == gold
+    return (x is not None and x.shape == x0.shape
+            and np.abs(x - x0).max() <= GOLDEN_RTOL * np.abs(x0).max())
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -86,16 +99,25 @@ def test_golden_output(name, tmp_path):
     assert sorted(meta) == sorted(gold_meta)
     assert list(cols) == list(gold_cols)
     for key, gold in gold_meta.items():
-        x, x0 = _number(meta[key]), _number(gold)
-        if x0 is None:
-            assert meta[key] == gold, key
-        else:
-            assert abs(x - x0) <= GOLDEN_RTOL * abs(x0), key
+        assert _meta_matches(meta[key], gold), key
     for column, gold in gold_cols.items():
         assert cols[column].shape == gold.shape, column
         scale = np.abs(gold).max()
         assert np.abs(cols[column] - gold).max() <= GOLDEN_RTOL * scale, \
             column
+
+
+def test_list_metadata_compared_elementwise_at_rtol():
+    grid = [0.0, 1.2e-05, 2.4e-05]
+    gold = str(grid)
+    one_ulp = [0.0, float(np.nextafter(1.2e-05, 1.0)), 2.4e-05]
+    assert str(one_ulp) != gold
+    assert _meta_matches(str(one_ulp), gold)
+    assert not _meta_matches(str([0.0, 1.2e-05 * (1 + 1e-6), 2.4e-05]), gold)
+    assert not _meta_matches(str(grid[:2]), gold)
+    assert not _meta_matches(str(grid + [3.6e-05]), gold)
+    assert not _meta_matches("[seq1, seq2]", "[seq1, seq3]")
+    assert _meta_matches("seq1", "seq1") and not _meta_matches("seq1", "seq2")
 
 
 def capture(names) -> None:

@@ -12,6 +12,7 @@ from magicecho import lattice
 from magicecho.lattice import (
     Orientation,
     PhysicalConstants,
+    SpinCluster,
     angular_lattice_sum,
     build_cluster,
     bulk_second_moment,
@@ -150,10 +151,22 @@ def test_explicit_prefactor_bypasses_calibration():
     assert m2 == pytest.approx((9.0 / 16.0) * 4.0 * 13.341538971, rel=1e-8)
 
 
+def local_field_trace(cluster: SpinCluster, hd: np.ndarray) -> float:
+    """omega_L from the trace route sqrt(Tr(H'^2) / Tr(Iz^2)).
+
+    Agrees with :func:`local_field` identically; kept as an independent
+    cross-check route. ``hd`` is the secular dipolar matrix of the cluster.
+    """
+    n = cluster.n_sites
+    tr_iz2 = n * 2.0 ** (n - 2)
+    tr_h2 = float(np.trace(hd @ hd).real)
+    return float(np.sqrt(tr_h2 / tr_iz2))
+
+
 def test_local_field_trace_route_agrees():
     from magicecho.operators import secular_dipolar
 
     cl = build_cluster("110", radius=1.5, max_sites=5)
     hd = secular_dipolar(cl)
-    assert lattice.local_field_trace(cl, hd) == pytest.approx(
+    assert local_field_trace(cl, hd) == pytest.approx(
         local_field(cl), rel=1e-12)

