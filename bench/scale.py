@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of one seq1 sweep point and one acquire, by n.
+
+    python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
+
+Each (n, task) runs in a fresh child process on the [100] radius-2 cluster
+cut to n sites, with the magicecho package imported from ``--src``
+(default: this checkout's src), so the same script measures any checkout.
+The tasks are
+
+* ``seq1``: ``experiments.sequence1_amplitude`` at omega1 = gamma * 30 G
+  and t1 = 8 half-cycles, on the default 251-sample grid;
+* ``acquire``: ``engine.evolve`` of I_x order through one I_x Acquire
+  over the same grid.
+
+The child runs the task twice. The first run, cold, gives ``wall_s``. The
+eigendecompositions are then dropped and the second run, under
+tracemalloc, gives ``peak_mb`` (traced numpy data; the per-n layout
+caches are already built) and ``peak_ops``, the same peak in dense complex
+d x d operators of 16 d^2 bytes. ``maxrss_mb`` is the child's peak
+resident set. Each record is one JSON line, printed and appended to
+``--save``. A last line per task estimates n = MAX_SIZE + 1 from the two
+largest sizes (time and peak scaled by their last ratio); it is never run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TASKS = ("seq1", "acquire")
+
+
+def child(src: str, n: int, task: str) -> dict:
+    sys.path.insert(0, src)
+    import time
+    import tracemalloc
+
+    import numpy as np
+    from magicecho import engine, experiments
+    from magicecho.lattice import build_cluster, local_field
+
+    cluster = build_cluster("100", radius=2.0, max_sites=n)
+    if len(cluster.couplings) != n:
+        raise SystemExit(f"cluster has fewer than {n} sites")
+    omega1 = cluster.constants.gamma * 30.0
+    t1 = 8 * np.pi / omega1
+    window, step = 5.0 / local_field(cluster), 0.02 / local_field(cluster)
+
+    def run():
+        if task == "seq1":
+            return experiments.sequence1_amplitude(cluster, omega1, t1)
+        plan = engine.PropagationPlan(cluster=cluster, segments=(
+            engine.Acquire("x", window, step),))
+        _, (curve,) = engine.evolve(engine.initial_state("ix", cluster), plan)
+        return float(curve.values[-1])
+
+    t0 = time.perf_counter()
+    value = run()
+    wall = time.perf_counter() - t0
+    engine.EIGENSYSTEMS.clear()
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"n": n, "task": task, "wall_s": wall, "peak_mb": peak / 2**20,
+            "peak_ops": peak / (16.0 * 4**n), "maxrss_mb": maxrss,
+            "value": value}
+
+
+def machine() -> dict:
+    import numpy as np
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "nproc": os.cpu_count(), "machine": platform.machine()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--sizes", type=int, nargs="+", default=[8, 9, 10, 11])
+    p.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
+    p.add_argument("--save", help="append the JSON lines to this file")
+    p.add_argument("--child", nargs=2, metavar=("N", "TASK"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if args.child:
+        print(json.dumps(child(src, int(args.child[0]), args.child[1])))
+        return 0
+    records = []
+    info = machine()
+    for task in TASKS:
+        rows = []
+        for n in sorted(args.sizes):
+            out = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--src", src,
+                 "--child", str(n), task],
+                check=True, capture_output=True, text=True).stdout
+            rows.append(json.loads(out.splitlines()[-1]))
+        if len(rows) >= 2:
+            last, prev = rows[-1], rows[-2]
+            rows.append({"n": last["n"] + 1, "task": task, "estimated": True,
+                         **{key: last[key] * last[key] / prev[key]
+                            for key in ("wall_s", "peak_mb")}})
+        records += rows
+    for rec in records:
+        rec["machine"] = info
+        line = json.dumps(rec)
+        print(line)
+        if args.save:
+            with open(args.save, "a") as fh:
+                fh.write(line + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

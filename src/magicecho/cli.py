@@ -205,10 +205,12 @@ def _cmd_thermo(args) -> int:
     t0 = time.perf_counter()
     cluster = None
     if args.kernel_from_cluster:
+        if args.kernel_tau_us is not None and not args.kernel_tau_us > 0:
+            raise ValueError("--kernel-tau-us must be positive")
         cluster = _parse_cluster_spec(args.kernel_from_cluster)
-        m2c = second_moment(cluster)
-        tau_max = (args.kernel_tau_us * 1e-6 if args.kernel_tau_us
-                   else 6.0 / np.sqrt(m2c))
+        tau_max = (6.0 / np.sqrt(second_moment(cluster))
+                   if args.kernel_tau_us is None
+                   else args.kernel_tau_us * 1e-6)
         tau = np.linspace(0.0, tau_max, args.kernel_samples)
         kernel = thermo.microscopic_kernel(cluster, tau,
                                            offset=args.offset_us * 1e-6)

@@ -15,22 +15,28 @@ The engine works in symmetry blocks. :func:`evolve` carries Delta in the
 sorted basis of :func:`~magicecho.operators.sector_layout` and permutes it
 back once at the end. H' is block-diagonal in magnetization and the burst
 Hamiltonian in the parity of the down-spin count, so an eigendecomposition
-is a tuple of (slice, w, v) blocks over contiguous slices of that basis and
-every propagation step is a set of blockwise products. The global spin
-flip X maps burst(+) onto burst(-), so burst(-) is burst(+) with the
-eigenvector rows permuted by X, and the ideal burst -H'/2 is H' with the
-eigenvalues scaled by -1/2; neither is decomposed again. Decompositions
-are cached process-wide for the most recent coupling table, so a sweep
-decomposes each distinct Hamiltonian once.
+is a tuple of (slice, w, v) blocks over contiguous slices of that basis,
+each built as a real symmetric matrix straight in sorted positions, and
+every propagation step is a set of blockwise products on Delta in place.
+The global spin flip X maps burst(+) onto burst(-), so burst(-) is
+burst(+) with the eigenvector rows permuted by X, and the ideal burst
+-H'/2 is H' with the eigenvalues scaled by -1/2; neither is decomposed
+again. Decompositions are cached process-wide for the most recent coupling
+table, so a sweep decomposes each distinct Hamiltonian once.
 
 Acquisition works in the eigenbasis of H', where each sample is a phase sum
-over eigenvalue gaps (:func:`phase_sum`) and Delta is advanced once by the
-propagator of the whole window. A pulse applies the single-site 2x2 factor
-to every site index of Delta (:func:`~magicecho.operators.rotate`). After
-every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)), which the
-sorting leaves unchanged, are checked against their initial values, and
-every acquired sample must be real; drift raises
-:class:`~magicecho.errors.InvariantViolation`.
+over eigenvalue gaps (:func:`phase_sum`). Only the blocks of the observable
+that are nonzero enter it: (m, m +- 1) for I_x and I_y and (m, m) for
+I_z, built from bit patterns in sorted positions, each meeting one block of
+Delta. Delta is then advanced by the propagator of the whole window, as in
+an evolution segment. So a run holds one d x d Delta of its own, besides
+the caller's initial state, and at most one d x d work buffer (the second
+buffer of a pulse, or Delta back in the product basis at the end). A pulse
+applies the single-site 2x2 factor to every site index of Delta
+(:func:`~magicecho.operators.rotate`). After every segment Tr(Delta) and
+the Frobenius norm sqrt(Tr(Delta^2)), which the sorting leaves unchanged,
+are checked against their initial values, and every acquired sample must
+be real; drift raises :class:`~magicecho.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -99,18 +105,19 @@ class HamiltonianSpec:
             if not self.omega1 > 0:
                 raise ValueError("burst omega1 must be positive")
 
+    @property
+    def terms(self) -> dict:
+        """The Hamiltonian as coefficients of H' (hd), P (p) and I_z (iz)."""
+        if self.kind == "dipolar":
+            return {"hd": 1.0}
+        if self.kind == "ideal_burst":
+            return {"hd": -0.5}
+        return {"iz": self.sign * self.omega1, "hd": -0.5, "p": 3.0 / 8.0}
+
 
 def build_hamiltonian(spec: HamiltonianSpec, cluster_or_matrix) -> np.ndarray:
-    a = ops.couplings_of(cluster_or_matrix)
-    n = a.shape[0]
-    hd = ops.secular_dipolar(a)
-    if spec.kind == "dipolar":
-        return hd
-    if spec.kind == "ideal_burst":
-        return -0.5 * hd
-    _, _, p = ops.nonsecular_pair_raising(a)
-    iz = ops.collective("z", n)
-    return spec.sign * spec.omega1 * iz - 0.5 * hd + (3.0 / 8.0) * p
+    """The Hamiltonian of ``spec``, dense in the product basis."""
+    return ops.operator_sum(cluster_or_matrix, **spec.terms)
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,12 @@ class DeviationState:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("delta must be square")
         scale = max(1.0, float(np.linalg.norm(d)))
-        if np.linalg.norm(d - d.conj().T) > 1e-10 * scale:
+        # row slabs against column slabs: no temporary as large as delta
+        slab = max(1, d.shape[0] // 16)
+        residual = np.sqrt(sum(
+            np.linalg.norm(d[k:k + slab] - d[:, k:k + slab].conj().T) ** 2
+            for k in range(0, d.shape[0], slab)))
+        if residual > 1e-10 * scale:
             raise ValueError("delta must be Hermitian")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
@@ -200,18 +212,18 @@ def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0) -> DeviationS
     'seq2'    -> -beta * (1/4 H' + 3/16 (H2+H-2) - 3/8 Q)
                                         (dipolar order tilted by a 45-degree
                                          pulse about y, written out explicitly)
+
+    Each is built in a single d x d buffer.
     """
     a = ops.couplings_of(cluster_or_matrix)
-    n = a.shape[0]
     if kind == "ix":
-        delta = beta * ops.collective("x", n)
+        delta = ops.collective("x", a.shape[0])
+        delta *= beta
     elif kind == "dipolar":
-        delta = -beta * ops.secular_dipolar(a)
+        delta = ops.operator_sum(a, hd=-beta)
     elif kind == "seq2":
-        hd = ops.secular_dipolar(a)
-        _, _, p = ops.nonsecular_pair_raising(a)
-        q = ops.operator_q(a)
-        delta = -beta * (0.25 * hd + (3.0 / 16.0) * p - (3.0 / 8.0) * q)
+        delta = ops.operator_sum(a, hd=-0.25 * beta, p=-(3.0 / 16.0) * beta,
+                                 q=(3.0 / 8.0) * beta)
     else:
         raise ValueError(f"unknown initial state kind {kind!r}")
     return DeviationState(delta=delta, beta=beta)
@@ -267,12 +279,13 @@ class EigenCache:
                 t, w, v = plus[k ^ (a.shape[0] % 2)]
                 blocks.append((s, w, v[layout.flip[s] - t.start]))
         else:
-            # every kind is real in the product basis (I_z, H' and P have
-            # real matrix elements), so the blocks are real symmetric
-            h = layout.sort(build_hamiltonian(spec, a).real)
+            # I_z, H' and P have real matrix elements, so each block is
+            # built real symmetric, straight in sorted positions
             slices = layout.sectors if spec.kind == "dipolar" \
                 else layout.parities
-            blocks = [(s, *np.linalg.eigh(h[s, s])) for s in slices]
+            blocks = [(s, *np.linalg.eigh(ops.sector_block(a, s, s,
+                                                           **spec.terms)))
+                      for s in slices]
             self.computed += 1
         for _, w, v in blocks:
             w.setflags(write=False)
@@ -288,40 +301,57 @@ _DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
 
 
-def spectrum(blocks) -> np.ndarray:
-    """Eigenvalues of all blocks, in sorted-basis order."""
-    return np.concatenate([w for _, w, _ in blocks])
+def _propagate(delta: np.ndarray, blocks, t: float) -> None:
+    """delta <- U delta U^dagger in place, U = exp(-i H t) for the
+    eigenblocks (slice, w, v) of H; v is real."""
+    factors = [(s, (v * np.exp(-1j * w * t)) @ v.T) for s, w, v in blocks]
+    for s, u in factors:
+        delta[s] = u @ delta[s]
+    for s, u in factors:
+        delta[:, s] = delta[:, s] @ u.conj().T
 
 
-def _sandwich(factors, x: np.ndarray) -> np.ndarray:
-    """M x M^dagger for block-diagonal M given as (slice, block) pairs."""
-    out = np.empty_like(x)
-    for s, m in factors:
-        out[s] = m @ x[s]
-    for s, m in factors:
-        out[:, s] = out[:, s] @ m.conj().T
-    return out
-
-
-def to_eigenbasis(blocks, op: np.ndarray) -> np.ndarray:
-    """V^dagger op V for op in the sorted basis, one block at a time."""
-    return _sandwich([(s, v.conj().T) for s, _, v in blocks], op)
-
-
-def phase_sum(w, m, times) -> np.ndarray:
-    """s(t) = sum_jk m_jk exp(-i (w_j - w_k) t) at every t in ``times``.
+def phase_sum(spectra, terms, times) -> np.ndarray:
+    """s(t) = sum over (r, c, m) in ``terms`` of
+    sum_jk m_jk exp(-i (w_r[j] - w_c[k]) t), w_k = spectra[k], at every t
+    in ``times``.
 
     With Delta~ and O~ the deviation and the observable in the eigenbasis
-    of H (eigenvalues w), Tr(exp(-iHt) Delta exp(iHt) O) is the phase sum
-    of m = Delta~ * O~.T. Evaluated as e(t) @ m @ e(t)* per row, in blocks
-    of sample times.
+    of a block-diagonal H (one spectrum per block), Tr(exp(-iHt) Delta
+    exp(iHt) O) is the phase sum of m = Delta~ * O~.T. Each term is one
+    nonzero block of m, so only the blocks the observable reaches are
+    summed. A term is evaluated as e_r(t) @ m @ e_c(t)* per row, in blocks
+    of sample times, and each block's phases e_k(t) = exp(-i w_k t) are
+    computed once per block of times.
     """
     times = np.atleast_1d(np.asarray(times, float))
-    out = np.empty(times.shape, complex)
+    out = np.zeros(times.shape, complex)
     for k in range(0, times.size, _PHASE_SUM_BLOCK):
-        e = np.exp(-1j * np.outer(times[k:k + _PHASE_SUM_BLOCK], w))
-        out[k:k + _PHASE_SUM_BLOCK] = ((e @ m) * e.conj()).sum(axis=1)
+        t = times[k:k + _PHASE_SUM_BLOCK, None]
+        phases = {}
+        for r, c, m in terms:
+            for i in (r, c):
+                if i not in phases:
+                    phases[i] = np.exp(-1j * t * spectra[i])
+            out[k:k + _PHASE_SUM_BLOCK] += np.einsum(
+                "tj,tj->t", phases[r] @ m, phases[c].conj())
     return out
+
+
+def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
+    """Phase-sum terms of Tr(Delta(t) O) under the H' eigenblocks.
+
+    ``obs`` holds the nonzero blocks (r, c, coeff, f) of O, as
+    :func:`~magicecho.operators.collective_blocks` gives them. The block
+    O[r, c] meets Delta's block (c, r) only, so each term is
+    Delta~[c, r] * O~[r, c].T, two small basis changes apiece.
+    """
+    terms = []
+    for r, c, coeff, f in obs:
+        (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]
+        o_rc = coeff * (v_r.T @ f @ v_c)
+        terms.append((c, r, (v_c.T @ delta[s_c, s_r] @ v_r) * o_rc.T))
+    return terms
 
 
 def _check_drift(delta, norm0, tr0, where):
@@ -344,7 +374,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     if state.delta.shape != (dim, dim):
         raise ValueError("state dimension does not match the plan's cluster")
     layout = ops.sector_layout(n)
-    delta = layout.sort(state.delta)
+    delta = layout.sort(state.delta)   # the run's own copy, kept in place
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
     curves = []
@@ -352,32 +382,30 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     for k, seg in enumerate(plan.segments):
         where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Pulse):
-            # positive-gamma pulse convention: conjugate by exp(+i angle I)
-            delta = layout.sort(ops.rotate(layout.unsort(delta), seg.axis,
-                                           -seg.angle))
+            # positive-gamma pulse convention: conjugate by exp(+i angle I).
+            # Rebinding frees each copy as soon as the next one exists
+            delta = layout.unsort(delta)
+            delta = layout.sort(ops.rotate(delta, seg.axis, -seg.angle,
+                                           overwrite=True))
         elif isinstance(seg, Evolve):
             if seg.duration > 0.0:
-                blocks = EIGENSYSTEMS.get(seg.hamiltonian, a)
-                delta = _sandwich(
-                    [(sl, (v * np.exp(-1j * w * seg.duration)) @ v.conj().T)
-                     for sl, w, v in blocks], delta)
+                _propagate(delta, EIGENSYSTEMS.get(seg.hamiltonian, a),
+                           seg.duration)
                 t_abs += seg.duration
         elif isinstance(seg, Acquire):
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
-            w = spectrum(blocks)
-            o = layout.sort(ops.collective(seg.observable, n))
-            tro2 = float(np.vdot(o, o).real)
+            obs = ops.collective_blocks(seg.observable, n)
+            tro2 = sum(abs(coeff) ** 2 * float(np.vdot(f, f))
+                       for _, _, coeff, f in obs)
             n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
             times = np.arange(n_samp) * seg.step
-            delta_eig = to_eigenbasis(blocks, delta)
-            o_eig = to_eigenbasis(blocks, o)
-            s = phase_sum(w, delta_eig * o_eig.T, times) / (state.beta * tro2)
+            s = (phase_sum([w for _, w, _ in blocks],
+                           _acquire_terms(blocks, obs, delta), times)
+                 / (state.beta * tro2))
             if np.any(np.abs(s.imag)
                       > 1e-9 * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")
-            phase = np.exp(-1j * w * seg.window)
-            delta = _sandwich([(sl, v) for sl, _, v in blocks],
-                              delta_eig * np.outer(phase, phase.conj()))
+            _propagate(delta, blocks, seg.window)
             curves.append(SignalCurve(
                 times=times, values=s.real, observable=seg.observable,
                 start=t_abs))

@@ -62,20 +62,28 @@ def local_field_of(cluster) -> float:
         return float(np.sqrt(m2 / 3.0))
 
 
-def _fid_spectral_data(cluster):
+def _fid_terms(cluster, derivative=False):
+    """(spectra, terms) for :func:`engine.phase_sum` of G(t), or of dG/dt:
+    one term per nonzero (c, r) block of the weights |I_x~|^2 / Tr(I_x^2)
+    in the H' eigenbasis."""
     a = ops.couplings_of(cluster)
-    n = a.shape[0]
-    ix = ops.sector_layout(n).sort(ops.collective("x", n))
     blocks = engine.EIGENSYSTEMS.get(HamiltonianSpec("dipolar"), a)
-    m = engine.to_eigenbasis(blocks, ix)
-    weights = (m * m.conj()).real / float(np.vdot(ix, ix).real)
-    return engine.spectrum(blocks), weights
+    obs = ops.collective_blocks("x", a.shape[0])
+    tro2 = sum(float(np.vdot(f, f)) for _, _, _, f in obs)
+    terms = []
+    for r, c, coeff, f in obs:
+        (_, w_r, v_r), (_, w_c, v_c) = blocks[r], blocks[c]
+        m = (coeff * (v_c.T @ f.T @ v_r)) ** 2 / tro2   # I_x~ is real
+        if derivative:
+            # d/dt of each phase exp(-i gap t) brings down -i gap
+            m = -1j * (w_c[:, None] - w_r[None, :]) * m
+        terms.append((c, r, m))
+    return [w for _, w, _ in blocks], terms
 
 
 def fid_values(cluster, times) -> np.ndarray:
     """G(t) = Tr(I_x(t) I_x) / Tr(I_x^2) at arbitrary times (even in t)."""
-    w, weights = _fid_spectral_data(cluster)
-    g = engine.phase_sum(w, weights.T, times)
+    g = engine.phase_sum(*_fid_terms(cluster), times)
     if np.any(np.abs(g.imag) > 1e-12 * np.maximum(1.0, np.abs(g.real))):
         raise engine.InvariantViolation("FID acquired an imaginary part")
     return g.real
@@ -83,10 +91,8 @@ def fid_values(cluster, times) -> np.ndarray:
 
 def fid_derivative(cluster, times) -> np.ndarray:
     """dG/dt evaluated analytically from the same eigendecomposition."""
-    w, weights = _fid_spectral_data(cluster)
-    gaps = w[:, None] - w[None, :]   # omega_j - omega_k
-    # d/dt of each phase exp(-i gap t) brings down -i gap
-    return engine.phase_sum(w, -1j * gaps * weights.T, times).real
+    return engine.phase_sum(*_fid_terms(cluster, derivative=True),
+                            times).real
 
 
 def fid(cluster, window=None, step=None) -> SignalCurve:
@@ -155,16 +161,23 @@ def _signal(state, plan, label, **meta) -> SignalCurve:
                    meta=cluster_meta(plan.cluster, **meta))
 
 
-def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
-                    step) -> SignalCurve:
+def _sequence1_start(part, cluster) -> engine.DeviationState:
     """The P-borne ('p') or H'-borne ('hd') part of the state after init
-    dipolar + 90y pulse (exact: the tilt of H' has no other components),
-    run through the compiled seq1 plan after that pulse."""
+    dipolar + 90y pulse (exact: the tilt of H' has no other components)."""
     a = ops.couplings_of(cluster)
-    delta = (-(3.0 / 8.0) * ops.nonsecular_pair_raising(a)[2] if part == "p"
-             else 0.5 * ops.secular_dipolar(a))
+    return engine.DeviationState(ops.operator_sum(a, p=-3.0 / 8.0)
+                                 if part == "p"
+                                 else ops.operator_sum(a, hd=0.5))
+
+
+def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
+                    step, start=None) -> SignalCurve:
+    """A seq1 component, ``start`` or built by :func:`_sequence1_start`,
+    run through the compiled seq1 plan after its leading 90y pulse."""
+    if start is None:
+        start = _sequence1_start(part, cluster)
     plan = _plan("seq1", cluster, omega1, t1, ideal_reversal, window, step)
-    return _signal(engine.DeviationState(delta=delta),
+    return _signal(start,
                    replace(plan, segments=plan.segments[1:]), f"seq1-{part}",
                    sequence="seq1", component=part, omega1=omega1, t1=t1,
                    ideal_reversal=bool(ideal_reversal))
@@ -184,32 +197,36 @@ def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
 
 
 def sequence1_amplitude(cluster, omega1, t1, ideal_reversal=False,
-                        window=None, step=None) -> float:
+                        window=None, step=None, start=None) -> float:
     """Peak |s| of the double-quantum-borne echo component, the only part
-    evolved."""
+    evolved. ``start`` is that component's state if already built (a sweep
+    builds it once)."""
     curve = _sequence1_part("p", cluster, omega1, t1, ideal_reversal, window,
-                            step)
+                            step, start)
     return float(np.abs(curve.values).max())
 
 
 def sequence2_signal(cluster, omega1, t1, ideal_reversal=False,
-                     window=None, step=None) -> SignalCurve:
+                     window=None, step=None, start=None) -> SignalCurve:
     """Echo of the 45-degree-first sequence, acquired from the echo center.
 
     The state after the 45-degree pulse carries dipolar-order, double-
     quantum and single-quantum parts; only the single-quantum part can
     reach the transverse observable (coherence order is conserved under
-    dipolar evolution), so no component splitting is needed.
+    dipolar evolution), so no component splitting is needed. ``start`` is
+    the initial state if already built (a sweep builds it once).
     """
     plan = _plan("seq2", cluster, omega1, t1, ideal_reversal, window, step)
-    state = engine.initial_state(plan.initial_state_kind, cluster)
-    return _signal(state, plan, "seq2", sequence="seq2", omega1=omega1,
+    if start is None:
+        start = engine.initial_state(plan.initial_state_kind, cluster)
+    return _signal(start, plan, "seq2", sequence="seq2", omega1=omega1,
                    t1=t1, ideal_reversal=bool(ideal_reversal))
 
 
 def sequence2_amplitude(cluster, omega1, t1, ideal_reversal=False,
-                        window=None, step=None) -> float:
-    curve = sequence2_signal(cluster, omega1, t1, ideal_reversal, window, step)
+                        window=None, step=None, start=None) -> float:
+    curve = sequence2_signal(cluster, omega1, t1, ideal_reversal, window, step,
+                             start)
     return float(np.abs(curve.values).max())
 
 
@@ -254,8 +271,12 @@ def sweep_t1(sequence: str, cluster, omega1, t1_grid, ideal_reversal=False,
         raise ValueError("t1 values must be nonnegative")
     executed = (requested if ideal_reversal
                 else np.array([snap_t1(t, omega1) for t in requested]))
-    amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step)
-                     for t in executed])
+    # every point starts from the same state, so it is built once: seq1's
+    # P component, or the dipolar order seq2's plan begins with
+    start = (_sequence1_start("p", cluster) if sequence == "seq1"
+             else engine.initial_state("dipolar", cluster))
+    amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step,
+                        start) for t in executed])
     meta = cluster_meta(cluster, sequence=sequence, omega1=omega1,
                         ideal_reversal=bool(ideal_reversal),
                         t1_requested=requested.tolist())

@@ -1,10 +1,9 @@
 """Many-spin operators for clusters of dipolar-coupled spin-1/2 nuclei.
 
-Matrices are dense complex128 in the full 2^N product basis. Site 0 is the
-most significant qubit and index 0 of each single-site factor is spin-up.
-Every builder accepts either a :class:`~magicecho.lattice.SpinCluster` or a
-bare symmetric coupling matrix in rad/s, so synthetic coupling tables can be
-fed straight in.
+Site 0 is the most significant qubit of the 2^N product basis and index 0
+of each single-site factor is spin-up. Every builder accepts either a
+:class:`~magicecho.lattice.SpinCluster` or a bare symmetric coupling matrix
+in rad/s, so synthetic coupling tables can be fed straight in.
 
 :func:`sector_layout` gives the symmetry-sorted order of the same basis
 that the engine works in: states sorted by the parity of their down-spin
@@ -12,6 +11,14 @@ count, then by the count, then by index. Magnetization sectors (which H'
 conserves) and the two parity classes (which the burst Hamiltonian
 conserves) are then contiguous slices, and the global spin flip
 X = prod sigma^x is a permutation of sorted positions.
+
+Every operator's matrix elements are listed once, from bit patterns of
+basis-state indices, and written out in one of two forms: dense complex128
+in the product basis (:func:`operator_sum`, :func:`collective` and the
+named builders), for states, the CLI and the tests; or as real blocks in
+sorted positions (:func:`sector_block`, :func:`collective_blocks`,
+:func:`pair_raising_positions`), which is all the engine builds of its
+Hamiltonians and observables.
 
 :func:`rotate` conjugates by a collective rotation without forming it: it
 applies the single-site 2x2 factor to every site index of the operator,
@@ -75,33 +82,88 @@ def site_count(cluster_or_matrix) -> int:
 
 # The many-spin builders below work on bit patterns of basis-state indices
 # instead of products of kron-built site operators: bit (n-1-i) of a state
-# index is 1 where site i is spin-down. Pair terms are then a diagonal zz
-# part plus couplings between basis states that differ by reversed spins.
+# index is 1 where site i is spin-down. Every operator here is a diagonal
+# part plus couplings between basis states that differ by reversed spins,
+# and :func:`_entries` lists those couplings once for all builders.
 
-def _basis(n: int):
-    """(states, z): the basis-state indices 0..2^n-1 and z[i, b], the I_z
-    eigenvalue (+1/2 up, -1/2 down) of site i in state b."""
-    states = np.arange(2**n)
-    return states, 0.5 - ((states >> (n - 1 - np.arange(n))[:, None]) & 1)
+def _entries(a, states, hd=0.0, p=0.0, q=0.0, iz=0.0, ix=0.0, iy=0.0):
+    """Nonzero entries of hd H' + p P + q Q + iz I_z + ix I_x + iy I_y in
+    the columns of the basis states ``states``.
+
+    Yields (rows, cols, values) parts: rows are basis states, cols are
+    positions in ``states``. No (row, col) appears twice: the diagonal
+    gathers the zz and I_z terms, a pair flip is flip-flop (antiparallel
+    spins, H') or double-quantum (parallel spins, P), and a single-site
+    flip gathers I_x, I_y and Q.
+    """
+    n = a.shape[0]
+    sites = np.arange(n)
+    # z[i, c]: I_z eigenvalue (+1/2 up, -1/2 down) of site i in states[c]
+    z = 0.5 - ((states >> (n - 1 - sites)[:, None]) & 1)
+    cols = np.broadcast_to(np.arange(states.size), (n, states.size))
+    pi, pj = np.nonzero(np.triu(a, 1))        # coupled pairs, i < j
+    aij = a[pi, pj][:, None]
+    zz = z[pi] * z[pj]
+    if hd or iz:
+        yield states, cols[0], iz * z.sum(axis=0) + hd * (aij * zz).sum(axis=0)
+    if (hd or p) and pi.size:
+        rows = states ^ ((1 << (n - 1 - pi)) | (1 << (n - 1 - pj)))[:, None]
+        pair_cols = np.broadcast_to(cols[0], rows.shape)
+        values = np.broadcast_to(aij, rows.shape)
+        for coeff, sel in ((-0.25 * hd, zz < 0), (p, zz > 0)):
+            if coeff:
+                yield rows[sel], pair_cols[sel], coeff * values[sel]
+    if q or ix or iy:
+        # on site i, <b ^ m|I_x|b> = 1/2, <b ^ m|I_y|b> = i I_z(b), and Q
+        # brings sum_j a_ij I_zj(b)
+        values = q * ((a - np.diag(np.diag(a))) @ z) + 0.5 * ix
+        if iy:
+            values = values + 1j * iy * z
+        rows = states ^ (1 << (n - 1 - sites))[:, None]
+        yield rows.ravel(), cols.ravel(), values.ravel()
 
 
-def _mask(site: int, n: int) -> int:
-    return 1 << (n - 1 - site)
+def _dense(a, **coeffs) -> np.ndarray:
+    states = np.arange(2 ** a.shape[0])
+    out = np.zeros((states.size, states.size), complex)
+    for rows, cols, values in _entries(a, states, **coeffs):
+        out[rows, cols] = values
+    return out
 
 
-def _flips(out: np.ndarray, mask: int, cols, values) -> None:
-    """out[b ^ mask, b] += values for b in cols: couple each basis state to
-    the one with the spins under ``mask`` reversed."""
-    out[cols ^ mask, cols] += values
+def operator_sum(cluster_or_matrix, hd=0.0, p=0.0, q=0.0, iz=0.0
+                 ) -> np.ndarray:
+    """hd H' + p P + q Q + iz I_z, dense in the product basis, built in one
+    buffer."""
+    return _dense(couplings_of(cluster_or_matrix), hd=hd, p=p, q=q, iz=iz)
+
+
+def sector_block(cluster_or_matrix, rows: slice, cols: slice, hd=0.0, p=0.0,
+                 q=0.0, iz=0.0, ix=0.0) -> np.ndarray:
+    """Block [rows, cols] of hd H' + p P + q Q + iz I_z + ix I_x in the
+    sorted positions of :func:`sector_layout`.
+
+    All five operators have real matrix elements, so the block is real.
+    Only the columns in ``cols`` are generated.
+    """
+    a = couplings_of(cluster_or_matrix)
+    layout = sector_layout(a.shape[0])
+    out = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+    for r, c, values in _entries(a, layout.order[cols], hd=hd, p=p, q=q,
+                                 iz=iz, ix=ix):
+        r = layout.position[r] - rows.start
+        keep = (r >= 0) & (r < out.shape[0])
+        out[r[keep], c[keep]] = values[keep]
+    return out
 
 
 class SectorLayout(NamedTuple):
     """Symmetry-sorted order of the 2^n basis states (see module docstring).
 
     order[p] is the basis index at sorted position p and position its
-    inverse. sectors holds one slice per magnetization sector and parities
-    the even- and odd-count slices, all in sorted order. flip[p] is the
-    sorted position of X applied to the state at p (b -> b XOR (2^n - 1)).
+    inverse. sectors[k] is the slice of the states with k down spins and
+    parities the even- and odd-count slices. flip[p] is the sorted position
+    of X applied to the state at p (b -> b XOR (2^n - 1)).
     """
 
     order: np.ndarray
@@ -112,25 +174,30 @@ class SectorLayout(NamedTuple):
 
     def sort(self, op: np.ndarray) -> np.ndarray:
         """op with rows and columns in sorted order."""
-        return op.take(self.order, axis=0).take(self.order, axis=1)
+        return op[np.ix_(self.order, self.order)]
 
     def unsort(self, op: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`sort`."""
-        return op.take(self.position, axis=0).take(self.position, axis=1)
+        return op[np.ix_(self.position, self.position)]
 
 
 @lru_cache(maxsize=None)
 def sector_layout(n: int) -> SectorLayout:
     """The sorted layout for n sites, built once per n on first use."""
-    states, z = _basis(n)
-    downs = (0.5 * n - z.sum(axis=0)).round().astype(int)
+    states = np.arange(2**n)
+    downs = np.zeros_like(states)
+    for i in range(n):
+        downs += (states >> i) & 1
     order = np.lexsort((states, downs, downs % 2))
     position = np.empty_like(order)
     position[order] = states
-    bounds = np.flatnonzero(np.diff(downs[order])) + 1
-    edges = [0, *bounds.tolist(), 2**n]
-    sectors = tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
-    n_even = int((downs % 2 == 0).sum())
+    sizes = np.bincount(downs, minlength=n + 1)
+    # sorted order visits the even counts, then the odd ones
+    starts = dict(zip([*range(0, n + 1, 2), *range(1, n + 1, 2)],
+                      np.cumsum([0, *sizes[0::2], *sizes[1::2]]).tolist()))
+    sectors = tuple(slice(starts[k], starts[k] + sizes[k])
+                    for k in range(n + 1))
+    n_even = int(sizes[0::2].sum())
     flip = position[order ^ (2**n - 1)]
     for arr in (order, position, flip):
         arr.setflags(write=False)
@@ -138,45 +205,54 @@ def sector_layout(n: int) -> SectorLayout:
                         (slice(0, n_even), slice(n_even, 2**n)), flip)
 
 
-def _coupled_pairs(a: np.ndarray):
-    n = a.shape[0]
-    return [(i, j, a[i, j]) for i in range(n) for j in range(i + 1, n)
-            if a[i, j] != 0.0]
-
-
-def collective(axis: str, n: int) -> np.ndarray:
-    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'."""
+def _split_axis(axis: str):
     sign = 1.0
     if axis.startswith("-"):
         sign, axis = -1.0, axis[1:]
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown axis {axis!r}")
-    states, z = _basis(n)
-    out = np.zeros((2**n, 2**n), complex)
+    return sign, axis
+
+
+def collective(axis: str, n: int) -> np.ndarray:
+    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'."""
+    sign, axis = _split_axis(axis)
+    return _dense(np.zeros((n, n)), **{"i" + axis: sign})
+
+
+def collective_blocks(axis: str, n: int) -> list:
+    """The nonzero blocks of I_axis in sorted positions.
+
+    Returns (r, c, coeff, f) with I_axis[sectors[r], sectors[c]] =
+    coeff * f and f real. I_x and I_y move the down-spin count by one, so
+    their blocks are (k +- 1, k), with f the block of I_x and
+    I_y = +-i I_x there; I_z keeps it, and on sector k it is n/2 - k times
+    the identity.
+    """
+    sign, axis = _split_axis(axis)
     if axis == "z":
-        out[states, states] = z.sum(axis=0)
-    else:
-        for i in range(n):
-            # on site i, <b ^ m|I_x|b> = 1/2 and <b ^ m|I_y|b> = i I_z(b)
-            _flips(out, _mask(i, n), states,
-                   0.5 if axis == "x" else 1j * z[i])
-    return sign * out
+        return [(k, k, sign * (0.5 * n - k), np.eye(s.stop - s.start))
+                for k, s in enumerate(sector_layout(n).sectors)]
+    return [(r, c, sign * (1.0 if axis == "x" else 1j * (r - c)), f)
+            for r, c, f in _flip_blocks(n)]
+
+
+@lru_cache(maxsize=None)
+def _flip_blocks(n: int) -> tuple:
+    """(r, c, f): the nonzero blocks of I_x, built once per n."""
+    sectors = sector_layout(n).sectors
+    zero = np.zeros((n, n))
+    blocks = tuple((r, c, sector_block(zero, sectors[r], sectors[c], ix=1.0))
+                   for c in range(n + 1) for r in (c - 1, c + 1)
+                   if 0 <= r <= n)
+    for _, _, f in blocks:
+        f.setflags(write=False)
+    return blocks
 
 
 def secular_dipolar(cluster_or_matrix) -> np.ndarray:
     """H' = sum_{i<j} a_ij [ I_zi I_zj - 1/4 (I+i I-j + I-i I+j) ]."""
-    a = couplings_of(cluster_or_matrix)
-    n = a.shape[0]
-    states, z = _basis(n)
-    h = np.zeros((2**n, 2**n), complex)
-    diag = np.zeros(2**n)
-    for i, j, aij in _coupled_pairs(a):
-        diag += aij * (z[i] * z[j])
-        # the flip-flop term only connects antiparallel spins i, j
-        _flips(h, _mask(i, n) | _mask(j, n), states[z[i] != z[j]],
-               -0.25 * aij)
-    h[states, states] = diag
-    return h
+    return operator_sum(cluster_or_matrix, hd=1.0)
 
 
 def nonsecular_pair_raising(cluster_or_matrix):
@@ -184,38 +260,30 @@ def nonsecular_pair_raising(cluster_or_matrix):
 
     H2 = sum_{i<j} a_ij I+i I+j, H-2 = H2^dagger, P = H2 + H-2.
     """
-    a = couplings_of(cluster_or_matrix)
-    n = a.shape[0]
-    states, z = _basis(n)
-    h2 = np.zeros((2**n, 2**n), complex)
-    for i, j, aij in _coupled_pairs(a):
-        # raises both spins: only states with i and j down
-        _flips(h2, _mask(i, n) | _mask(j, n),
-               states[(z[i] < 0) & (z[j] < 0)], aij)
-    hm2 = h2.conj().T
-    return h2, hm2, h2 + hm2
+    p = operator_sum(cluster_or_matrix, p=1.0)
+    # raising clears two bits of the column index, so H2 is P's upper part
+    h2 = np.triu(p)
+    return h2, h2.conj().T, p
+
+
+def pair_raising_positions(i: int, j: int, n: int):
+    """I+i I+j in the sorted positions of :func:`sector_layout`: (rows,
+    cols) of its entries, each 1, from every state with sites i and j down
+    (cols) to the one with both up (rows)."""
+    layout = sector_layout(n)
+    mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+    cols = np.flatnonzero(layout.order & mask == mask)
+    return layout.position[layout.order[cols] ^ mask], cols
 
 
 def operator_q(cluster_or_matrix) -> np.ndarray:
     """Single-quantum part Q = sum_{i<j} a_ij [I_zi (I+j + I-j) + (i <-> j)]."""
-    a = couplings_of(cluster_or_matrix)
-    n = a.shape[0]
-    states, z = _basis(n)
-    q = np.zeros((2**n, 2**n), complex)
-    for i, j, aij in _coupled_pairs(a):
-        # I+ + I- flips one spin; I_z of the other is the same on both sides
-        _flips(q, _mask(j, n), states, aij * z[i])
-        _flips(q, _mask(i, n), states, aij * z[j])
-    return q
+    return operator_sum(cluster_or_matrix, q=1.0)
 
 
 def _site_rotation(axis: str, angle: float) -> np.ndarray:
     """Single-site factor exp(-i * angle * S_axis); axis may carry a '-'."""
-    sign = 1.0
-    if axis.startswith("-"):
-        sign, axis = -1.0, axis[1:]
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"unknown axis {axis!r}")
+    sign, axis = _split_axis(axis)
     theta = sign * angle
     return (np.cos(theta / 2.0) * np.eye(2, dtype=complex)
             - 2.0j * np.sin(theta / 2.0) * _S[axis])
@@ -226,7 +294,8 @@ def _site_rotation(axis: str, angle: float) -> np.ndarray:
 _FACTOR_SITES = 4
 
 
-def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
+def rotate(op: np.ndarray, axis: str, angle: float,
+           overwrite: bool = False) -> np.ndarray:
     """Conjugate: R op R^dagger with R = exp(-i * angle * I_axis).
 
     R is the kron of n copies of the site factor u, so op, read as a tensor
@@ -234,7 +303,9 @@ def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
     every column index. Each product takes the leading _FACTOR_SITES
     indices (u kron u ... as one small factor) and moves them to the back,
     so after all of them the index order is restored: O(n 4^n), with no
-    dense R.
+    dense R. The products alternate between two buffers, and as their
+    count is even the result lands in the first: op itself with
+    ``overwrite`` if op is complex and C-contiguous, otherwise a copy.
     """
     n = int(round(np.log2(op.shape[0])))
     if 2**n != op.shape[0]:
@@ -242,10 +313,14 @@ def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
     u1 = _site_rotation(axis, angle)
     factors = [reduce(np.kron, [u1] * min(_FACTOR_SITES, n - k))
                for k in range(0, n, _FACTOR_SITES)]
-    out = np.asarray(op, complex)
+    out = (op if overwrite and op.dtype == complex and op.flags.c_contiguous
+           else np.array(op, complex, order="C"))
+    spare = np.empty_like(out)
     for f in factors + [f.conj() for f in factors]:
-        out = out.reshape(f.shape[0], -1).T @ f.T
-    return out.reshape(op.shape)
+        np.matmul(out.reshape(f.shape[0], -1).T, f.T,
+                  out=spare.reshape(-1, f.shape[0]))
+        out, spare = spare, out
+    return out
 
 
 class TiltReport(NamedTuple):

@@ -271,35 +271,45 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
             or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must start at 0 and strictly increase")
     layout = ops.sector_layout(nspins)
-    _, hm2, _ = ops.nonsecular_pair_raising(a)
-    norm = float(np.vdot(hm2, hm2).real)      # Tr(H2 Hm2)
+    sectors = layout.sectors
+    # Hm2 lowers two spins: its nonzero blocks are (k + 2, k), with k the
+    # down-spin count, and they are P's blocks there
+    hm2 = [ops.sector_block(a, sectors[k + 2], sectors[k], p=1.0)
+           for k in range(nspins - 1)]
+    norm = sum(float(np.vdot(b, b)) for b in hm2)      # Tr(H2 Hm2)
     if not norm > 0.0:
         raise ValueError("degenerate kernel: cluster has no "
                          "double-quantum weight")
-    hm2 = layout.sort(hm2)
     blocks = engine.EIGENSYSTEMS.get(engine.HamiltonianSpec("dipolar"), a)
-    w = engine.spectrum(blocks)
     # weight matrix in the dipolar eigenbasis: the lag dependence is a pure
     # phase factor per eigenvalue gap, so the pair loop runs once. For real
     # couplings [Hm2_ij, H2] = -[H2_ij, Hm2]^dagger, and v is real, so each
     # pair adds -|v^T [H2_ij, Hm2] v|^2. Each commutator conserves the
     # magnetization, so only the diagonal sector blocks are nonzero
-    wmat = np.zeros(hm2.shape)
-    for i in range(nspins):
-        for j in range(i + 1, nspins):
-            if a[i, j] == 0.0:
-                continue
-            mask = np.zeros_like(a)
-            mask[i, j] = mask[j, i] = a[i, j]
-            h2ij = layout.sort(ops.nonsecular_pair_raising(mask)[0])
-            for s, _, v in blocks:
-                c = v.T @ (h2ij[s] @ hm2[:, s] - hm2[s] @ h2ij[:, s]) @ v
-                wmat[s, s] -= np.abs(c) ** 2
+    wmat = [np.zeros((s.stop - s.start,) * 2) for s in sectors]
+    for i, j in zip(*np.nonzero(np.triu(a, 1))):
+        # H2_ij has a_ij at each (dst, src), two sectors apart
+        aij = a[i, j]
+        dst, src = ops.pair_raising_positions(i, j, nspins)
+        for k, s in enumerate(sectors):
+            c = np.zeros_like(wmat[k])
+            if k + 2 <= nspins:    # H2_ij[k, k + 2] Hm2[k + 2, k]
+                up = (dst >= s.start) & (dst < s.stop)
+                c[dst[up] - s.start] = aij * hm2[k][src[up]
+                                                    - sectors[k + 2].start]
+            if k >= 2:             # Hm2[k, k - 2] H2_ij[k - 2, k]
+                down = (src >= s.start) & (src < s.stop)
+                c[:, src[down] - s.start] -= aij * hm2[k - 2][
+                    :, dst[down] - sectors[k - 2].start]
+            v = blocks[k][2]
+            wmat[k] -= np.abs(v.T @ c @ v) ** 2
+    spectra = [w for _, w, _ in blocks]
+    terms = [(k, k, m) for k, m in enumerate(wmat)]
 
     def samples(sign):
         # conjugation at half rate: phases exp(-i gap t/2) per lag t
-        return ((9.0 / 64.0) * engine.phase_sum(w, wmat, 0.5 * sign * tau)
-                / norm)
+        return ((9.0 / 64.0)
+                * engine.phase_sum(spectra, terms, 0.5 * sign * tau) / norm)
 
     plus = samples(+1.0)
     minus = samples(-1.0)

@@ -325,6 +325,28 @@ def test_thermo_error_codes(tmp_path):
                      "--t-end-us", "100"]) == 2
 
 
+def test_thermo_kernel_tau_must_be_positive(capsys):
+    # 0 must not fall back to the 6/sqrt(M2) default, and a negative span
+    # is reported as itself, not as a bad tau grid
+    for tau in ("0", "-5"):
+        assert run_main(["thermo", "--kernel-from-cluster", "100:1:4",
+                         "--kernel-tau-us", tau, "--t-end-us", "50"]) == 2
+        assert "--kernel-tau-us must be positive" in capsys.readouterr().err
+
+
+def test_thermo_kernel_tau_sets_the_kernel_span(tmp_path):
+    outputs = []
+    for tau in (None, "20", "40"):
+        out = str(tmp_path / f"micro-{tau}.csv")
+        extra = [] if tau is None else ["--kernel-tau-us", tau]
+        assert run_main(["thermo", "--kernel-from-cluster", "100:1:4",
+                         "--t-end-us", "50", "--step-us", "1",
+                         "--offset-us", "0", "--out", out]
+                        + extra) == 0
+        outputs.append(open(out, "rb").read())
+    assert len(set(outputs)) == 3
+
+
 def test_thermo_nonconvergence_exits_1(monkeypatch):
     monkeypatch.setattr(thermo, "MAX_REFINEMENTS", 0)
     code = run_main(["thermo", "--orientation", "100", "--t-end-us", "200",

@@ -282,6 +282,103 @@ def test_blocked_evolve_matches_dense_oracle(case):
     assert np.abs(got - samples).max(initial=0.0) <= 1e-10 * bound
 
 
+# ---------------------------------- blockwise acquisition vs dense phase sum
+
+def _dense_phase_sum_acquire(delta, beta, a, seg):
+    """Oracle: one Acquire with full-dimension matrices. Delta~ and O~ in
+    the eigenbasis of the dense H', the phase sum of m = Delta~ * O~.T over
+    every eigenvalue gap, and Delta advanced by the dense phase outer
+    product. Returns (samples, imaginary parts, final delta)."""
+    n = a.shape[0]
+    w, v = np.linalg.eigh(ops.secular_dipolar(a))
+    o = ops.collective(seg.observable, n)
+    d_eig = v.conj().T @ delta @ v
+    m = d_eig * (v.conj().T @ o @ v).T
+    gaps = np.subtract.outer(w, w)
+    n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
+    s = np.array([(m * np.exp(-1j * gaps * t)).sum()
+                  for t in np.arange(n_samp) * seg.step])
+    s /= beta * np.vdot(o, o).real
+    phase = np.exp(-1j * w * seg.window)
+    return (s.real, s.imag,
+            v @ (d_eig * np.outer(phase, phase.conj())) @ v.conj().T)
+
+
+@st.composite
+def acquire_cases(draw):
+    """(couplings, Hermitian delta, Acquire): n = 2..7, some pairs
+    uncoupled, every observable."""
+    n = draw(st.integers(2, 7))
+    value = st.one_of(st.just(0.0),
+                      st.floats(-1e5, 1e5, allow_nan=False, width=64))
+    upper = draw(st.lists(value, min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    seg = Acquire(draw(st.sampled_from(("x", "y", "z"))),
+                  draw(st.floats(2e-6, 2e-5)), 2e-6)
+    return a + a.T, m + m.conj().T, seg
+
+
+@settings(max_examples=60, deadline=None)
+@given(acquire_cases())
+def test_blockwise_acquire_matches_dense_phase_sum(case):
+    a, delta0, seg = case
+    beta = 0.7
+    out, (curve,) = evolve(DeviationState(delta0, beta),
+                           PropagationPlan(cluster=a, segments=(seg,)))
+    samples, imag, delta = _dense_phase_sum_acquire(delta0, beta, a, seg)
+    scale = np.linalg.norm(delta0)
+    # |s| <= ||Delta|| / (beta ||O||), and ||O|| >= sqrt(2^n / 4)
+    bound = scale / (beta * np.sqrt(2.0**a.shape[0] / 4.0))
+    assert np.abs(imag).max() <= 1e-10 * bound   # the oracle is sound
+    assert curve.values.shape == samples.shape
+    assert np.abs(curve.values - samples).max() <= 1e-10 * bound
+    assert np.linalg.norm(out.delta - delta) <= 1e-10 * scale
+
+
+# a .pp run at n = 8 (d = 256): dipolar order, pulse, burst pair, delay,
+# read pulse and an Iy acquire
+_PEAK_PROGRAM = """\
+init dipolar
+pulse 90 y
+burst + 25.3G 12hc
+burst - 25.3G 12hc
+delay 30us
+pulse 45 y
+acquire Iy for 60us step 0.5us
+"""
+# peak traced numpy data of that run, in dense complex operators of
+# 16 d^2 bytes: the caller's initial Delta, the run's own Delta and one
+# work buffer, plus the eigenblocks (measured 4.0; a dense acquire and
+# dense Hamiltonians peak near 8.8)
+PEAK_OPERATORS = 4.5
+
+
+def test_pp_run_peak_memory_is_bounded():
+    import tracemalloc
+
+    from magicecho import pulseprog
+
+    cluster = build_cluster("110", radius=2.0, max_sites=8)
+    plan = pulseprog.compile(pulseprog.parse(_PEAK_PROGRAM), cluster)
+    # warm the per-n caches, then count the run's own eigenblocks
+    ops.sector_layout(8)
+    ops.collective_blocks("y", 8)
+    engine.EIGENSYSTEMS.clear()
+    tracemalloc.start()
+    try:
+        state = initial_state(plan.initial_state_kind, cluster)
+        _, (curve,) = evolve(state, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.values.size == 121
+    assert peak <= PEAK_OPERATORS * 16 * 256**2
+
+
 def test_burst_minus_is_burst_plus_under_spin_flip():
     rng = np.random.default_rng(3)
     for n in (4, 5):
@@ -306,13 +403,16 @@ def test_burst_minus_is_burst_plus_under_spin_flip():
 
 def test_phase_sum_blocks_match_direct_sum():
     rng = np.random.default_rng(9)
-    w = rng.normal(size=6)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     times = np.linspace(0.0, 7.0, 600)          # spans three blocks
-    gaps = np.subtract.outer(w, w)
-    direct = [(m * np.exp(-1j * gaps * t)).sum() for t in times]
-    np.testing.assert_allclose(engine.phase_sum(w, m, times), direct,
-                               rtol=0, atol=1e-12)
+    spectra = [rng.normal(size=size) for size in (6, 4, 7)]
+    terms = [(r, c, rng.normal(size=(spectra[r].size, spectra[c].size))
+              + 1j * rng.normal(size=(spectra[r].size, spectra[c].size)))
+             for r, c in ((0, 0), (1, 2), (2, 1))]   # square and rectangular
+    direct = [sum((m * np.exp(-1j * np.subtract.outer(spectra[r], spectra[c])
+                              * t)).sum() for r, c, m in terms)
+              for t in times]
+    np.testing.assert_allclose(engine.phase_sum(spectra, terms, times),
+                               direct, rtol=0, atol=1e-12)
 
 
 def test_eigen_cache_holds_one_coupling_table():

@@ -267,6 +267,22 @@ def test_rpw_rejects_nonpositive_tau(four_spin):
 
 # ------------------------------------------------------------- sweeps
 
+def test_sweep_builds_its_starting_state_once(four_spin, monkeypatch):
+    # every dense operator of a sweep goes through operator_sum (the
+    # Hamiltonians are built as blocks), so a sweep builds exactly one
+    built = []
+    real = ops.operator_sum
+    monkeypatch.setattr(ops, "operator_sum",
+                        lambda *a, **k: built.append(k) or real(*a, **k))
+    omega1 = 20.0 * local_field(four_spin)
+    grid = np.array([2, 4, 6]) * np.pi / omega1
+    for sequence in ("seq1", "seq2"):
+        built.clear()
+        curve = ex.sweep_t1(sequence, four_spin, omega1, grid)
+        assert curve.values.size == 3
+        assert len(built) == 1, (sequence, built)
+
+
 def test_sweep_single_point_matches_direct_call(four_spin):
     omega1 = 20.0 * local_field(four_spin)
     t1 = 4 * np.pi / omega1

@@ -268,3 +268,37 @@ def test_bit_pattern_builders_match_kron_oracle(a):
     np.testing.assert_allclose(hm2, ref["h2"].conj().T, rtol=0, atol=atol)
     np.testing.assert_allclose(p, ref["h2"] + ref["h2"].conj().T, rtol=0,
                                atol=atol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling_tables())
+def test_sector_blocks_tile_the_sorted_dense_operators(a):
+    n = a.shape[0]
+    layout = ops.sector_layout(n)
+    sectors = layout.sectors
+    for k, s in enumerate(sectors):
+        assert all(bin(int(b)).count("1") == k for b in layout.order[s])
+    atol = 1e-13 * max(1.0, np.abs(a).max())
+    coeffs = {"hd": 0.7, "p": -0.3, "q": 1.1, "iz": 2.0}
+    dense = layout.sort(ops.operator_sum(a, **coeffs)
+                        + 0.4 * ops.collective("x", n))
+    assert not np.any(dense.imag)
+    for rows in sectors + layout.parities:
+        for cols in sectors + layout.parities:
+            np.testing.assert_allclose(
+                ops.sector_block(a, rows, cols, ix=0.4, **coeffs),
+                dense[rows, cols].real, rtol=0, atol=atol)
+    for axis in ("x", "-y", "z"):
+        tiled = np.zeros_like(dense)
+        for r, c, coeff, f in ops.collective_blocks(axis, n):
+            tiled[sectors[r], sectors[c]] += coeff * f
+        np.testing.assert_array_equal(tiled,
+                                      layout.sort(ops.collective(axis, n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            one_pair = np.zeros((n, n))
+            one_pair[i, j] = one_pair[j, i] = 1.0
+            built = np.zeros_like(dense)
+            built[ops.pair_raising_positions(i, j, n)] = 1.0
+            np.testing.assert_array_equal(
+                built, layout.sort(ops.nonsecular_pair_raising(one_pair)[0]))
