@@ -4,7 +4,9 @@ Each command in COMMANDS writes a CSV with --out; ``tests/golden/<name>.csv``
 holds its output captured before a refactor of the code it runs: the first
 eight before the engine moved to symmetry blocks, the ideal sweep, the
 zero-burst sweep and the ideal rpw run before the builtin sequences got one
-definition. A rerun must have the same metadata keys and columns, equal
+definition, and lattice-info, the two dump-operator runs and the Gaussian
+thermo --divergence run before the CLI emitted every result from columns.
+A rerun must have the same metadata keys and columns, equal
 non-numeric metadata, and every column and numeric metadata value within
 GOLDEN_RTOL of that column's (or value's) maximum absolute value. A value
 that is a list of numbers, such as a sweep's t1_requested, must have the
@@ -60,6 +62,15 @@ COMMANDS = {
                       "--halfcycles", "12"],
     "thermo-micro-n7": ["thermo", "--kernel-from-cluster", "110:1:7",
                         "--kernel-samples", "81", "--t-end-us", "100"],
+    "lattice-info-110": ["lattice-info", "--orientation", "110",
+                         "--radius", "1.5"],
+    "dump-q-n4": ["dump-operator", "--name", "q", "--orientation", "100",
+                  "--radius", "1", "--max-sites", "4"],
+    "dump-h1-n4": ["dump-operator", "--name", "h1", "--orientation", "100",
+                   "--radius", "1", "--max-sites", "4"],
+    "thermo-gauss-divergence": ["thermo", "--orientation", "111",
+                                "--offset-us", "10", "--t-end-us", "60",
+                                "--divergence"],
 }
 
 
