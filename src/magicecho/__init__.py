@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .engine import (
     DeviationState,
     PropagationPlan,
-    Propagator,
     SignalCurve,
     evolve,
     initial_state,
@@ -56,7 +55,6 @@ __all__ = [
     "Orientation",
     "PhysicalConstants",
     "PropagationPlan",
-    "Propagator",
     "PulseProgram",
     "SignalCurve",
     "SpinCluster",

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, engine, experiments, operators as ops
 from . import output, pulseprog, thermo
 from .errors import ConvergenceError, InvariantViolation
-from .lattice import (BULK_SUM_RADIUS, Orientation, build_cluster,
+from .lattice import (BULK_SUM_RADIUS, build_cluster, bulk_local_field_gauss,
                       bulk_second_moment, local_field, second_moment)
 
 TOLERANCES = {
@@ -48,15 +48,11 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _finish(args, t_start, columns=None, meta=None, obj=None,
-            cluster=None, extra=None) -> int:
+def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
     """Emit the result to --out or stdout, plus a manifest for files."""
     out = getattr(args, "out", None)
     if out:
-        if obj is not None:
-            rows = output.emit_csv(obj, out)
-        else:
-            rows = output.write_csv(out, columns, meta)
+        rows = output.write_csv(out, columns, meta)
         manifest = {
             "artifact_version": __version__,
             "command": args.subcommand,
@@ -72,16 +68,12 @@ def _finish(args, t_start, columns=None, meta=None, obj=None,
         }
         output.write_manifest(out, manifest)
     else:
-        if obj is not None:
-            columns, meta = output.object_columns(obj)
         sys.stdout.write(output.csv_text(columns, meta))
     return 0
 
 
 def _cluster_from_args(args):
-    orientation = Orientation.from_spec(args.orientation)
-    return build_cluster(orientation, radius=args.radius,
-                         max_sites=args.max_sites)
+    return build_cluster(args.orientation, args.radius, args.max_sites)
 
 
 def _add_cluster_flags(p, radius=1.0, max_sites=None):
@@ -117,24 +109,23 @@ def _parse_t1_grid(text: str) -> np.ndarray:
 def _cmd_lattice_info(args) -> int:
     t0 = time.perf_counter()
     cluster = _cluster_from_args(args)
-    m2c = second_moment(cluster)
-    m2b = bulk_second_moment(cluster.orientation, radius=args.radius)
-    gamma = cluster.constants.gamma
     # small shells can sit exactly at the magic angle for one orientation,
     # so the headline anisotropy ratio uses at least the calibration radius
     r_ratio = max(args.radius, BULK_SUM_RADIUS)
-    ratio = (bulk_second_moment(Orientation.from_spec("100"), r_ratio)
-             / bulk_second_moment(Orientation.from_spec("111"), r_ratio))
+    ratio = (bulk_second_moment("100", r_ratio)
+             / bulk_second_moment("111", r_ratio))
     fmt = output.CSV_FLOAT_FORMAT
     meta = {
         "orientation": cluster.orientation.label,
         "radius": fmt % args.radius,
         "n_sites": str(cluster.n_sites),
         "cluster_hash": cluster.hash_hex,
-        "m2_cluster": fmt % m2c,
-        "m2_bulk": fmt % m2b,
-        "local_field_cluster_gauss": fmt % (np.sqrt(m2c / 3.0) / gamma),
-        "local_field_bulk_gauss": fmt % (np.sqrt(m2b / 3.0) / gamma),
+        "m2_cluster": fmt % second_moment(cluster),
+        "m2_bulk": fmt % bulk_second_moment(cluster.orientation, args.radius),
+        "local_field_cluster_gauss":
+            fmt % (local_field(cluster) / cluster.constants.gamma),
+        "local_field_bulk_gauss":
+            fmt % bulk_local_field_gauss(cluster.orientation, args.radius),
         "m2_ratio_100_111": fmt % ratio,
     }
     pos = cluster.positions
@@ -167,7 +158,8 @@ def _cmd_run(args) -> int:
         curve = experiments.sweep_t1(
             name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
             ideal_reversal=args.ideal, window=window, step=step)
-        return _finish(args, t0, obj=curve, cluster=cluster)
+        return _finish(args, t0, *output.object_columns(curve),
+                       cluster=cluster)
     if source.startswith("builtin:"):
         program = pulseprog.builtin(
             source[len("builtin:"):], amplitude_gauss=args.omega1_gauss,
@@ -176,6 +168,9 @@ def _cmd_run(args) -> int:
             step_us=0.5 if args.step_us is None else args.step_us,
             gamma=gamma)
     else:
+        if args.window_us is not None or args.step_us is not None:
+            raise ValueError("--window-us and --step-us apply to builtin "
+                             "programs only, not to a .pp file's acquire")
         with open(source, "r") as fh:
             program = pulseprog.parse(fh.read())
     plan = pulseprog.compile(program, cluster, ideal_reversal=args.ideal)
@@ -187,7 +182,7 @@ def _cmd_run(args) -> int:
     _, (curve,) = engine.evolve(state, plan)
     curve = replace(curve, meta=experiments.cluster_meta(
         cluster, sequence=source, ideal_reversal=args.ideal))
-    return _finish(args, t0, obj=curve, cluster=cluster)
+    return _finish(args, t0, *output.object_columns(curve), cluster=cluster)
 
 
 def _parse_cluster_spec(spec: str):
@@ -195,15 +190,17 @@ def _parse_cluster_spec(spec: str):
     if len(parts) not in (2, 3):
         raise ValueError(f"cluster spec {spec!r} must be "
                          f"ORIENTATION:RADIUS[:MAX_SITES]")
-    orientation = Orientation.from_spec(parts[0])
-    radius = float(parts[1])
-    max_sites = int(parts[2]) if len(parts) == 3 else None
-    return build_cluster(orientation, radius=radius, max_sites=max_sites)
+    return build_cluster(parts[0], radius=float(parts[1]),
+                         max_sites=int(parts[2]) if len(parts) == 3 else None)
 
 
 def _cmd_thermo(args) -> int:
     t0 = time.perf_counter()
     cluster = None
+    if args.kernel_samples < 2:
+        raise ValueError("--kernel-samples must be at least 2")
+    if args.kernel_tau_us is not None and not args.kernel_from_cluster:
+        raise ValueError("--kernel-tau-us needs --kernel-from-cluster")
     if args.kernel_from_cluster:
         if args.kernel_tau_us is not None and not args.kernel_tau_us > 0:
             raise ValueError("--kernel-tau-us must be positive")
@@ -353,7 +350,7 @@ def _check_magnus_order(rng):
 def _check_reversal_identity(rng):
     a = np.zeros((3, 3))
     u = engine.effective_propagator_a3(a, 1.0e6, 2 * np.pi / 1.0e6)
-    assert np.abs(u.matrix - np.eye(8)).max() < 1e-9
+    assert np.abs(u - np.eye(8)).max() < 1e-9
 
 
 def _check_thermo_cosine(rng):

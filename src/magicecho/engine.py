@@ -53,15 +53,7 @@ UNITARITY_TOL = 1e-9
 SEGMENT_DRIFT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary exp(-i H t) together with the duration it covers."""
-
-    matrix: np.ndarray
-    duration: float
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> Propagator:
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h via eigendecomposition.
 
     Raises ValueError if h is not Hermitian to within HERMITICITY_TOL
@@ -74,8 +66,7 @@ def expm_hermitian(h: np.ndarray, t: float) -> Propagator:
     if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(matrix=u, duration=float(t))
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -115,11 +106,6 @@ class HamiltonianSpec:
         return {"iz": self.sign * self.omega1, "hd": -0.5, "p": 3.0 / 8.0}
 
 
-def build_hamiltonian(spec: HamiltonianSpec, cluster_or_matrix) -> np.ndarray:
-    """The Hamiltonian of ``spec``, dense in the product basis."""
-    return ops.operator_sum(cluster_or_matrix, **spec.terms)
-
-
 @dataclass(frozen=True)
 class Pulse:
     """Instantaneous resonant pulse: conjugation by exp(+i angle I_axis)."""
@@ -153,6 +139,11 @@ class Acquire:
             raise ValueError("window and step must be positive")
         if self.step > self.window:
             raise ValueError("step exceeds acquisition window")
+
+    @property
+    def times(self) -> np.ndarray:
+        """Sample times 0, step, 2 step, ... up to the window."""
+        return self.step * np.arange(int(self.window / self.step + 1e-9) + 1)
 
 
 @dataclass(frozen=True)
@@ -397,8 +388,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
             obs = ops.collective_blocks(seg.observable, n)
             tro2 = sum(abs(coeff) ** 2 * float(np.vdot(f, f))
                        for _, _, coeff, f in obs)
-            n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
-            times = np.arange(n_samp) * seg.step
+            times = seg.times
             s = (phase_sum([w for _, w, _ in blocks],
                            _acquire_terms(blocks, obs, delta), times)
                  / (state.beta * tro2))
@@ -438,15 +428,17 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
         raise ValueError("half-cycle count must be a positive integer")
     t1 = halfcycle_duration(omega1, int(n_halfcycles))
-    h_burst = build_hamiltonian(HamiltonianSpec("burst", 1, omega1), a)
-    u_exact = expm_hermitian(h_burst, t1).matrix
-    iz = ops.collective("z", n)
-    u_z = expm_hermitian(omega1 * iz, t1).matrix
+    u_exact = expm_hermitian(ops.operator_sum(
+        a, **HamiltonianSpec("burst", 1, omega1).terms), t1)
+    # exp(-i omega1 I_z t1) is diagonal: one phase per basis state, from
+    # its I_z eigenvalue n/2 - (number of down spins)
+    down = (np.arange(dim)[:, None] >> np.arange(n) & 1).sum(axis=1)
+    u_z = np.exp(-1j * (omega1 * (0.5 * n - down)) * t1)
     hd = ops.secular_dipolar(a)
     h1, _ = ops.magnus_first_correction(a, omega1)
     errs = {}
     for order, f in ((0, -0.5 * hd), (1, -0.5 * hd + h1)):
-        u_approx = u_z @ expm_hermitian(f, t1).matrix
+        u_approx = u_z[:, None] * expm_hermitian(f, t1)
         errs[f"err{order}"] = float(np.linalg.norm(u_exact - u_approx)
                                     / np.sqrt(dim))
     return {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles),
@@ -454,7 +446,7 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
 
 
 def effective_propagator_a3(cluster_or_matrix, omega1: float,
-                            t1: float) -> Propagator:
+                            t1: float) -> np.ndarray:
     """Time-ordered exponential of the interaction-picture correction.
 
     A3 = Texp{ -i integral_0^t1 exp(-i H' t/2) H1 exp(+i H' t/2) dt }.
@@ -468,7 +460,5 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
     a = ops.couplings_of(cluster_or_matrix)
     hd = ops.secular_dipolar(a)
     h1, _ = ops.magnus_first_correction(a, omega1)
-    u_frame = expm_hermitian(hd, 0.5 * t1).matrix
-    u_full = expm_hermitian(-0.5 * hd + h1, t1).matrix
-    return Propagator(matrix=u_frame @ u_full, duration=float(t1))
+    return expm_hermitian(hd, 0.5 * t1) @ expm_hermitian(-0.5 * hd + h1, t1)
 

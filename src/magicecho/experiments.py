@@ -44,22 +44,12 @@ def cluster_meta(cluster, **extra):
 
 
 def _acquisition_grid(cluster, window, step):
-    wl = local_field_of(cluster)
+    wl = local_field(cluster)
     if window is None:
         window = DEFAULT_WINDOW_FACTOR / wl
     if step is None:
         step = DEFAULT_STEP_FACTOR / wl
     return float(window), float(step)
-
-
-def local_field_of(cluster) -> float:
-    """omega_L for clusters or bare coupling tables."""
-    try:
-        return local_field(cluster)
-    except AttributeError:
-        a = ops.couplings_of(cluster)
-        m2 = (9.0 / 16.0) * (a**2).sum() / a.shape[0]
-        return float(np.sqrt(m2 / 3.0))
 
 
 def _fid_terms(cluster, derivative=False):
@@ -97,9 +87,7 @@ def fid_derivative(cluster, times) -> np.ndarray:
 
 def fid(cluster, window=None, step=None) -> SignalCurve:
     """Free induction decay G(t) on [0, window]."""
-    window, step = _acquisition_grid(cluster, window, step)
-    n_samp = int(np.floor(window / step + 1e-9)) + 1
-    times = np.arange(n_samp) * step
+    times = engine.Acquire("x", *_acquisition_grid(cluster, window, step)).times
     values = fid_values(cluster, times)
     return SignalCurve(times=times, values=values, observable="x", start=0.0,
                        label="fid", meta=cluster_meta(cluster, sequence="fid"))
@@ -107,9 +95,7 @@ def fid(cluster, window=None, step=None) -> SignalCurve:
 
 def max_abs_fid_derivative(cluster, window=None, step=None) -> float:
     """max_t |dG/dt| over the standard acquisition grid."""
-    window, step = _acquisition_grid(cluster, window, step)
-    n_samp = int(np.floor(window / step + 1e-9)) + 1
-    times = np.arange(n_samp) * step
+    times = engine.Acquire("x", *_acquisition_grid(cluster, window, step)).times
     return float(np.abs(fid_derivative(cluster, times)).max())
 
 

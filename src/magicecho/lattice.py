@@ -252,17 +252,17 @@ def build_cluster(orientation, radius, max_sites: int | None = None,
                        constants=constants, prefactor=prefactor, couplings=a)
 
 
-def second_moment(cluster: SpinCluster) -> float:
-    """Van Vleck second moment of the cluster, rad^2 s^-2.
+def second_moment(cluster) -> float:
+    """Van Vleck second moment of a cluster or coupling table, rad^2 s^-2.
 
     M2 = (3/4) I(I+1) (1/N) sum_{j != k} a_jk^2 with I = 1/2, which equals
     -G''(0) of the cluster free-induction decay exactly.
     """
-    a = cluster.couplings
-    return float((9.0 / 16.0) * (a**2).sum() / cluster.n_sites)
+    a = np.asarray(getattr(cluster, "couplings", cluster), float)
+    return float((9.0 / 16.0) * (a**2).sum() / a.shape[0])
 
 
-def local_field(cluster: SpinCluster) -> float:
+def local_field(cluster) -> float:
     """Local-field frequency omega_L = sqrt(M2 / 3), rad/s."""
     return float(np.sqrt(second_moment(cluster) / 3.0))
 

@@ -165,6 +165,19 @@ def test_run_pp_file(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_run_pp_file_rejects_window_and_step_flags(tmp_path, capsys):
+    # the .pp file's acquire statement sets the grid; the flags would be
+    # silently ignored
+    pp = tmp_path / "fid.pp"
+    pp.write_text("init ix\nacquire Ix for 4us step 1us\n")
+    base = ["run", str(pp), "--orientation", "100", "--radius", "1",
+            "--max-sites", "4"]
+    for flags in (["--window-us", "2", "--step-us", "0.5"],
+                  ["--window-us", "2"], ["--step-us", "0.5"]):
+        assert run_main(base + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+
+
 def test_run_flag_and_positional_agree(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -332,6 +345,24 @@ def test_thermo_kernel_tau_must_be_positive(capsys):
         assert run_main(["thermo", "--kernel-from-cluster", "100:1:4",
                          "--kernel-tau-us", tau, "--t-end-us", "50"]) == 2
         assert "--kernel-tau-us must be positive" in capsys.readouterr().err
+
+
+def test_thermo_kernel_samples_must_be_at_least_two(capsys):
+    for samples in ("1", "0"):
+        assert run_main(["thermo", "--kernel-from-cluster", "100:1:4",
+                         "--kernel-samples", samples,
+                         "--t-end-us", "50"]) == 2
+        assert "--kernel-samples must be at least 2" \
+            in capsys.readouterr().err
+
+
+def test_thermo_kernel_tau_needs_kernel_from_cluster(capsys):
+    # without a microscopic kernel the span would be silently ignored
+    for tau in ("-3", "20"):
+        assert run_main(["thermo", "--orientation", "100",
+                         "--kernel-tau-us", tau, "--t-end-us", "50"]) == 2
+        assert "--kernel-tau-us needs --kernel-from-cluster" \
+            in capsys.readouterr().err
 
 
 def test_thermo_kernel_tau_sets_the_kernel_span(tmp_path):

@@ -17,8 +17,6 @@ from magicecho.engine import (
     HamiltonianSpec,
     PropagationPlan,
     Pulse,
-    build_hamiltonian,
-    Propagator,
     effective_propagator_a3,
     evolve,
     expm_hermitian,
@@ -44,9 +42,9 @@ def test_expm_unitary_and_group_property():
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (m + m.conj().T) / 2.0
             t1, t2 = rng.uniform(0.1, 2.0, size=2)
-            u1 = expm_hermitian(h, t1).matrix
-            u2 = expm_hermitian(h, t2).matrix
-            u12 = expm_hermitian(h, t1 + t2).matrix
+            u1 = expm_hermitian(h, t1)
+            u2 = expm_hermitian(h, t2)
+            u12 = expm_hermitian(h, t1 + t2)
             assert np.linalg.norm(u1 @ u1.conj().T - np.eye(dim)) < 1e-11
             assert np.linalg.norm(u1 @ u2 - u12) < 1e-10
             count += 1
@@ -60,8 +58,13 @@ def test_expm_rejects_nonhermitian():
 
 def test_expm_zero_time_is_identity():
     h = np.diag([1.0, -2.0, 3.0])
-    np.testing.assert_allclose(expm_hermitian(h, 0.0).matrix, np.eye(3),
+    np.testing.assert_allclose(expm_hermitian(h, 0.0), np.eye(3),
                                atol=1e-15)
+
+
+def build_hamiltonian(spec: HamiltonianSpec, cluster_or_matrix) -> np.ndarray:
+    """Oracle: the Hamiltonian of ``spec``, dense in the product basis."""
+    return ops.operator_sum(cluster_or_matrix, **spec.terms)
 
 
 def test_build_hamiltonian_forms():
@@ -155,7 +158,7 @@ def test_acquire_grid_and_state_advance():
     np.testing.assert_allclose(curve.times, [0.0, 3.0e-6, 6.0e-6, 9.0e-6],
                                atol=1e-18)
     # the state advances by the full window, not just to the last sample
-    u = expm_hermitian(ops.secular_dipolar(PAIR), window).matrix
+    u = expm_hermitian(ops.secular_dipolar(PAIR), window)
     expected = u @ state.delta @ u.conj().T
     np.testing.assert_allclose(out.delta, expected, atol=1e-9)
 
@@ -513,7 +516,7 @@ def test_verify_error_scaling_with_field(four_spin):
 def test_a3_identity_for_zero_couplings():
     zeros = np.zeros((3, 3))
     prop = effective_propagator_a3(zeros, omega1=1.0e6, t1=1.0e-5)
-    np.testing.assert_allclose(prop.matrix, np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(prop, np.eye(8), atol=1e-12)
 
 
 def test_a3_closed_form_product_unitary_and_time_ordered(four_spin):
@@ -524,22 +527,21 @@ def test_a3_closed_form_product_unitary_and_time_ordered(four_spin):
     h1, _ = ops.magnus_first_correction(a, omega1)
     t1 = 8.0 * np.pi / omega1
     prop = effective_propagator_a3(four_spin, omega1, t1)
-    two_factor = (expm_hermitian(hd, 0.5 * t1).matrix
-                  @ expm_hermitian(-0.5 * hd + h1, t1).matrix)
-    np.testing.assert_array_equal(prop.matrix, two_factor)
-    assert prop.duration == t1
-    dim = prop.matrix.shape[0]
-    assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T
+    two_factor = (expm_hermitian(hd, 0.5 * t1)
+                  @ expm_hermitian(-0.5 * hd + h1, t1))
+    np.testing.assert_array_equal(prop, two_factor)
+    dim = prop.shape[0]
+    assert np.linalg.norm(prop @ prop.conj().T
                           - np.eye(dim)) < 1e-10
     # it solves the time-ordered equation dA/dt = -i H1(t) A, with H1(t)
     # the correction in the frame exp(-i H' t/2); central difference
     dt = 1e-4 * t1
-    frame = expm_hermitian(hd, 0.5 * t1).matrix
+    frame = expm_hermitian(hd, 0.5 * t1)
     h1_t = frame @ h1 @ frame.conj().T
-    slope = (effective_propagator_a3(four_spin, omega1, t1 + dt).matrix
-             - effective_propagator_a3(four_spin, omega1, t1 - dt).matrix
+    slope = (effective_propagator_a3(four_spin, omega1, t1 + dt)
+             - effective_propagator_a3(four_spin, omega1, t1 - dt)
              ) / (2.0 * dt)
-    expected = -1j * h1_t @ prop.matrix
+    expected = -1j * h1_t @ prop
     assert np.linalg.norm(slope - expected) < 1e-6 * np.linalg.norm(expected)
 
 
@@ -556,16 +558,16 @@ def test_a3_matches_exact_cycle_composition(four_spin):
         hd = ops.secular_dipolar(four_spin.couplings)
         h_burst = build_hamiltonian(HamiltonianSpec("burst", 1, omega1),
                                     four_spin)
-        u_exact = (expm_hermitian(hd, 0.5 * t1).matrix
-                   @ expm_hermitian(h_burst, t1).matrix)
-        a3 = effective_propagator_a3(four_spin, omega1, t1).matrix
+        u_exact = (expm_hermitian(hd, 0.5 * t1)
+                   @ expm_hermitian(h_burst, t1))
+        a3 = effective_propagator_a3(four_spin, omega1, t1)
         diff = (a3 @ p @ a3.conj().T
                 - u_exact @ p @ u_exact.conj().T)
         discrepancies.append(np.linalg.norm(diff) / np.linalg.norm(p))
     assert discrepancies[2] < discrepancies[1] < discrepancies[0]
 
 
-def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> Propagator:
+def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> np.ndarray:
     """First-order defect propagator of one full time-reversal cycle.
 
     A4 = exp(-i H' t1/2) exp[+i (H'/2 + H1) t1/2] exp[+i (H'/2 - H1) t1/2]:
@@ -579,21 +581,21 @@ def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> Prop
     a = ops.couplings_of(cluster_or_matrix)
     hd = ops.secular_dipolar(a)
     h1, _ = ops.magnus_first_correction(a, omega1)
-    u_free = expm_hermitian(hd, 0.5 * t1).matrix
-    u_minus = expm_hermitian(-(0.5 * hd + h1), 0.5 * t1).matrix
-    u_plus = expm_hermitian(-(0.5 * hd - h1), 0.5 * t1).matrix
-    return Propagator(matrix=u_free @ u_minus @ u_plus, duration=float(t1))
+    u_free = expm_hermitian(hd, 0.5 * t1)
+    u_minus = expm_hermitian(-(0.5 * hd + h1), 0.5 * t1)
+    u_plus = expm_hermitian(-(0.5 * hd - h1), 0.5 * t1)
+    return u_free @ u_minus @ u_plus
 
 
 def test_a4_identity_cases(four_spin):
     zeros = np.zeros((4, 4))
     prop = effective_propagator_a4(zeros, omega1=1.0e6, t1=1.0e-5)
-    np.testing.assert_allclose(prop.matrix, np.eye(16), atol=1e-12)
+    np.testing.assert_allclose(prop, np.eye(16), atol=1e-12)
     # unitarity on a real cluster
     wl = local_field(four_spin)
     prop = effective_propagator_a4(four_spin, 10.0 * wl, 8.0 * np.pi / (10.0 * wl))
-    dim = prop.matrix.shape[0]
-    assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T - np.eye(dim)) < 1e-10
+    dim = prop.shape[0]
+    assert np.linalg.norm(prop @ prop.conj().T - np.eye(dim)) < 1e-10
 
 
 def test_a4_small_time_leading_order(four_spin):
@@ -604,7 +606,7 @@ def test_a4_small_time_leading_order(four_spin):
     omega1 = 50.0 * wl
     h1, _ = ops.magnus_first_correction(a, omega1)
     t1 = 0.02 / np.linalg.norm(hd, 2)
-    a4 = effective_propagator_a4(four_spin, omega1, t1).matrix
+    a4 = effective_propagator_a4(four_spin, omega1, t1)
     lhs = np.linalg.norm(a4 - np.eye(a4.shape[0]))
     rhs = np.linalg.norm(ops.commutator(hd * t1 / 4.0, h1 * t1 / 2.0))
     assert lhs == pytest.approx(rhs, rel=0.2)

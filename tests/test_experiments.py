@@ -94,7 +94,7 @@ def test_max_abs_fid_derivative_pair():
 
 
 def test_local_field_of_bare_matrix():
-    assert ex.local_field_of(pair_couplings()) == pytest.approx(
+    assert local_field(pair_couplings()) == pytest.approx(
         np.sqrt(3.0) * PAIR_A / 4.0, rel=1e-12)
 
 
