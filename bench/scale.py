@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of one seq1 sweep point and one acquire, by n.
+"""Wall time and peak memory of a seq1 point, an acquire and verify, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -11,7 +11,10 @@ The tasks are
 * ``seq1``: ``experiments.sequence1_amplitude`` at omega1 = gamma * 30 G
   and t1 = 8 half-cycles, on the default 251-sample grid;
 * ``acquire``: ``engine.evolve`` of I_x order through one I_x Acquire
-  over the same grid.
+  over the same grid;
+* ``verify``: ``engine.verify_average_hamiltonian`` at omega1 = 10 omega_L
+  (4 half-cycles) and ``engine.effective_propagator_a3`` over its t1. The
+  record's value is err1.
 
 The child runs the task twice. The first run, cold, gives ``wall_s``. The
 eigendecompositions are then dropped and the second run, under
@@ -34,7 +37,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "acquire")
+TASKS = ("seq1", "acquire", "verify")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -56,6 +59,12 @@ def child(src: str, n: int, task: str) -> dict:
     def run():
         if task == "seq1":
             return experiments.sequence1_amplitude(cluster, omega1, t1)
+        if task == "verify":
+            report = engine.verify_average_hamiltonian(
+                cluster, 10.0 * local_field(cluster))
+            engine.effective_propagator_a3(cluster, report["omega1"],
+                                           report["t1"])
+            return report["err1"]
         plan = engine.PropagationPlan(cluster=cluster, segments=(
             engine.Acquire("x", window, step),))
         _, (curve,) = engine.evolve(engine.initial_state("ix", cluster), plan)

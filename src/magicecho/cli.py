@@ -34,8 +34,8 @@ from .lattice import (BULK_SUM_RADIUS, build_cluster, bulk_local_field_gauss,
 
 TOLERANCES = {
     "hermiticity": engine.HERMITICITY_TOL,
-    "unitarity": engine.UNITARITY_TOL,
     "segment_drift": engine.SEGMENT_DRIFT_TOL,
+    "signal_imaginary": engine.SIGNAL_IMAG_TOL,
     "thermo_step": thermo.STEP_TOL,
 }
 
@@ -144,6 +144,9 @@ def _cmd_run(args) -> int:
     gamma = cluster.constants.gamma
     if args.omega1_gauss is not None and not args.omega1_gauss > 0:
         raise ValueError("--omega1-gauss must be positive")
+    if args.halfcycles is not None and (args.t1_grid is not None
+                                        or not source.startswith("builtin:")):
+        raise ValueError("--halfcycles applies to a single builtin run only")
     if args.t1_grid is not None:
         if not source.startswith("builtin:"):
             raise ValueError("t1 sweeps support builtin sequences only")
@@ -163,7 +166,7 @@ def _cmd_run(args) -> int:
     if source.startswith("builtin:"):
         program = pulseprog.builtin(
             source[len("builtin:"):], amplitude_gauss=args.omega1_gauss,
-            halfcycles=args.halfcycles,
+            halfcycles=40 if args.halfcycles is None else args.halfcycles,
             window_us=60.0 if args.window_us is None else args.window_us,
             step_us=0.5 if args.step_us is None else args.step_us,
             gamma=gamma)
@@ -202,6 +205,10 @@ def _cmd_thermo(args) -> int:
     if args.kernel_tau_us is not None and not args.kernel_from_cluster:
         raise ValueError("--kernel-tau-us needs --kernel-from-cluster")
     if args.kernel_from_cluster:
+        for flag, value in (("--orientation", args.orientation),
+                            ("--n", args.n), ("--m-ratio", args.m_ratio)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to the Gaussian kernel only")
         if args.kernel_tau_us is not None and not args.kernel_tau_us > 0:
             raise ValueError("--kernel-tau-us must be positive")
         cluster = _parse_cluster_spec(args.kernel_from_cluster)
@@ -216,8 +223,9 @@ def _cmd_thermo(args) -> int:
             raise ValueError("--orientation or --kernel-from-cluster "
                              "is required")
         kernel = thermo.gaussian_kernel_for_orientation(
-            args.orientation, n=args.n, m_ratio=args.m_ratio,
-            offset=args.offset_us * 1e-6)
+            args.orientation, offset=args.offset_us * 1e-6,
+            **{k: v for k, v in (("n", args.n), ("m_ratio", args.m_ratio))
+               if v is not None})
     traj = thermo.solve_beta(kernel, args.t_end_us * 1e-6,
                              args.step_us * 1e-6)
     if args.divergence:
@@ -441,9 +449,9 @@ def build_parser():
     _add_cluster_flags(p, radius=1.0, max_sites=6)
     p.add_argument("--omega1-gauss", type=float, default=25.3,
                    help="burst field amplitude in Gauss (default %(default)s)")
-    p.add_argument("--halfcycles", type=int, default=40,
+    p.add_argument("--halfcycles", type=int, default=None,
                    help="builtin program burst length, total half-cycles "
-                        "(default %(default)s)")
+                        "(default: 40; single builtin runs only)")
     p.add_argument("--t1-grid", metavar="A:B:Chc",
                    help="sweep burst lengths over half-cycle counts "
                         "START:STOP:STEP (e.g. 2:40:2hc) instead of "
@@ -462,11 +470,11 @@ def build_parser():
             help="memory-kernel model for the inverse spin temperature")
     p.add_argument("--orientation", default=None,
                    help="field orientation with tabulated second moment")
-    p.add_argument("--n", type=float, default=thermo.DEFAULT_N,
-                   help="kernel amplitude factor (default %(default)s)")
-    p.add_argument("--m-ratio", type=float, default=thermo.DEFAULT_M_RATIO,
-                   help="kernel curvature as a fraction of M2 "
-                        "(default %(default)s)")
+    p.add_argument("--n", type=float, default=None,
+                   help=f"kernel amplitude factor (default {thermo.DEFAULT_N})")
+    p.add_argument("--m-ratio", type=float, default=None,
+                   help=f"kernel curvature as a fraction of M2 "
+                        f"(default {thermo.DEFAULT_M_RATIO})")
     p.add_argument("--offset-us", type=float, default=80.0,
                    help="onset delay (default %(default)s)")
     p.add_argument("--t-end-us", type=float, required=True,

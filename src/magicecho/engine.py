@@ -48,25 +48,9 @@ import numpy as np
 from . import operators as ops
 from .errors import InvariantViolation
 
-HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-9
-SEGMENT_DRIFT_TOL = 1e-9
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h via eigendecomposition.
-
-    Raises ValueError if h is not Hermitian to within HERMITICITY_TOL
-    (relative to its norm).
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+HERMITICITY_TOL = 1e-10    # ||Delta - Delta^dagger|| / max(1, ||Delta||)
+SEGMENT_DRIFT_TOL = 1e-9   # Tr(Delta) and ||Delta|| over each segment
+SIGNAL_IMAG_TOL = 1e-9     # |Im s| / max(1, |Re s|) of each acquired sample
 
 
 @dataclass(frozen=True)
@@ -80,7 +64,8 @@ class HamiltonianSpec:
 
     with omega1 = gamma * B1 in rad/s and sign the burst phase. kind
     'ideal_burst' is the infinite-omega1 limit, -1/2 H', which reverses the
-    free dipolar evolution at half speed.
+    free dipolar evolution at half speed. kind 'average' is -1/2 H' + H1 at
+    omega1, the burst's average Hamiltonian to first order.
     """
 
     kind: str
@@ -88,20 +73,19 @@ class HamiltonianSpec:
     omega1: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("dipolar", "burst", "ideal_burst"):
+        if self.kind not in ("dipolar", "burst", "ideal_burst", "average"):
             raise ValueError(f"unknown hamiltonian kind {self.kind!r}")
-        if self.kind == "burst":
-            if self.sign not in (-1, 1):
-                raise ValueError("burst sign must be +1 or -1")
-            if not self.omega1 > 0:
-                raise ValueError("burst omega1 must be positive")
+        if self.kind == "burst" and self.sign not in (-1, 1):
+            raise ValueError("burst sign must be +1 or -1")
+        if self.kind in ("burst", "average") and not self.omega1 > 0:
+            raise ValueError(f"{self.kind} omega1 must be positive")
 
     @property
     def terms(self) -> dict:
-        """The Hamiltonian as coefficients of H' (hd), P (p) and I_z (iz)."""
+        """Coefficients of H' (hd), P (p) and I_z (iz); 'average' adds H1."""
         if self.kind == "dipolar":
             return {"hd": 1.0}
-        if self.kind == "ideal_burst":
+        if self.kind in ("ideal_burst", "average"):
             return {"hd": -0.5}
         return {"iz": self.sign * self.omega1, "hd": -0.5, "p": 3.0 / 8.0}
 
@@ -170,7 +154,7 @@ class DeviationState:
         residual = np.sqrt(sum(
             np.linalg.norm(d[k:k + slab] - d[:, k:k + slab].conj().T) ** 2
             for k in range(0, d.shape[0], slab)))
-        if residual > 1e-10 * scale:
+        if residual > HERMITICITY_TOL * scale:
             raise ValueError("delta must be Hermitian")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
@@ -225,8 +209,8 @@ class EigenCache:
 
     :meth:`get` returns a tuple of (slice, w, v) blocks in the sorted basis:
     one per magnetization sector for H' and the ideal burst, one per parity
-    class for a burst. Only burst(+) and H' are decomposed; burst(-) and
-    the ideal burst are derived from them (see the module docstring). Only
+    class for a burst and the average kind. burst(-) and the ideal burst are
+    derived from burst(+) and H' (see the module docstring). Only
     the most recent coupling table is held: a lookup with another table
     drops every entry, so memory is bounded by the distinct Hamiltonian
     specs of one cluster. ``computed`` counts lookups since the last
@@ -270,13 +254,18 @@ class EigenCache:
                 t, w, v = plus[k ^ (a.shape[0] % 2)]
                 blocks.append((s, w, v[layout.flip[s] - t.start]))
         else:
-            # I_z, H' and P have real matrix elements, so each block is
+            # I_z, H', P and H1 have real matrix elements, so each block is
             # built real symmetric, straight in sorted positions
             slices = layout.sectors if spec.kind == "dipolar" \
                 else layout.parities
-            blocks = [(s, *np.linalg.eigh(ops.sector_block(a, s, s,
-                                                           **spec.terms)))
-                      for s in slices]
+            h1 = (ops.h1_parity_blocks(a, spec.omega1)
+                  if spec.kind == "average" else None)
+            blocks = []
+            for k, s in enumerate(slices):
+                h = ops.sector_block(a, s, s, **spec.terms)
+                if h1:
+                    h += h1[k][1] + h1[k][2]
+                blocks.append((s, *np.linalg.eigh(h)))
             self.computed += 1
         for _, w, v in blocks:
             w.setflags(write=False)
@@ -393,7 +382,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
                            _acquire_terms(blocks, obs, delta), times)
                  / (state.beta * tro2))
             if np.any(np.abs(s.imag)
-                      > 1e-9 * np.maximum(1.0, np.abs(s.real))):
+                      > SIGNAL_IMAG_TOL * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")
             _propagate(delta, blocks, seg.window)
             curves.append(SignalCurve(
@@ -413,6 +402,16 @@ def halfcycle_duration(omega1: float, n_halfcycles):
     return n_halfcycles * np.pi / omega1
 
 
+def _unitary(blocks, t: float) -> np.ndarray:
+    """exp(-i H t) in sorted positions, from the eigenblocks of H."""
+    u = np.zeros((sum(w.size for _, w, _ in blocks),) * 2, complex)
+    for s, w, v in blocks:
+        # v is real: two real products instead of one complex one
+        u.real[s, s] = (v * np.cos(w * t)) @ v.T
+        u.imag[s, s] = (v * -np.sin(w * t)) @ v.T
+    return u
+
+
 def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
                                n_halfcycles: int = 4) -> dict:
     """Exact single-burst propagator vs its average-Hamiltonian factorization.
@@ -420,29 +419,30 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     Over t1 = n_halfcycles * pi / omega1 the exact propagator for the +
     phase burst is compared with exp(-i omega1 Iz t1) exp(-i F_k t1), where
     F_0 = -1/2 H' and F_1 = F_0 + H1 (first-order correction). Returns a
-    dict with t1 and the normalized Frobenius errors err0 and err1.
+    dict with t1 and the normalized Frobenius errors err0 and err1, summed
+    in squares over the parity classes, which all three propagators keep.
     """
     a = ops.couplings_of(cluster_or_matrix)
     n = a.shape[0]
-    dim = 2**n
     if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
         raise ValueError("half-cycle count must be a positive integer")
     t1 = halfcycle_duration(omega1, int(n_halfcycles))
-    u_exact = expm_hermitian(ops.operator_sum(
-        a, **HamiltonianSpec("burst", 1, omega1).terms), t1)
-    # exp(-i omega1 I_z t1) is diagonal: one phase per basis state, from
+    layout = ops.sector_layout(n)
+    exact, ideal, average = (
+        _unitary(EIGENSYSTEMS.get(spec, a), t1)
+        for spec in (HamiltonianSpec("burst", 1, omega1),
+                     HamiltonianSpec("ideal_burst"),
+                     HamiltonianSpec("average", omega1=omega1)))
+    # exp(-i omega1 I_z t1) is diagonal: one phase per sorted state, from
     # its I_z eigenvalue n/2 - (number of down spins)
-    down = (np.arange(dim)[:, None] >> np.arange(n) & 1).sum(axis=1)
+    down = (layout.order[:, None] >> np.arange(n) & 1).sum(axis=1)
     u_z = np.exp(-1j * (omega1 * (0.5 * n - down)) * t1)
-    hd = ops.secular_dipolar(a)
-    h1, _ = ops.magnus_first_correction(a, omega1)
-    errs = {}
-    for order, f in ((0, -0.5 * hd), (1, -0.5 * hd + h1)):
-        u_approx = u_z[:, None] * expm_hermitian(f, t1)
-        errs[f"err{order}"] = float(np.linalg.norm(u_exact - u_approx)
-                                    / np.sqrt(dim))
-    return {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles),
-            **errs}
+    report = {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles)}
+    for order, approx in ((0, ideal), (1, average)):
+        squares = sum(np.linalg.norm(exact[c, c] - u_z[c, None] * approx[c, c])
+                      ** 2 for c in layout.parities)
+        report[f"err{order}"] = float(np.sqrt(squares / 2**n))
+    return report
 
 
 def effective_propagator_a3(cluster_or_matrix, omega1: float,
@@ -452,13 +452,16 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
     A3 = Texp{ -i integral_0^t1 exp(-i H' t/2) H1 exp(+i H' t/2) dt }.
     The integrand is H1 in the interaction picture of H0 = -H'/2, so the
     product closes exactly: A3 = exp(-i H' t1/2) exp(-i (-H'/2 + H1) t1),
-    two eigendecompositions. For zero couplings (H1 = 0) this is the
-    identity: the burst then reverses nothing and corrects nothing.
+    two cached spectra, per parity class. For zero couplings (H1 = 0) this
+    is the identity: the burst then reverses nothing and corrects nothing.
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     a = ops.couplings_of(cluster_or_matrix)
-    hd = ops.secular_dipolar(a)
-    h1, _ = ops.magnus_first_correction(a, omega1)
-    return expm_hermitian(hd, 0.5 * t1) @ expm_hermitian(-0.5 * hd + h1, t1)
-
+    u = _unitary(EIGENSYSTEMS.get(_DIPOLAR, a), 0.5 * t1)
+    average = _unitary(EIGENSYSTEMS.get(
+        HamiltonianSpec("average", omega1=omega1), a), t1)
+    layout = ops.sector_layout(a.shape[0])
+    for c in layout.parities:
+        u[c, c] = u[c, c] @ average[c, c]
+    return layout.unsort(u)

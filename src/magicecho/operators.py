@@ -17,8 +17,8 @@ basis-state indices, and written out in one of two forms: dense complex128
 in the product basis (:func:`operator_sum`, :func:`collective` and the
 named builders), for states, the CLI and the tests; or as real blocks in
 sorted positions (:func:`sector_block`, :func:`collective_blocks`,
-:func:`pair_raising_positions`), which is all the engine builds of its
-Hamiltonians and observables.
+:func:`pair_raising_positions`; H1 in :func:`h1_parity_blocks`), which is
+all the engine builds of its Hamiltonians and observables.
 
 :func:`rotate` conjugates by a collective rotation without forming it: it
 applies the single-site 2x2 factor to every site index of the operator,
@@ -362,6 +362,24 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def h1_parity_blocks(cluster_or_matrix, omega1: float) -> list:
+    """The two parts of :func:`magnus_first_correction` as real blocks
+    (slice, double_quantum, cross) on each parity class, the only nonzero
+    blocks. H2 lowers the down-spin count by two, so in sorted order it is
+    the upper triangle of P's class block."""
+    if omega1 <= 0:
+        raise ValueError("omega1 must be positive")
+    a = couplings_of(cluster_or_matrix)
+    blocks = []
+    for s in sector_layout(a.shape[0]).parities:
+        h2 = np.triu(sector_block(a, s, s, p=1.0))
+        blocks.append((s, (3.0 / 8.0) ** 2 * commutator(h2, h2.T)
+                       / (2.0 * omega1),
+                       (3.0 / 16.0) * commutator(sector_block(a, s, s, hd=1.0),
+                                                 h2.T - h2) / (2.0 * omega1)))
+    return blocks
+
+
 def magnus_first_correction(cluster_or_matrix, omega1: float):
     """First-order average-Hamiltonian correction for one burst half-cycle.
 
@@ -375,17 +393,15 @@ def magnus_first_correction(cluster_or_matrix, omega1: float):
            + (3/16) [H', H-2 - H2] / (2 omega1)
 
     Both parts are Hermitian. Returns (h1, parts) where parts is a dict with
-    the two Hermitian pieces under keys 'double_quantum' and 'cross'.
+    the two Hermitian pieces under keys 'double_quantum' and 'cross', dense,
+    assembled from :func:`h1_parity_blocks`.
     """
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
     a = couplings_of(cluster_or_matrix)
-    hd = secular_dipolar(a)
-    h2, hm2, _ = nonsecular_pair_raising(a)
-    part_dq = (3.0 / 8.0) ** 2 * commutator(h2, hm2) / (2.0 * omega1)
-    part_cross = (3.0 / 16.0) * commutator(hd, hm2 - h2) / (2.0 * omega1)
-    h1 = part_dq + part_cross
-    return h1, {"double_quantum": part_dq, "cross": part_cross}
+    parts = np.zeros((2,) + (2 ** a.shape[0],) * 2, complex)
+    for s, *blocks in h1_parity_blocks(a, omega1):
+        parts[:, s, s] = blocks
+    dq, cross = (sector_layout(a.shape[0]).unsort(part) for part in parts)
+    return dq + cross, {"double_quantum": dq, "cross": cross}
 
 
 def h1_magnitude_proxy(m2: float, omega1: float) -> float:

@@ -7,13 +7,11 @@ Grammar (one statement per line, '#' starts a comment):
     burst   ("+"|"-") NUMBER"G" NUMBER("us"|"hc")
     delay   NUMBER"us"
     acquire ("Ix"|"Iy"|"Iz") "for" NUMBER"us" "step" NUMBER"us"
-    frame   ("tilted" | "rotating")
 
-The first statement must be an init, there is exactly one init, and at most
-one frame declaration. Burst amplitudes are in Gauss; half-cycle ("hc")
-durations must be positive integers and are converted at compile time to
-n * pi / omega1 with omega1 = gamma * B1, so compiled burst durations are
-exact integer multiples of the half-cycle.
+The first statement is the program's one init. Burst amplitudes are in
+Gauss; half-cycle ("hc") durations must be positive integers and are
+converted at compile time to n * pi / omega1 with omega1 = gamma * B1, so
+compiled burst durations are exact integer multiples of the half-cycle.
 
 Pulse and acquire statements parse straight into the engine's own
 :class:`~magicecho.engine.Pulse` and :class:`~magicecho.engine.Acquire`
@@ -23,10 +21,7 @@ Hamiltonian (or its infinite-field limit -H'/2 when ideal reversal is
 requested), each delay a free dipolar evolution. No statement is absorbed
 or reordered; the standard programs compose to the intended sequences
 because a 90-degree y pulse maps dipolar order exactly onto the burst
-frame's reversed Hamiltonian plus the double-quantum part. The frame
-declaration is descriptive: plans always execute in the frame the burst
-Hamiltonian is written in, and the explicit pulse statements carry the
-frame change, so 'tilted' and 'rotating' programs compile identically.
+frame's reversed Hamiltonian plus the double-quantum part.
 
 The standard sequences seq1, seq2 and rpw are spelled out once, as
 statements, in :func:`sequence`; single runs, sweeps and the experiments
@@ -81,20 +76,8 @@ class Delay:
 
 
 @dataclass(frozen=True)
-class Frame:
-    kind: str
-
-
-@dataclass(frozen=True)
 class PulseProgram:
     statements: tuple
-
-    @property
-    def frame(self) -> str:
-        for s in self.statements:
-            if isinstance(s, Frame):
-                return s.kind
-        return "tilted"
 
     @property
     def init_kind(self) -> str:
@@ -197,10 +180,6 @@ def _parse_statement(toks: _Tokens):
         toks.done()
         return engine.Acquire(_OBSERVABLES[obs_tok], window * 1e-6,
                               step * 1e-6)
-    if head == "frame":
-        kind, _ = toks.keyword(("tilted", "rotating"), "a frame kind")
-        toks.done()
-        return Frame(kind)
     raise ParseError(f"unknown keyword {head!r}", line, col)
 
 
@@ -223,9 +202,6 @@ def parse(text: str) -> PulseProgram:
     inits = [k for k, s in enumerate(statements) if isinstance(s, Init)]
     if len(inits) > 1:
         raise ParseError("more than one init statement", lines[inits[1]], 1)
-    frames = [k for k, s in enumerate(statements) if isinstance(s, Frame)]
-    if len(frames) > 1:
-        raise ParseError("more than one frame declaration", lines[frames[1]], 1)
     return PulseProgram(statements=tuple(statements))
 
 
@@ -253,8 +229,6 @@ def print_program(program: PulseProgram) -> str:
         elif isinstance(s, engine.Acquire):
             out.append(f"acquire I{s.observable} for {_fmt(s.window * 1e6)}us"
                        f" step {_fmt(s.step * 1e6)}us")
-        elif isinstance(s, Frame):
-            out.append(f"frame {s.kind}")
         else:
             raise TypeError(f"unknown statement {type(s).__name__}")
     return "\n".join(out) + "\n"
@@ -291,7 +265,7 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
             segments.append(engine.Evolve(
                 hamiltonian=engine.HamiltonianSpec("dipolar"),
                 duration=s.seconds))
-        elif not isinstance(s, (Init, Frame)):
+        elif not isinstance(s, Init):
             raise CompileError(f"cannot compile {type(s).__name__}")
     return engine.PropagationPlan(cluster=cluster, segments=tuple(segments),
                                   initial_state_kind=program.init_kind)

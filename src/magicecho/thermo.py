@@ -264,8 +264,6 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     """
     a = ops.couplings_of(cluster)
     nspins = a.shape[0]
-    if nspins > 8:
-        raise ValueError("microscopic kernel supports at most 8 sites")
     tau = np.asarray(list(tau_grid), float)
     if tau.ndim != 1 or tau.size < 2 or tau[0] != 0.0 \
             or np.any(np.diff(tau) <= 0):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from magicecho import cli, output, thermo
+from magicecho import cli, engine, output, thermo
 
 
 def run_main(argv):
@@ -51,6 +51,17 @@ def test_lattice_info_file_and_manifest(tmp_path):
     assert manifest["command"] == "lattice-info"
     assert manifest["config"]["radius"] == 1.0
     assert "wall_time_s" in manifest
+
+
+def test_manifest_tolerances_are_the_checked_constants(tmp_path):
+    out = str(tmp_path / "lat.csv")
+    assert run_main(["lattice-info", "--radius", "1", "--out", out]) == 0
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["tolerances"] == {
+        "hermiticity": engine.HERMITICITY_TOL,
+        "segment_drift": engine.SEGMENT_DRIFT_TOL,
+        "signal_imaginary": engine.SIGNAL_IMAG_TOL,
+        "thermo_step": thermo.STEP_TOL}
 
 
 # ------------------------------------------------------------------------ run
@@ -97,6 +108,24 @@ def test_run_single_builtin_echo(tmp_path):
     assert np.argmax(cols["value"]) == 0
     assert meta["sequence"] == "builtin:rpw"
     assert meta["macroscopic"] == "False"
+
+
+def test_run_halfcycles_default_and_where_it_applies(tmp_path, capsys):
+    base = ["run", "builtin:seq2", "--orientation", "100", "--radius", "1",
+            "--max-sites", "3", "--window-us", "4", "--step-us", "1"]
+    outputs = []
+    for flags in ([], ["--halfcycles", "40"]):
+        assert run_main(base + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # a sweep sets its own burst lengths and a .pp file its statements, so
+    # the flag would be silently ignored there
+    pp = tmp_path / "fid.pp"
+    pp.write_text("init ix\nacquire Ix for 4us step 1us\n")
+    for argv in (["run", "builtin:seq1", "--t1-grid", "2:4:2hc"],
+                 ["run", str(pp)]):
+        assert run_main(argv + ["--max-sites", "2", "--halfcycles", "4"]) == 2
+        assert "--halfcycles" in capsys.readouterr().err
 
 
 def test_run_single_zero_window_or_step_exits_2(capsys):
@@ -329,6 +358,26 @@ def test_thermo_negative_kernel_cluster_space_separated(tmp_path):
     assert run_main(common + ["--kernel-from-cluster=-0.6,0.8,0:1:4",
                               "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_thermo_gaussian_flags_rejected_with_kernel_from_cluster(capsys):
+    base = ["thermo", "--kernel-from-cluster", "100:1:3", "--t-end-us", "20"]
+    for flags in (["--orientation", "111"], ["--n", "0.45"],
+                  ["--m-ratio", "0.25"]):
+        assert run_main(base + flags) == 2
+        assert f"{flags[0]} applies to the Gaussian kernel" \
+            in capsys.readouterr().err
+
+
+def test_thermo_gaussian_defaults_fill_unset_flags(capsys):
+    base = ["thermo", "--orientation", "110", "--t-end-us", "100"]
+    explicit = ["--n", str(thermo.DEFAULT_N),
+                "--m-ratio", str(thermo.DEFAULT_M_RATIO)]
+    outputs = []
+    for flags in ([], explicit):
+        assert run_main(base + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_thermo_error_codes(tmp_path):

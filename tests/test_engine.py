@@ -19,10 +19,10 @@ from magicecho.engine import (
     Pulse,
     effective_propagator_a3,
     evolve,
-    expm_hermitian,
     initial_state,
     verify_average_hamiltonian,
 )
+from magicecho.errors import InvariantViolation
 from magicecho.lattice import build_cluster, local_field
 from test_operators import rotation
 
@@ -32,6 +32,21 @@ PAIR = np.array([[0.0, 1.0], [1.0, 0.0]]) * 1.0e5  # a = 1e5 rad/s
 @pytest.fixture(scope="module")
 def four_spin():
     return build_cluster("100", radius=1.0, max_sites=4)
+
+
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """Oracle: exp(-i h t) for a dense Hermitian h, by one complex eigh.
+
+    Raises ValueError if h is not Hermitian to within 1e-12 of max(1, ||h||).
+    """
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(1.0, float(np.linalg.norm(h)))
+    if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def test_expm_unitary_and_group_property():
@@ -480,6 +495,33 @@ def test_evolve_preserves_spectrum_over_ten_segments(four_spin):
     assert np.abs(w_in - w_out).max() < 1e-9 * scale
 
 
+def test_deviation_state_hermiticity_reads_its_tolerance():
+    # an entry eps above the diagonal of diag(1, -1) leaves the residual
+    # ||d - d^dagger|| = sqrt(2) eps against ||d|| = sqrt(2), so the
+    # relative residual is eps: 2x and 0.5x the tolerance
+    d = np.diag([1.0, -1.0]).astype(complex)
+    for factor, rejected in ((2.0, True), (0.5, False)):
+        bad = d.copy()
+        bad[0, 1] = factor * engine.HERMITICITY_TOL
+        if rejected:
+            with pytest.raises(ValueError, match="Hermitian"):
+                DeviationState(bad)
+        else:
+            DeviationState(bad)
+
+
+@pytest.mark.parametrize("name,match", [("SEGMENT_DRIFT_TOL", "drifted"),
+                                        ("SIGNAL_IMAG_TOL", "complex")])
+def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
+    # a negative tolerance fails every comparison, so the check that reads
+    # the constant is the one that fires
+    monkeypatch.setattr(engine, name, -1.0)
+    plan = PropagationPlan(cluster=PAIR, segments=(
+        Acquire("x", 1.0e-5, 1.0e-6),))
+    with pytest.raises(InvariantViolation, match=match):
+        evolve(initial_state("ix", PAIR), plan)
+
+
 def test_state_dimension_mismatch_rejected(four_spin):
     state = initial_state("ix", PAIR)
     plan = PropagationPlan(cluster=four_spin, segments=())
@@ -529,7 +571,7 @@ def test_a3_closed_form_product_unitary_and_time_ordered(four_spin):
     prop = effective_propagator_a3(four_spin, omega1, t1)
     two_factor = (expm_hermitian(hd, 0.5 * t1)
                   @ expm_hermitian(-0.5 * hd + h1, t1))
-    np.testing.assert_array_equal(prop, two_factor)
+    assert np.abs(prop - two_factor).max() <= 1e-12 * np.abs(two_factor).max()
     dim = prop.shape[0]
     assert np.linalg.norm(prop @ prop.conj().T
                           - np.eye(dim)) < 1e-10
@@ -565,6 +607,51 @@ def test_a3_matches_exact_cycle_composition(four_spin):
                 - u_exact @ p @ u_exact.conj().T)
         discrepancies.append(np.linalg.norm(diff) / np.linalg.norm(p))
     assert discrepancies[2] < discrepancies[1] < discrepancies[0]
+
+
+def dense_h1_parts(a, omega1):
+    """Oracle: H1's two parts from four dense products in the product
+    basis, the formula of ops.magnus_first_correction written out."""
+    hd = ops.secular_dipolar(a)
+    h2, hm2, _ = ops.nonsecular_pair_raising(a)
+    return ((3.0 / 8.0) ** 2 * ops.commutator(h2, hm2) / (2.0 * omega1),
+            (3.0 / 16.0) * ops.commutator(hd, hm2 - h2) / (2.0 * omega1))
+
+
+def dense_verify(a, omega1, n_halfcycles=4):
+    """Oracle: verify_average_hamiltonian's err0 and err1 from dense
+    complex exponentials in the product basis."""
+    n = a.shape[0]
+    t1 = n_halfcycles * np.pi / omega1
+    u_exact = expm_hermitian(build_hamiltonian(
+        HamiltonianSpec("burst", 1, omega1), a), t1)
+    u_z = expm_hermitian(omega1 * ops.collective("z", n), t1)
+    hd = ops.secular_dipolar(a)
+    h1 = sum(dense_h1_parts(a, omega1))
+    return [np.linalg.norm(u_exact - u_z @ expm_hermitian(f, t1))
+            / np.sqrt(2**n) for f in (-0.5 * hd, -0.5 * hd + h1)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_blockwise_h1_verify_and_a3_match_dense_oracle(n):
+    a = build_cluster("100", radius=2.0, max_sites=n).couplings
+    omega1 = 10.0 * local_field(a)
+    h1, parts = ops.magnus_first_correction(a, omega1)
+    dq, cross = dense_h1_parts(a, omega1)
+    scale = np.abs(dq + cross).max()
+    for built, oracle in ((parts["double_quantum"], dq),
+                          (parts["cross"], cross), (h1, dq + cross)):
+        assert np.abs(built - oracle).max() <= 1e-12 * scale
+    # errors and unitaries are normalized, so 1e-12 is relative to 1
+    rep = verify_average_hamiltonian(a, omega1)
+    err0, err1 = dense_verify(a, omega1)
+    assert abs(rep["err0"] - err0) <= 1e-12
+    assert abs(rep["err1"] - err1) <= 1e-12
+    t1 = rep["t1"]
+    hd = ops.secular_dipolar(a)
+    a3 = (expm_hermitian(hd, 0.5 * t1)
+          @ expm_hermitian(-0.5 * hd + dq + cross, t1))
+    assert np.abs(effective_propagator_a3(a, omega1, t1) - a3).max() <= 1e-12
 
 
 def effective_propagator_a4(cluster_or_matrix, omega1: float, t1: float) -> np.ndarray:

@@ -367,6 +367,55 @@ def test_dsl_route_matches_component_sum_seq1(four_spin):
     np.testing.assert_allclose(dsl.values, total, atol=1e-9 * scale)
 
 
+# ------------------------------- exact identities beyond the dense oracles
+
+@pytest.fixture(scope="module")
+def nine_spin():
+    # odd n: the spin flip X swaps the two parity classes
+    return build_cluster("100", radius=2.0, max_sites=9)
+
+
+def test_ideal_ratio_is_two_at_nine_sites(nine_spin):
+    a1 = ex.sequence1_amplitude(nine_spin, 1.0e6, 1.9e-5, ideal_reversal=True)
+    a2 = ex.sequence2_amplitude(nine_spin, 1.0e6, 1.9e-5, ideal_reversal=True)
+    assert a2 / a1 == pytest.approx(2.0, abs=1e-12)
+
+
+def test_fid_curvature_is_second_moment_at_nine_sites(nine_spin):
+    # G(t) = 1 - M2 t^2/2 + M4 t^4/24 - ..., so the central difference
+    # -(G(h) - 2 G(0) + G(-h)) / h^2 is M2 - M4 h^2/12 + O(h^4); M4 is the
+    # norm of the double commutator [H', [H', I_x]] over that of I_x. The
+    # M4 term is 2e-7 of M2 here, and what remains (rounding and the M6
+    # term) about a thousandth of that
+    m2 = second_moment(nine_spin)
+    hd = ops.secular_dipolar(nine_spin)
+    ix = ops.collective("x", 9)
+    c2 = ops.commutator(hd, ops.commutator(hd, ix))
+    m4 = np.vdot(c2, c2).real / np.vdot(ix, ix).real
+    h = 1e-3 / np.sqrt(m2)
+    g = ex.fid_values(nine_spin, [-h, 0.0, h])
+    curvature = -(g[0] - 2.0 * g[1] + g[2]) / h**2
+    m4_term = m4 * h**2 / (12.0 * m2)
+    assert abs(curvature / m2 - 1.0 + m4_term) <= 0.1 * m4_term
+
+
+def test_x_mirror_of_seq1_negates_the_signal(nine_spin):
+    # X = prod sigma^x maps burst(+) onto burst(-), exp(i theta I_y) onto
+    # exp(-i theta I_y) and I_y onto -I_y, and leaves -H' alone: pulses
+    # about -y with the burst phases swapped give -s(t)
+    body = ("init dipolar\npulse 90 {y}\nburst {p} 30G 4hc\n"
+            "burst {m} 30G 4hc\ndelay 5us\npulse 45 {y}\n"
+            "acquire Iy for 20us step 1us\n")
+    signals = []
+    for y, p, m in (("y", "+", "-"), ("-y", "-", "+")):
+        plan = pp.compile(pp.parse(body.format(y=y, p=p, m=m)), nine_spin)
+        state = engine.initial_state(plan.initial_state_kind, nine_spin)
+        signals.append(engine.evolve(state, plan)[1][0].values)
+    scale = np.abs(signals[0]).max()
+    assert scale > 1e-3
+    assert np.abs(signals[0] + signals[1]).max() <= 1e-12 * scale
+
+
 # -------------------------------------------------------- decay times
 
 def test_decay_time_exponential():

@@ -6,7 +6,8 @@ eight before the engine moved to symmetry blocks, the ideal sweep, the
 zero-burst sweep and the ideal rpw run before the builtin sequences got one
 definition, and lattice-info, the two dump-operator runs and the Gaussian
 thermo --divergence run before the CLI emitted every result from columns.
-A rerun must have the same metadata keys and columns, equal
+thermo-micro-n9 was captured when the microscopic kernel's eight-site cap
+was lifted. A rerun must have the same metadata keys and columns, equal
 non-numeric metadata, and every column and numeric metadata value within
 GOLDEN_RTOL of that column's (or value's) maximum absolute value. A value
 that is a list of numbers, such as a sweep's t1_requested, must have the
@@ -71,6 +72,8 @@ COMMANDS = {
     "thermo-gauss-divergence": ["thermo", "--orientation", "111",
                                 "--offset-us", "10", "--t-end-us", "60",
                                 "--divergence"],
+    "thermo-micro-n9": ["thermo", "--kernel-from-cluster", "100:2:9",
+                        "--t-end-us", "100"],
 }
 
 

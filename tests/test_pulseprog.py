@@ -79,14 +79,17 @@ def test_step_cannot_exceed_window():
         pp.parse("init ix\nacquire Ix for 1us step 2us\n")
 
 
-def test_single_init_and_frame():
+def test_single_init():
     with pytest.raises(pp.ParseError, match="more than one init"):
         pp.parse("init ix\ninit dipolar\n")
-    with pytest.raises(pp.ParseError, match="more than one frame"):
-        pp.parse("init ix\nframe tilted\nframe rotating\n")
-    prog = pp.parse("init ix\nframe rotating\ndelay 1us\n")
-    assert prog.frame == "rotating"
-    assert pp.parse("init ix\ndelay 1us\n").frame == "tilted"
+
+
+def test_frame_statement_is_rejected():
+    # the grammar has no frame declaration: programs compile in the frame
+    # the burst Hamiltonian is written in, and pulses carry frame changes
+    with pytest.raises(pp.ParseError,
+                       match=r"line 2, column 1: unknown keyword 'frame'"):
+        pp.parse("init ix\nframe tilted\ndelay 1us\n")
 
 
 def test_trailing_tokens_rejected():
@@ -97,7 +100,7 @@ def test_trailing_tokens_rejected():
 def test_print_parse_idempotent():
     texts = [
         SEQ1_TEXT,
-        "init ix\nframe tilted\npulse 33.3 -x\nburst - 12.5G 7.25us\n"
+        "init ix\npulse 33.3 -x\nburst - 12.5G 7.25us\n"
         "delay 0.5us\nacquire Iz for 10us step 0.125us\n",
         pp.builtin_program("seq2"),
         pp.builtin_program("rpw"),

@@ -338,9 +338,8 @@ def test_microscopic_pair_kernel_drives_cosine():
 def test_microscopic_kernel_validation():
     with pytest.raises(ValueError, match="degenerate"):
         thermo.microscopic_kernel(np.zeros((3, 3)), np.linspace(0, 1e-5, 3))
-    big = build_cluster("100", radius=1.5, max_sites=9)
-    with pytest.raises(ValueError, match="at most 8"):
-        thermo.microscopic_kernel(big, np.linspace(0, 1e-5, 3))
+    with pytest.raises(ValueError, match="exceeds MAX_SITES"):
+        thermo.microscopic_kernel(np.ones((13, 13)), np.linspace(0, 1e-5, 3))
     with pytest.raises(ValueError, match="tau grid"):
         thermo.microscopic_kernel(pair_couplings(), [1e-6, 2e-6])
     with pytest.raises(ValueError, match="tau grid"):
