@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of a seq1 point, an acquire and verify, by n.
+"""Wall time and peak memory of a seq1 point, an acquire, verify and the
+ideal seq2/seq1 ratio, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -14,7 +15,10 @@ The tasks are
   over the same grid;
 * ``verify``: ``engine.verify_average_hamiltonian`` at omega1 = 10 omega_L
   (4 half-cycles) and ``engine.effective_propagator_a3`` over its t1. The
-  record's value is err1.
+  record's value is err1;
+* ``ratio``: the seq1 and seq2 amplitudes under ideal reversal at the
+  seq1 point's omega1 and t1. The record's value is |seq2/seq1 - 2|,
+  which is exactly 0 in exact arithmetic at every n.
 
 The child runs the task twice. The first run, cold, gives ``wall_s``. The
 eigendecompositions are then dropped and the second run, under
@@ -37,7 +41,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "acquire", "verify")
+TASKS = ("seq1", "acquire", "verify", "ratio")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -65,6 +69,11 @@ def child(src: str, n: int, task: str) -> dict:
             engine.effective_propagator_a3(cluster, report["omega1"],
                                            report["t1"])
             return report["err1"]
+        if task == "ratio":
+            seq1, seq2 = (amplitude(cluster, omega1, t1, ideal_reversal=True)
+                          for amplitude in (experiments.sequence1_amplitude,
+                                            experiments.sequence2_amplitude))
+            return abs(seq2 / seq1 - 2.0)
         plan = engine.PropagationPlan(cluster=cluster, segments=(
             engine.Acquire("x", window, step),))
         _, (curve,) = engine.evolve(engine.initial_state("ix", cluster), plan)

@@ -16,27 +16,28 @@ sorted basis of :func:`~magicecho.operators.sector_layout` and permutes it
 back once at the end. H' is block-diagonal in magnetization and the burst
 Hamiltonian in the parity of the down-spin count, so an eigendecomposition
 is a tuple of (slice, w, v) blocks over contiguous slices of that basis,
-each built as a real symmetric matrix straight in sorted positions, and
-every propagation step is a set of blockwise products on Delta in place.
-The global spin flip X maps burst(+) onto burst(-), so burst(-) is
-burst(+) with the eigenvector rows permuted by X, and the ideal burst
--H'/2 is H' with the eigenvalues scaled by -1/2; neither is decomposed
-again. Decompositions are cached process-wide for the most recent coupling
-table, so a sweep decomposes each distinct Hamiltonian once.
+each built real symmetric in sorted positions. :func:`_factors` forms each
+block of exp(-iHt) from two real products, one block at a time, for
+propagation in place, the verify errors and A3. The global spin flip X maps
+burst(+) onto burst(-), so burst(-) is burst(+) with the eigenvector rows
+permuted by X, and the ideal burst -H'/2 is H' with the eigenvalues scaled
+by -1/2; neither is decomposed again. Decompositions are cached
+process-wide for the most recent coupling table, so a sweep decomposes
+each distinct Hamiltonian once.
 
 Acquisition works in the eigenbasis of H', where each sample is a phase sum
-over eigenvalue gaps (:func:`phase_sum`). Only the blocks of the observable
-that are nonzero enter it: (m, m +- 1) for I_x and I_y and (m, m) for
-I_z, built from bit patterns in sorted positions, each meeting one block of
-Delta. Delta is then advanced by the propagator of the whole window, as in
-an evolution segment. So a run holds one d x d Delta of its own, besides
-the caller's initial state, and at most one d x d work buffer (the second
+over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
+observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
+meeting one block of Delta. Delta is then advanced by the propagator of the
+whole window. So a run holds one d x d Delta of its own, besides the
+caller's initial state, and at most one d x d work buffer (the second
 buffer of a pulse, or Delta back in the product basis at the end). A pulse
 applies the single-site 2x2 factor to every site index of Delta
 (:func:`~magicecho.operators.rotate`). After every segment Tr(Delta) and
-the Frobenius norm sqrt(Tr(Delta^2)), which the sorting leaves unchanged,
-are checked against their initial values, and every acquired sample must
-be real; drift raises :class:`~magicecho.errors.InvariantViolation`.
+the Frobenius norm sqrt(Tr(Delta^2)), both unchanged by the sorting, are
+checked against their initial values, and every acquired sample must be
+real; a failure, a NaN included, raises
+:class:`~magicecho.errors.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -148,13 +149,15 @@ class DeviationState:
         d = np.asarray(self.delta, complex)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("delta must be square")
-        scale = max(1.0, float(np.linalg.norm(d)))
+        scale = float(np.linalg.norm(d))
+        if not np.isfinite(scale):
+            raise ValueError("delta must be finite")
         # row slabs against column slabs: no temporary as large as delta
         slab = max(1, d.shape[0] // 16)
         residual = np.sqrt(sum(
             np.linalg.norm(d[k:k + slab] - d[:, k:k + slab].conj().T) ** 2
             for k in range(0, d.shape[0], slab)))
-        if residual > HERMITICITY_TOL * scale:
+        if not residual <= HERMITICITY_TOL * max(1.0, scale):
             raise ValueError("delta must be Hermitian")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
@@ -281,14 +284,21 @@ _DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
 
 
+def _factors(blocks, t: float):
+    """Yield (slice, exp(-i H t) on it) per eigenblock (slice, w, v) of H,
+    each when asked for; v is real, so from two real products."""
+    for s, w, v in blocks:
+        u = ((v * np.cos(w * t)) @ v.T).astype(complex)
+        u.imag = (v * -np.sin(w * t)) @ v.T
+        yield s, u
+
+
 def _propagate(delta: np.ndarray, blocks, t: float) -> None:
-    """delta <- U delta U^dagger in place, U = exp(-i H t) for the
-    eigenblocks (slice, w, v) of H; v is real."""
-    factors = [(s, (v * np.exp(-1j * w * t)) @ v.T) for s, w, v in blocks]
-    for s, u in factors:
+    """delta <- U delta U^dagger in place, U = exp(-i H t), applying each
+    block's row and column passes together (left and right commute)."""
+    for s, u in _factors(blocks, t):
         delta[s] = u @ delta[s]
-    for s, u in factors:
-        delta[:, s] = delta[:, s] @ u.conj().T
+        delta[:, s] = delta[:, s] @ np.conjugate(u, out=u).T
 
 
 def phase_sum(spectra, terms, times) -> np.ndarray:
@@ -335,10 +345,10 @@ def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
 
 
 def _check_drift(delta, norm0, tr0, where):
-    norm = float(np.linalg.norm(delta))
-    if abs(norm - norm0) > SEGMENT_DRIFT_TOL * max(1.0, norm0):
+    tol = SEGMENT_DRIFT_TOL * max(1.0, norm0)
+    if not abs(np.linalg.norm(delta) - norm0) <= tol:
         raise InvariantViolation(f"Tr(Delta^2) drifted after {where}")
-    if abs(complex(np.trace(delta)) - tr0) > SEGMENT_DRIFT_TOL * max(1.0, norm0):
+    if not abs(complex(np.trace(delta)) - tr0) <= tol:
         raise InvariantViolation(f"Tr(Delta) drifted after {where}")
 
 
@@ -350,8 +360,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     """
     a = ops.couplings_of(plan.cluster)
     n = a.shape[0]
-    dim = 2**n
-    if state.delta.shape != (dim, dim):
+    if state.delta.shape != (2**n, 2**n):
         raise ValueError("state dimension does not match the plan's cluster")
     layout = ops.sector_layout(n)
     delta = layout.sort(state.delta)   # the run's own copy, kept in place
@@ -381,8 +390,8 @@ def evolve(state: DeviationState, plan: PropagationPlan):
             s = (phase_sum([w for _, w, _ in blocks],
                            _acquire_terms(blocks, obs, delta), times)
                  / (state.beta * tro2))
-            if np.any(np.abs(s.imag)
-                      > SIGNAL_IMAG_TOL * np.maximum(1.0, np.abs(s.real))):
+            if not np.all(np.abs(s.imag) <= SIGNAL_IMAG_TOL
+                          * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")
             _propagate(delta, blocks, seg.window)
             curves.append(SignalCurve(
@@ -402,16 +411,6 @@ def halfcycle_duration(omega1: float, n_halfcycles):
     return n_halfcycles * np.pi / omega1
 
 
-def _unitary(blocks, t: float) -> np.ndarray:
-    """exp(-i H t) in sorted positions, from the eigenblocks of H."""
-    u = np.zeros((sum(w.size for _, w, _ in blocks),) * 2, complex)
-    for s, w, v in blocks:
-        # v is real: two real products instead of one complex one
-        u.real[s, s] = (v * np.cos(w * t)) @ v.T
-        u.imag[s, s] = (v * -np.sin(w * t)) @ v.T
-    return u
-
-
 def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
                                n_halfcycles: int = 4) -> dict:
     """Exact single-burst propagator vs its average-Hamiltonian factorization.
@@ -427,22 +426,27 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
         raise ValueError("half-cycle count must be a positive integer")
     t1 = halfcycle_duration(omega1, int(n_halfcycles))
-    layout = ops.sector_layout(n)
-    exact, ideal, average = (
-        _unitary(EIGENSYSTEMS.get(spec, a), t1)
-        for spec in (HamiltonianSpec("burst", 1, omega1),
-                     HamiltonianSpec("ideal_burst"),
-                     HamiltonianSpec("average", omega1=omega1)))
+    ideal = EIGENSYSTEMS.get(HamiltonianSpec("ideal_burst"), a)
     # exp(-i omega1 I_z t1) is diagonal: one phase per sorted state, from
     # its I_z eigenvalue n/2 - (number of down spins)
-    down = (layout.order[:, None] >> np.arange(n) & 1).sum(axis=1)
-    u_z = np.exp(-1j * (omega1 * (0.5 * n - down)) * t1)
-    report = {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles)}
-    for order, approx in ((0, ideal), (1, average)):
-        squares = sum(np.linalg.norm(exact[c, c] - u_z[c, None] * approx[c, c])
-                      ** 2 for c in layout.parities)
-        report[f"err{order}"] = float(np.sqrt(squares / 2**n))
-    return report
+    down = (ops.sector_layout(n).order[:, None] >> np.arange(n) & 1).sum(1)
+    u_z = np.exp(-1j * (omega1 * (0.5 * n - down)) * t1)[:, None]
+    squares = np.zeros(2)
+    for k, ((c, u), (_, approx)) in enumerate(zip(*(
+            _factors(EIGENSYSTEMS.get(spec, a), t1)
+            for spec in (HamiltonianSpec("burst", 1, omega1),
+                         HamiltonianSpec("average", omega1=omega1))))):
+        approx *= -u_z[c]
+        approx += u
+        squares[1] += np.linalg.norm(approx) ** 2
+        # the ideal burst's sectors of class k are every other one from k
+        for s, f in _factors(ideal[k::2], t1):
+            r = slice(s.start - c.start, s.stop - c.start)
+            u[r, r] -= u_z[s] * f
+        squares[0] += np.linalg.norm(u) ** 2
+    err0, err1 = np.sqrt(squares / 2**n)
+    return {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles),
+            "err0": float(err0), "err1": float(err1)}
 
 
 def effective_propagator_a3(cluster_or_matrix, omega1: float,
@@ -458,10 +462,14 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     a = ops.couplings_of(cluster_or_matrix)
-    u = _unitary(EIGENSYSTEMS.get(_DIPOLAR, a), 0.5 * t1)
-    average = _unitary(EIGENSYSTEMS.get(
-        HamiltonianSpec("average", omega1=omega1), a), t1)
     layout = ops.sector_layout(a.shape[0])
-    for c in layout.parities:
-        u[c, c] = u[c, c] @ average[c, c]
-    return layout.unsort(u)
+    sectors = EIGENSYSTEMS.get(_DIPOLAR, a)
+    u = np.zeros((layout.order.size,) * 2, complex)
+    for k, (c, g) in enumerate(_factors(EIGENSYSTEMS.get(
+            HamiltonianSpec("average", omega1=omega1), a), t1)):
+        # H' sectors nest in the classes: each multiplies its own rows
+        for s, f in _factors(sectors[k::2], 0.5 * t1):
+            r = slice(s.start - c.start, s.stop - c.start)
+            g[r] = f @ g[r]
+        u[np.ix_(layout.order[c], layout.order[c])] = g
+    return u

@@ -74,7 +74,7 @@ def _fid_terms(cluster, derivative=False):
 def fid_values(cluster, times) -> np.ndarray:
     """G(t) = Tr(I_x(t) I_x) / Tr(I_x^2) at arbitrary times (even in t)."""
     g = engine.phase_sum(*_fid_terms(cluster), times)
-    if np.any(np.abs(g.imag) > 1e-12 * np.maximum(1.0, np.abs(g.real))):
+    if not np.all(np.abs(g.imag) <= 1e-12 * np.maximum(1.0, np.abs(g.real))):
         raise engine.InvariantViolation("FID acquired an imaginary part")
     return g.real
 

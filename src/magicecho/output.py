@@ -109,7 +109,7 @@ def object_columns(obj):
     trajectories get t1_us/beta. Object metadata rides along.
     """
     if isinstance(obj, SignalCurve):
-        meta = {"label": curve_label(obj), "observable": obj.observable,
+        meta = {"label": obj.label or "signal", "observable": obj.observable,
                 "start_us": CSV_FLOAT_FORMAT % (obj.start * 1e6)}
         meta.update(_flatten_meta(obj.meta))
         times_us = np.asarray(obj.times, float) * 1e6
@@ -133,17 +133,9 @@ def emit_csv(obj, path: str) -> int:
     return write_csv(path, columns, meta)
 
 
-def curve_label(curve: SignalCurve) -> str:
-    return curve.label or "signal"
-
-
-def manifest_path(out_path: str) -> str:
-    return out_path + ".manifest.json"
-
-
 def write_manifest(out_path: str, payload: dict) -> str:
     """Write the run manifest next to an output file; returns its path."""
-    path = manifest_path(out_path)
+    path = out_path + ".manifest.json"
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
                                    default=str) + "\n")
     return path

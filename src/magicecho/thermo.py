@@ -312,9 +312,9 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     plus = samples(+1.0)
     minus = samples(-1.0)
     scale = float(np.abs(plus).max())
-    if np.abs(plus.imag).max() > 1e-8 * scale:
+    if not np.abs(plus.imag).max() <= 1e-8 * scale:
         raise InvariantViolation("microscopic kernel is not real")
-    if np.abs(plus - minus).max() > 1e-8 * scale:
+    if not np.abs(plus - minus).max() <= 1e-8 * scale:
         raise InvariantViolation("microscopic kernel is not even in the lag")
     values = plus.real
     flipped = bool(values[0] < 0.0)

@@ -5,6 +5,8 @@ reversal gives exact echoes; average-Hamiltonian factorizations are compared
 against exact propagators with known error orderings.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +399,30 @@ def test_pp_run_peak_memory_is_bounded():
     assert peak <= PEAK_OPERATORS * 16 * 256**2
 
 
+# verify plus A3 at n = 8, eigendecompositions included, in the same
+# units: the cached spectra, one class factor at a time and A3's d x d
+# result (measured 2.37; 4.25 with dense sorted unitaries)
+VERIFY_PEAK_OPERATORS = 3.0
+
+
+def test_verify_and_a3_peak_memory_is_bounded():
+    import tracemalloc
+
+    cluster = build_cluster("100", radius=2.0, max_sites=8)
+    omega1 = 10.0 * local_field(cluster)
+    # warm the per-n layout, then count verify's own eigenblocks
+    ops.sector_layout(8)
+    engine.EIGENSYSTEMS.clear()
+    tracemalloc.start()
+    try:
+        t1 = verify_average_hamiltonian(cluster, omega1)["t1"]
+        effective_propagator_a3(cluster, omega1, t1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= VERIFY_PEAK_OPERATORS * 16 * 256**2
+
+
 def test_burst_minus_is_burst_plus_under_spin_flip():
     rng = np.random.default_rng(3)
     for n in (4, 5):
@@ -520,6 +546,47 @@ def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
         Acquire("x", 1.0e-5, 1.0e-6),))
     with pytest.raises(InvariantViolation, match=match):
         evolve(initial_state("ix", PAIR), plan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_deviation_state_rejects_non_finite_delta(bad):
+    d = np.diag([1.0, -1.0]).astype(complex)
+    d[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DeviationState(d)
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "scaled"])
+def test_corrupted_eigenblock_of_a_middle_evolve_is_caught(monkeypatch,
+                                                           corrupt):
+    # one NaN eigenvalue, or eigenvectors 1% too long, in the burst(+)
+    # block of segment 1 of 4; a NaN fails no '>' comparison, so every
+    # check must be written to fail on it
+    a = build_cluster("100", radius=2.0, max_sites=6).couplings
+    omega1 = 10.0 * local_field(a)
+    t1 = 4 * np.pi / omega1
+    burst = HamiltonianSpec("burst", 1, omega1)
+    cache = engine.EigenCache()
+
+    def get(spec, cluster):
+        blocks = cache.get(spec, cluster)
+        if spec != burst:
+            return blocks
+        (s, w, v), *rest = blocks
+        if corrupt == "nan":
+            w = w.copy()
+            w[0] = np.nan
+        else:
+            v = 1.01 * v
+        return ((s, w, v), *rest)
+
+    monkeypatch.setattr(engine, "EIGENSYSTEMS", SimpleNamespace(get=get))
+    plan = PropagationPlan(cluster=a, segments=(
+        Evolve(HamiltonianSpec("dipolar"), 1.0e-5), Evolve(burst, t1),
+        Evolve(HamiltonianSpec("burst", -1, omega1), t1),
+        Acquire("x", 1.0e-5, 1.0e-6)))
+    with pytest.raises(InvariantViolation, match=r"segment 1 \(Evolve\)"):
+        evolve(initial_state("ix", a), plan)
 
 
 def test_state_dimension_mismatch_rejected(four_spin):

@@ -336,8 +336,9 @@ def test_dsl_route_matches_direct_rpw(four_spin):
 
 
 def test_dsl_route_matches_direct_seq2(four_spin):
-    # the builtin program spells out init dipolar + 45 pulse; the direct
-    # route starts from the tilted deviation. Same physics, two code paths.
+    # both routes compile the same seq2 statements from dipolar order (init
+    # dipolar, then the 45 pulse): this one through the printed and
+    # re-parsed program text, the direct one without the text
     gamma = four_spin.constants.gamma
     text = pp.builtin_program("seq2", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
@@ -414,6 +415,35 @@ def test_x_mirror_of_seq1_negates_the_signal(nine_spin):
     scale = np.abs(signals[0]).max()
     assert scale > 1e-3
     assert np.abs(signals[0] + signals[1]).max() <= 1e-12 * scale
+
+
+def test_relabelling_sites_leaves_seq1_and_rpw_unchanged(nine_spin):
+    # collective signals do not see which site carries which label
+    a = nine_spin.couplings
+    perm = np.random.default_rng(12).permutation(9)
+    omega1 = nine_spin.constants.gamma * 30.0
+    t1 = 8 * np.pi / omega1
+    seq1, rpw = zip(*((ex.sequence1_amplitude(table, omega1, t1),
+                       ex.rpw_magic_echo(table, omega1, 0.5 * t1).values)
+                      for table in (a, a[np.ix_(perm, perm)])))
+    assert seq1[1] == pytest.approx(seq1[0], rel=1e-12)
+    assert np.abs(rpw[1] - rpw[0]).max() <= 1e-12 * np.abs(rpw[0]).max()
+
+
+def test_scaling_couplings_field_and_times_scales_the_amplitudes(nine_spin):
+    # a -> lam a and omega1 -> lam omega1 with every time over lam replay
+    # the same dynamics; seq1's and seq2's starting states are linear in
+    # H', so both amplitudes are lam times larger
+    lam = 3.0
+    a = nine_spin.couplings
+    omega1 = nine_spin.constants.gamma * 30.0
+    t1 = 8 * np.pi / omega1
+    window, step = 5.0 / local_field(a), 0.02 / local_field(a)
+    for amplitude in (ex.sequence1_amplitude, ex.sequence2_amplitude):
+        s = amplitude(a, omega1, t1, window=window, step=step)
+        scaled = amplitude(lam * a, lam * omega1, t1 / lam,
+                           window=window / lam, step=step / lam)
+        assert scaled / (lam * s) == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------- decay times
