@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of a seq1 point, an acquire, verify and the
-ideal seq2/seq1 ratio, by n.
+"""Wall time, peak memory and exact-identity residuals of a seq1 point, an
+acquire, verify, the ideal seq2/seq1 ratio, the FID curvature and the seq1
+X mirror, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -18,7 +19,17 @@ The tasks are
   record's value is err1;
 * ``ratio``: the seq1 and seq2 amplitudes under ideal reversal at the
   seq1 point's omega1 and t1. The record's value is |seq2/seq1 - 2|,
-  which is exactly 0 in exact arithmetic at every n.
+  which is exactly 0 in exact arithmetic at every n;
+* ``curvature``: ``experiments.fid_values`` at 0, +-h/2 and +-h with
+  h = 1e-3 / sqrt(M2). G(t) = 1 - M2 t^2/2 + M4 t^4/24 - ..., so the
+  central second difference D(h) is -M2 + M4 h^2/12 + O(h^4), and the
+  Richardson value (4 D(h/2) - D(h)) / 3 drops the h^2 term. The record's
+  value is |(that + M2) / M2|, and ``uncorrected`` is |(D(h) + M2) / M2|;
+* ``mirror``: the seq1 point as a pulse-program text, parsed, compiled and
+  evolved, and its X mirror (pulses about -y, burst phases swapped), whose
+  signal is exactly -s(t) because X = prod sigma^x maps the + burst onto
+  the - burst and I_y onto -I_y and leaves H' alone. The record's value is
+  max|s + s_mirror| / max|s|.
 
 The child runs the task twice. The first run, cold, gives ``wall_s``. The
 eigendecompositions are then dropped and the second run, under
@@ -41,7 +52,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "acquire", "verify", "ratio")
+TASKS = ("seq1", "acquire", "verify", "ratio", "curvature", "mirror")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -50,8 +61,8 @@ def child(src: str, n: int, task: str) -> dict:
     import tracemalloc
 
     import numpy as np
-    from magicecho import engine, experiments
-    from magicecho.lattice import build_cluster, local_field
+    from magicecho import engine, experiments, pulseprog
+    from magicecho.lattice import build_cluster, local_field, second_moment
 
     cluster = build_cluster("100", radius=2.0, max_sites=n)
     if len(cluster.couplings) != n:
@@ -59,6 +70,15 @@ def child(src: str, n: int, task: str) -> dict:
     omega1 = cluster.constants.gamma * 30.0
     t1 = 8 * np.pi / omega1
     window, step = 5.0 / local_field(cluster), 0.02 / local_field(cluster)
+
+    def seq1_signal(y, first, second):
+        text = (f"init dipolar\npulse 90 {y}\nburst {first} 30G 4hc\n"
+                f"burst {second} 30G 4hc\ndelay {0.5e6 * t1:.12g}us\n"
+                f"pulse 45 {y}\nacquire Iy for {1e6 * window:.12g}us "
+                f"step {1e6 * step:.12g}us\n")
+        plan = pulseprog.compile(pulseprog.parse(text), cluster)
+        state = engine.initial_state("dipolar", cluster)
+        return engine.evolve(state, plan)[1][0].values
 
     def run():
         if task == "seq1":
@@ -74,6 +94,19 @@ def child(src: str, n: int, task: str) -> dict:
                           for amplitude in (experiments.sequence1_amplitude,
                                             experiments.sequence2_amplitude))
             return abs(seq2 / seq1 - 2.0)
+        if task == "curvature":
+            m2 = second_moment(cluster)
+            h = 1e-3 / np.sqrt(m2)
+            g = experiments.fid_values(cluster,
+                                       [-h, -0.5 * h, 0.0, 0.5 * h, h])
+            d_h = (g[0] - 2.0 * g[2] + g[4]) / h**2
+            d_half = (g[1] - 2.0 * g[2] + g[3]) / (0.5 * h)**2
+            return {"value": abs((4.0 * d_half - d_h) / 3.0 + m2) / m2,
+                    "uncorrected": abs(d_h + m2) / m2}
+        if task == "mirror":
+            s = seq1_signal("y", "+", "-")
+            s_mirror = seq1_signal("-y", "-", "+")
+            return np.abs(s + s_mirror).max() / np.abs(s).max()
         plan = engine.PropagationPlan(cluster=cluster, segments=(
             engine.Acquire("x", window, step),))
         _, (curve,) = engine.evolve(engine.initial_state("ix", cluster), plan)
@@ -82,6 +115,7 @@ def child(src: str, n: int, task: str) -> dict:
     t0 = time.perf_counter()
     value = run()
     wall = time.perf_counter() - t0
+    extra = value if isinstance(value, dict) else {"value": float(value)}
     engine.EIGENSYSTEMS.clear()
     tracemalloc.start()
     run()
@@ -89,8 +123,7 @@ def child(src: str, n: int, task: str) -> dict:
     tracemalloc.stop()
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"n": n, "task": task, "wall_s": wall, "peak_mb": peak / 2**20,
-            "peak_ops": peak / (16.0 * 4**n), "maxrss_mb": maxrss,
-            "value": value}
+            "peak_ops": peak / (16.0 * 4**n), "maxrss_mb": maxrss, **extra}
 
 
 def machine() -> dict:

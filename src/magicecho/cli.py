@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -70,6 +69,20 @@ def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
     else:
         sys.stdout.write(output.csv_text(columns, meta))
     return 0
+
+
+def _resolve(args, **defaults) -> None:
+    """Give each unset flag its default; the manifest records what ran."""
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
+def _reject(args, reason, *dests) -> None:
+    """Refuse the first of these flags that was given, not ignore it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} {reason}")
 
 
 def _cluster_from_args(args):
@@ -141,50 +154,36 @@ def _cmd_run(args) -> int:
         raise ValueError("a pulse program is required: a .pp file path or "
                          "builtin:{seq1,seq2,rpw}")
     cluster = _cluster_from_args(args)
-    gamma = cluster.constants.gamma
-    if args.omega1_gauss is not None and not args.omega1_gauss > 0:
-        raise ValueError("--omega1-gauss must be positive")
-    if args.halfcycles is not None and (args.t1_grid is not None
-                                        or not source.startswith("builtin:")):
-        raise ValueError("--halfcycles applies to a single builtin run only")
-    if args.t1_grid is not None:
-        if not source.startswith("builtin:"):
-            raise ValueError("t1 sweeps support builtin sequences only")
-        name = source[len("builtin:"):]
-        if name not in ("seq1", "seq2"):
-            raise ValueError(f"t1 sweeps support builtin:seq1 and "
-                             f"builtin:seq2, not {source!r}")
-        omega1 = gamma * args.omega1_gauss
+    name = source[len("builtin:"):] if source.startswith("builtin:") else None
+    if name is None:   # the file's statements set burst and acquisition
+        _reject(args, "applies to builtin programs only", "omega1_gauss",
+                "halfcycles", "t1_grid", "window_us", "step_us")
+        with open(source, "r") as fh:
+            program = pulseprog.parse(fh.read())
+    elif args.t1_grid is None:
+        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS,
+                 halfcycles=pulseprog.DEFAULT_HALFCYCLES,
+                 window_us=pulseprog.DEFAULT_WINDOW_US,
+                 step_us=pulseprog.DEFAULT_STEP_US)
+        program = pulseprog.builtin(
+            name, args.omega1_gauss, args.halfcycles, args.window_us,
+            args.step_us, cluster.constants.gamma)
+    else:
+        _reject(args, "applies to a single builtin run only", "halfcycles")
         counts = _parse_t1_grid(args.t1_grid)
-        window = None if args.window_us is None else args.window_us * 1e-6
-        step = None if args.step_us is None else args.step_us * 1e-6
+        window, step = experiments.acquisition_grid(cluster, *(
+            None if us is None else us * 1e-6
+            for us in (args.window_us, args.step_us)))
+        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS,
+                 window_us=window * 1e6, step_us=step * 1e6)
+        omega1 = cluster.constants.gamma * args.omega1_gauss
         curve = experiments.sweep_t1(
             name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
             ideal_reversal=args.ideal, window=window, step=step)
         return _finish(args, t0, *output.object_columns(curve),
                        cluster=cluster)
-    if source.startswith("builtin:"):
-        program = pulseprog.builtin(
-            source[len("builtin:"):], amplitude_gauss=args.omega1_gauss,
-            halfcycles=40 if args.halfcycles is None else args.halfcycles,
-            window_us=60.0 if args.window_us is None else args.window_us,
-            step_us=0.5 if args.step_us is None else args.step_us,
-            gamma=gamma)
-    else:
-        if args.window_us is not None or args.step_us is not None:
-            raise ValueError("--window-us and --step-us apply to builtin "
-                             "programs only, not to a .pp file's acquire")
-        with open(source, "r") as fh:
-            program = pulseprog.parse(fh.read())
-    plan = pulseprog.compile(program, cluster, ideal_reversal=args.ideal)
-    acquires = sum(isinstance(s, engine.Acquire) for s in plan.segments)
-    if acquires != 1:
-        raise ValueError("CSV output needs a program with exactly one "
-                         "acquire statement")
-    state = engine.initial_state(plan.initial_state_kind, cluster)
-    _, (curve,) = engine.evolve(state, plan)
-    curve = replace(curve, meta=experiments.cluster_meta(
-        cluster, sequence=source, ideal_reversal=args.ideal))
+    curve = experiments.run_program(program, cluster, args.ideal,
+                                    sequence=source)
     return _finish(args, t0, *output.object_columns(curve), cluster=cluster)
 
 
@@ -200,32 +199,32 @@ def _parse_cluster_spec(spec: str):
 def _cmd_thermo(args) -> int:
     t0 = time.perf_counter()
     cluster = None
-    if args.kernel_samples < 2:
-        raise ValueError("--kernel-samples must be at least 2")
-    if args.kernel_tau_us is not None and not args.kernel_from_cluster:
-        raise ValueError("--kernel-tau-us needs --kernel-from-cluster")
     if args.kernel_from_cluster:
-        for flag, value in (("--orientation", args.orientation),
-                            ("--n", args.n), ("--m-ratio", args.m_ratio)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to the Gaussian kernel only")
+        _reject(args, "applies to the Gaussian kernel only",
+                "orientation", "n", "m_ratio")
+        _resolve(args, kernel_samples=thermo.DEFAULT_KERNEL_SAMPLES)
+        if args.kernel_samples < 2:
+            raise ValueError("--kernel-samples must be at least 2")
         if args.kernel_tau_us is not None and not args.kernel_tau_us > 0:
             raise ValueError("--kernel-tau-us must be positive")
         cluster = _parse_cluster_spec(args.kernel_from_cluster)
         tau_max = (6.0 / np.sqrt(second_moment(cluster))
                    if args.kernel_tau_us is None
                    else args.kernel_tau_us * 1e-6)
+        _resolve(args, kernel_tau_us=tau_max * 1e6)
         tau = np.linspace(0.0, tau_max, args.kernel_samples)
         kernel = thermo.microscopic_kernel(cluster, tau,
                                            offset=args.offset_us * 1e-6)
     else:
+        _reject(args, "needs --kernel-from-cluster", "kernel_tau_us",
+                "kernel_samples")
         if not args.orientation:
             raise ValueError("--orientation or --kernel-from-cluster "
                              "is required")
+        _resolve(args, n=thermo.DEFAULT_N, m_ratio=thermo.DEFAULT_M_RATIO)
         kernel = thermo.gaussian_kernel_for_orientation(
-            args.orientation, offset=args.offset_us * 1e-6,
-            **{k: v for k, v in (("n", args.n), ("m_ratio", args.m_ratio))
-               if v is not None})
+            args.orientation, args.n, args.m_ratio,
+            offset=args.offset_us * 1e-6)
     traj = thermo.solve_beta(kernel, args.t_end_us * 1e-6,
                              args.step_us * 1e-6)
     if args.divergence:
@@ -265,7 +264,12 @@ _OPERATOR_BUILDERS = {
 def _cmd_dump_operator(args) -> int:
     t0 = time.perf_counter()
     cluster = _cluster_from_args(args)
-    omega1 = cluster.constants.gamma * args.omega1_gauss
+    if args.name == "h1":
+        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS)
+    else:
+        _reject(args, "applies to --name h1 only", "omega1_gauss")
+    omega1 = (None if args.omega1_gauss is None
+              else cluster.constants.gamma * args.omega1_gauss)
     matrix = _OPERATOR_BUILDERS[args.name](cluster.couplings, omega1)
     rows, cols = np.nonzero(matrix)
     meta = {"name": args.name, "dim": str(matrix.shape[0]),
@@ -447,11 +451,12 @@ def build_parser():
     p.add_argument("--sequence", metavar="SEQUENCE",
                    help="alternative to the positional argument")
     _add_cluster_flags(p, radius=1.0, max_sites=6)
-    p.add_argument("--omega1-gauss", type=float, default=25.3,
-                   help="burst field amplitude in Gauss (default %(default)s)")
+    p.add_argument("--omega1-gauss", type=float, default=None,
+                   help=f"burst field in Gauss (default "
+                        f"{pulseprog.DEFAULT_AMPLITUDE_GAUSS})")
     p.add_argument("--halfcycles", type=int, default=None,
-                   help="builtin program burst length, total half-cycles "
-                        "(default: 40; single builtin runs only)")
+                   help=f"total burst half-cycles (default "
+                        f"{pulseprog.DEFAULT_HALFCYCLES}; single runs only)")
     p.add_argument("--t1-grid", metavar="A:B:Chc",
                    help="sweep burst lengths over half-cycle counts "
                         "START:STOP:STEP (e.g. 2:40:2hc) instead of "
@@ -459,11 +464,11 @@ def build_parser():
     p.add_argument("--ideal", action="store_true",
                    help="replace bursts with the exact reversed evolution")
     p.add_argument("--window-us", type=float, default=None,
-                   help="acquisition window (default: 60 for a single "
-                        "builtin run, 5/omega_L for a --t1-grid sweep)")
+                   help=f"acquisition window (default "
+                        f"{pulseprog.DEFAULT_WINDOW_US}, sweeps 5/omega_L)")
     p.add_argument("--step-us", type=float, default=None,
-                   help="acquisition step (default: 0.5 for a single "
-                        "builtin run, 0.02/omega_L for a --t1-grid sweep)")
+                   help=f"acquisition step (default "
+                        f"{pulseprog.DEFAULT_STEP_US}, sweeps 0.02/omega_L)")
     p.add_argument("--out", help="write CSV here (default: stdout)")
 
     p = sub("thermo", _cmd_thermo,
@@ -485,8 +490,9 @@ def build_parser():
                    help="compute the kernel microscopically from a cluster")
     p.add_argument("--kernel-tau-us", type=float, default=None,
                    help="microscopic kernel table extent")
-    p.add_argument("--kernel-samples", type=int, default=97,
-                   help="microscopic kernel table size (default %(default)s)")
+    p.add_argument("--kernel-samples", type=int, default=None,
+                   help=f"microscopic kernel table size (default "
+                        f"{thermo.DEFAULT_KERNEL_SAMPLES})")
     p.add_argument("--divergence", action="store_true",
                    help="also emit the flat ideal-reversal prediction")
     p.add_argument("--out", help="write CSV here (default: stdout)")
@@ -496,9 +502,9 @@ def build_parser():
     p.add_argument("--name", required=True,
                    choices=sorted(_OPERATOR_BUILDERS))
     _add_cluster_flags(p, radius=1.0, max_sites=4)
-    p.add_argument("--omega1-gauss", type=float, default=25.3,
-                   help="burst field for the h1 correction "
-                        "(default %(default)s)")
+    p.add_argument("--omega1-gauss", type=float, default=None,
+                   help=f"burst field for the h1 correction (default "
+                        f"{pulseprog.DEFAULT_AMPLITUDE_GAUSS})")
     p.add_argument("--out", help="write CSV here (default: stdout)")
 
     p = sub("verify", _cmd_verify, help="run the fast invariant suite")
@@ -588,8 +594,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FileNotFoundError,
-            pulseprog.ParseError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,7 +135,6 @@ class Acquire:
 class PropagationPlan:
     cluster: object
     segments: tuple
-    initial_state_kind: str | None = None
 
 
 @dataclass

@@ -7,8 +7,8 @@ acquisition grid anchored at the predicted echo center; |dG/dt| is even
 about the center, so the outward-running grid sees the full peak, and using
 the same grid for every sequence makes amplitude ratios exact in the ideal
 limit. The echo sequences are the builtin programs of the pulseprog module,
-compiled; this module adds only the default grid, t1 validation and
-snapping, and the split of the seq1 signal into its two components.
+run by :func:`run_program` like any program; this module adds only the
+default grid, t1 validation and snapping, and the seq1 component split.
 
 All curves carry a ``macroscopic: False`` metadata flag: a handful of spins
 evolved unitarily realizes the exact density-matrix predictions, not the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, operators as ops, pulseprog
-from .engine import HamiltonianSpec, SignalCurve, evolve
+from .engine import HamiltonianSpec, SignalCurve
 from .lattice import local_field
 
 DEFAULT_WINDOW_FACTOR = 5.0   # acquisition window, units of 1/omega_L
@@ -43,12 +43,12 @@ def cluster_meta(cluster, **extra):
     return meta
 
 
-def _acquisition_grid(cluster, window, step):
-    wl = local_field(cluster)
-    if window is None:
-        window = DEFAULT_WINDOW_FACTOR / wl
-    if step is None:
-        step = DEFAULT_STEP_FACTOR / wl
+def acquisition_grid(cluster, window=None, step=None):
+    """(window, step) in seconds, each by default its factor / omega_L."""
+    if window is None or step is None:
+        wl = local_field(cluster)
+        window = DEFAULT_WINDOW_FACTOR / wl if window is None else window
+        step = DEFAULT_STEP_FACTOR / wl if step is None else step
     return float(window), float(step)
 
 
@@ -87,7 +87,7 @@ def fid_derivative(cluster, times) -> np.ndarray:
 
 def fid(cluster, window=None, step=None) -> SignalCurve:
     """Free induction decay G(t) on [0, window]."""
-    times = engine.Acquire("x", *_acquisition_grid(cluster, window, step)).times
+    times = engine.Acquire("x", *acquisition_grid(cluster, window, step)).times
     values = fid_values(cluster, times)
     return SignalCurve(times=times, values=values, observable="x", start=0.0,
                        label="fid", meta=cluster_meta(cluster, sequence="fid"))
@@ -95,7 +95,7 @@ def fid(cluster, window=None, step=None) -> SignalCurve:
 
 def max_abs_fid_derivative(cluster, window=None, step=None) -> float:
     """max_t |dG/dt| over the standard acquisition grid."""
-    times = engine.Acquire("x", *_acquisition_grid(cluster, window, step)).times
+    times = engine.Acquire("x", *acquisition_grid(cluster, window, step)).times
     return float(np.abs(fid_derivative(cluster, times)).max())
 
 
@@ -124,27 +124,31 @@ def snap_t1(t1: float, omega1: float) -> float:
     return 2 * int(round(t1 / (2 * hc))) * hc
 
 
-def _plan(name, cluster, omega1, t1, ideal_reversal, window, step):
-    """The compiled builtin sequence with a burst of total length t1.
+def run_program(program, cluster, ideal_reversal=False, start=None,
+                label="", **meta) -> SignalCurve:
+    """The signal of a program with exactly one acquire statement, run from
+    ``start`` or its init state and labelled with :func:`cluster_meta`."""
+    plan = pulseprog.compile(program, cluster, ideal_reversal)
+    if sum(isinstance(s, engine.Acquire) for s in plan.segments) != 1:
+        raise ValueError("a signal needs exactly one acquire statement")
+    if start is None:
+        start = engine.initial_state(program.init_kind, cluster)
+    _, (curve,) = engine.evolve(start, plan)
+    return replace(curve, label=label, meta=cluster_meta(
+        cluster, ideal_reversal=bool(ideal_reversal), **meta))
 
-    Unless ideal, t1 must be an even number of half-cycles; the acquisition
-    grid defaults to 5/omega_L in steps of 0.02/omega_L.
-    """
+
+def _program(name, cluster, omega1, t1, ideal_reversal, window, step):
+    """The builtin sequence with a burst of total length t1 (unless ideal,
+    an even number of half-cycles) on the given or the default grid."""
     half = None
     if t1 != 0:
         if not ideal_reversal:
             check_burst_duration(t1, omega1)
         gauss = omega1 / pulseprog.gamma_of(cluster)
         half = pulseprog.Burst(sign=1, amplitude_gauss=gauss, seconds=0.5 * t1)
-    window, step = _acquisition_grid(cluster, window, step)
-    program = pulseprog.sequence(name, half, 0.5 * t1, window, step)
-    return pulseprog.compile(program, cluster, ideal_reversal)
-
-
-def _signal(state, plan, label, **meta) -> SignalCurve:
-    _, (curve,) = evolve(state, plan)
-    return replace(curve, label=label,
-                   meta=cluster_meta(plan.cluster, **meta))
+    window, step = acquisition_grid(cluster, window, step)
+    return pulseprog.sequence(name, half, 0.5 * t1, window, step)
 
 
 def _sequence1_start(part, cluster) -> engine.DeviationState:
@@ -159,14 +163,14 @@ def _sequence1_start(part, cluster) -> engine.DeviationState:
 def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
                     step, start=None) -> SignalCurve:
     """A seq1 component, ``start`` or built by :func:`_sequence1_start`,
-    run through the compiled seq1 plan after its leading 90y pulse."""
+    run through the seq1 program without its leading 90y pulse."""
     if start is None:
         start = _sequence1_start(part, cluster)
-    plan = _plan("seq1", cluster, omega1, t1, ideal_reversal, window, step)
-    return _signal(start,
-                   replace(plan, segments=plan.segments[1:]), f"seq1-{part}",
-                   sequence="seq1", component=part, omega1=omega1, t1=t1,
-                   ideal_reversal=bool(ideal_reversal))
+    init, _, *rest = _program("seq1", cluster, omega1, t1, ideal_reversal,
+                              window, step).statements
+    return run_program(pulseprog.PulseProgram((init, *rest)), cluster,
+                       ideal_reversal, start, f"seq1-{part}", sequence="seq1",
+                       component=part, omega1=omega1, t1=t1)
 
 
 def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
@@ -202,11 +206,9 @@ def sequence2_signal(cluster, omega1, t1, ideal_reversal=False,
     dipolar evolution), so no component splitting is needed. ``start`` is
     the initial state if already built (a sweep builds it once).
     """
-    plan = _plan("seq2", cluster, omega1, t1, ideal_reversal, window, step)
-    if start is None:
-        start = engine.initial_state(plan.initial_state_kind, cluster)
-    return _signal(start, plan, "seq2", sequence="seq2", omega1=omega1,
-                   t1=t1, ideal_reversal=bool(ideal_reversal))
+    return run_program(_program("seq2", cluster, omega1, t1, ideal_reversal,
+                                window, step), cluster, ideal_reversal,
+                       start, "seq2", sequence="seq2", omega1=omega1, t1=t1)
 
 
 def sequence2_amplitude(cluster, omega1, t1, ideal_reversal=False,
@@ -226,11 +228,10 @@ def rpw_magic_echo(cluster, omega1, tau, ideal_reversal=False,
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    plan = _plan("rpw", cluster, omega1, 2.0 * tau, ideal_reversal, window,
-                 step)
-    state = engine.initial_state(plan.initial_state_kind, cluster)
-    return _signal(state, plan, "rpw", sequence="rpw", omega1=omega1,
-                   tau=tau, ideal_reversal=bool(ideal_reversal))
+    return run_program(_program("rpw", cluster, omega1, 2.0 * tau,
+                                ideal_reversal, window, step), cluster,
+                       ideal_reversal, label="rpw", sequence="rpw",
+                       omega1=omega1, tau=tau)
 
 
 _SEQUENCE_AMPLITUDES = {
@@ -248,7 +249,7 @@ def sweep_t1(sequence: str, cluster, omega1, t1_grid, ideal_reversal=False,
     abscissa and the requested ones are kept in the metadata.
     """
     if sequence not in _SEQUENCE_AMPLITUDES:
-        raise ValueError(f"unknown sequence {sequence!r}")
+        raise ValueError(f"unknown sequence {sequence!r} for a t1 sweep")
     op = _SEQUENCE_AMPLITUDES[sequence]
     requested = np.asarray(list(t1_grid), float)
     if requested.size == 0:
@@ -258,7 +259,7 @@ def sweep_t1(sequence: str, cluster, omega1, t1_grid, ideal_reversal=False,
     executed = (requested if ideal_reversal
                 else np.array([snap_t1(t, omega1) for t in requested]))
     # every point starts from the same state, so it is built once: seq1's
-    # P component, or the dipolar order seq2's plan begins with
+    # P component, or the dipolar order seq2's program begins with
     start = (_sequence1_start("p", cluster) if sequence == "seq1"
              else engine.initial_state("dipolar", cluster))
     amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step,

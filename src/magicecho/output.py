@@ -127,12 +127,6 @@ def object_columns(obj):
     raise TypeError(f"cannot emit {type(obj).__name__} as CSV")
 
 
-def emit_csv(obj, path: str) -> int:
-    """Write a SignalCurve or BetaTrajectory as CSV; returns the row count."""
-    columns, meta = object_columns(obj)
-    return write_csv(path, columns, meta)
-
-
 def write_manifest(out_path: str, payload: dict) -> str:
     """Write the run manifest next to an output file; returns its path."""
     path = out_path + ".manifest.json"

@@ -267,8 +267,7 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
                 duration=s.seconds))
         elif not isinstance(s, Init):
             raise CompileError(f"cannot compile {type(s).__name__}")
-    return engine.PropagationPlan(cluster=cluster, segments=tuple(segments),
-                                  initial_state_kind=program.init_kind)
+    return engine.PropagationPlan(cluster=cluster, segments=tuple(segments))
 
 
 BUILTIN_NAMES = ("seq1", "seq2", "rpw")
@@ -309,27 +308,28 @@ def sequence(name: str, half: Burst | None, delay: float, window: float,
     return PulseProgram(statements=body)
 
 
-def builtin(name: str, amplitude_gauss: float = 25.3, halfcycles: int = 40,
-            window_us: float = 60.0, step_us: float = 0.5,
+DEFAULT_AMPLITUDE_GAUSS, DEFAULT_HALFCYCLES = 25.3, 40
+DEFAULT_WINDOW_US, DEFAULT_STEP_US = 60.0, 0.5
+
+
+def builtin(name: str, amplitude_gauss: float = DEFAULT_AMPLITUDE_GAUSS,
+            halfcycles: int = DEFAULT_HALFCYCLES,
+            window_us: float = DEFAULT_WINDOW_US,
+            step_us: float = DEFAULT_STEP_US,
             gamma: float = GAMMA_F19) -> PulseProgram:
     """A standard sequence with a burst of ``halfcycles`` total half-cycles.
 
     ``halfcycles`` must be even so each phase half is an integer number of
-    half-cycles; the delay is then exactly half the burst, n pi / omega1.
+    half-cycles; the delay, half the burst, is n pi / omega1 (omega1 > 0).
     """
     if halfcycles < 2 or halfcycles % 2:
         raise ValueError("halfcycles must be an even integer >= 2")
-    if not amplitude_gauss > 0:
-        raise ValueError("amplitude must be positive")
     n2 = halfcycles // 2
     half = Burst(sign=1, amplitude_gauss=amplitude_gauss, halfcycles=n2)
     delay = engine.halfcycle_duration(gamma * amplitude_gauss, n2)
     return sequence(name, half, delay, window_us * 1e-6, step_us * 1e-6)
 
 
-def builtin_program(name: str, amplitude_gauss: float = 25.3,
-                    halfcycles: int = 40, window_us: float = 60.0,
-                    step_us: float = 0.5, gamma: float = GAMMA_F19) -> str:
+def builtin_program(name: str, **settings) -> str:
     """DSL source of :func:`builtin` (see :func:`sequence`)."""
-    return print_program(builtin(name, amplitude_gauss, halfcycles,
-                                 window_us, step_us, gamma))
+    return print_program(builtin(name, **settings))

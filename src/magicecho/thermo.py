@@ -41,6 +41,7 @@ from .lattice import REFERENCE_M2
 DEFAULT_N = 0.45
 DEFAULT_M_RATIO = 0.25
 DEFAULT_OFFSET = 80.0e-6
+DEFAULT_KERNEL_SAMPLES = 97   # microscopic kernel table size
 
 # refine until halving the step moves the whole trajectory (max norm, so
 # in particular beta(t_end)) by less than this. The criterion is trajectory

@@ -137,6 +137,14 @@ def test_run_single_zero_window_or_step_exits_2(capsys):
         assert "must be positive" in capsys.readouterr().err
 
 
+def test_run_nonpositive_omega1_exits_2(capsys):
+    base = ["run", "builtin:seq2", "--max-sites", "2"]
+    for argv in (["--omega1-gauss", "0"],
+                 ["--omega1-gauss", "-5", "--t1-grid", "2:4:2hc"]):
+        assert run_main(base + argv) == 2
+        assert "omega1 must be positive" in capsys.readouterr().err
+
+
 def test_run_sweep_zero_window_or_step_exits_2(capsys):
     base = ["run", "builtin:seq1", "--orientation", "100", "--radius", "1",
             "--max-sites", "2", "--t1-grid", "2:4:2hc"]
@@ -219,18 +227,26 @@ def test_run_flag_and_positional_agree(tmp_path):
 
 
 def test_run_determinism(tmp_path):
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
-    argv = ["run", "builtin:seq2", "--orientation", "110", "--radius", "1",
-            "--max-sites", "4", "--omega1-gauss", "30"]
-    assert run_main(argv + ["--out", a]) == 0
-    assert run_main(argv + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    ma = json.load(open(a + ".manifest.json"))
-    mb = json.load(open(b + ".manifest.json"))
-    ma.pop("wall_time_s"), mb.pop("wall_time_s")
-    ma.pop("output"), mb.pop("output")
-    assert ma == mb
+    pp = tmp_path / "pair.pp"
+    pp.write_text("init dipolar\npulse 90 y\nburst + 30G 4hc\n"
+                  "burst - 30G 4hc\npulse 45 y\n"
+                  "acquire Iy for 10us step 1us\n")
+    cluster = ["--orientation", "110", "--radius", "1", "--max-sites", "4"]
+    for argv in (["run", "builtin:seq2", *cluster, "--omega1-gauss", "30"],
+                 ["run", "builtin:seq1", *cluster, "--t1-grid", "2:6:2hc"],
+                 ["run", str(pp), *cluster],
+                 ["thermo", "--kernel-from-cluster", "100:1:4",
+                  "--t-end-us", "50", "--step-us", "1"]):
+        a = str(tmp_path / "a.csv")
+        b = str(tmp_path / "b.csv")
+        assert run_main(argv + ["--out", a]) == 0
+        assert run_main(argv + ["--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+        ma = json.load(open(a + ".manifest.json"))
+        mb = json.load(open(b + ".manifest.json"))
+        ma.pop("wall_time_s"), mb.pop("wall_time_s")
+        ma.pop("output"), mb.pop("output")
+        assert ma == mb
 
 
 def test_run_manifest_counts_eigendecompositions(tmp_path):
@@ -283,6 +299,69 @@ def test_run_error_codes(tmp_path):
     bad = tmp_path / "bad.pp"
     bad.write_text("frobnicate 3us\n")
     assert run_main(["run", str(bad)] + base) == 2             # parse error
+
+
+def test_run_needs_exactly_one_acquire(tmp_path, capsys):
+    for name, text in (("none", "init ix\ndelay 5us\n"),
+                       ("two", "init ix\nacquire Ix for 4us step 1us\n"
+                               "acquire Ix for 4us step 1us\n")):
+        pp = tmp_path / f"{name}.pp"
+        pp.write_text(text)
+        assert run_main(["run", str(pp), "--max-sites", "2"]) == 2
+        assert "exactly one acquire" in capsys.readouterr().err
+
+
+def test_flags_that_do_not_apply_exit_2(tmp_path, capsys):
+    pp = tmp_path / "fid.pp"
+    pp.write_text("init ix\nacquire Ix for 4us step 1us\n")
+    for argv, flag in (
+            (["run", str(pp), "--max-sites", "2", "--omega1-gauss", "999"],
+             "--omega1-gauss"),
+            (["dump-operator", "--name", "hd", "--max-sites", "2",
+              "--omega1-gauss", "-5"], "--omega1-gauss"),
+            (["thermo", "--orientation", "100", "--t-end-us", "50",
+              "--kernel-samples", "5"], "--kernel-samples")):
+        assert run_main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flags, unset", [
+    (["run", "builtin:seq1", "--max-sites", "4", "--t1-grid", "2:6:2hc"],
+     ["omega1_gauss", "window_us", "step_us"], ["halfcycles"]),
+    (["run", "builtin:rpw", "--max-sites", "4"],
+     ["omega1_gauss", "halfcycles", "window_us", "step_us"], ["t1_grid"]),
+    (["thermo", "--orientation", "100", "--t-end-us", "100"],
+     ["n", "m_ratio"], ["kernel_samples", "kernel_tau_us"]),
+    (["thermo", "--kernel-from-cluster", "100:1:4", "--t-end-us", "50",
+      "--step-us", "1"], ["kernel_samples", "kernel_tau_us"],
+     ["n", "m_ratio"]),
+    (["dump-operator", "--name", "h1", "--max-sites", "3"],
+     ["omega1_gauss"], []),
+    (["dump-operator", "--name", "q", "--max-sites", "3"],
+     [], ["omega1_gauss"]),
+], ids=["sweep", "single", "gaussian", "microscopic", "h1", "q"])
+def test_manifest_records_resolved_defaults(tmp_path, argv, flags, unset):
+    # each applicable flag records the value it resolved to, so giving
+    # those values explicitly reproduces the run; one that does not apply
+    # stays null
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run_main(argv + ["--out", a]) == 0
+    config = json.load(open(a + ".manifest.json"))["config"]
+    assert all(config[flag] is not None for flag in flags)
+    assert all(config[flag] is None for flag in unset)
+    explicit = [f"--{flag.replace('_', '-')}={config[flag]!r}"
+                for flag in flags]
+    assert run_main(argv + explicit + ["--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+    assert json.load(open(b + ".manifest.json"))["config"] == config
+
+
+def test_directory_paths_exit_2(tmp_path, capsys):
+    for argv in (["run", str(tmp_path), "--max-sites", "2"],
+                 ["lattice-info", "--radius", "1", "--out", str(tmp_path)]):
+        assert run_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------- thermo

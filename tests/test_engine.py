@@ -383,14 +383,15 @@ def test_pp_run_peak_memory_is_bounded():
     from magicecho import pulseprog
 
     cluster = build_cluster("110", radius=2.0, max_sites=8)
-    plan = pulseprog.compile(pulseprog.parse(_PEAK_PROGRAM), cluster)
+    program = pulseprog.parse(_PEAK_PROGRAM)
+    plan = pulseprog.compile(program, cluster)
     # warm the per-n caches, then count the run's own eigenblocks
     ops.sector_layout(8)
     ops.collective_blocks("y", 8)
     engine.EIGENSYSTEMS.clear()
     tracemalloc.start()
     try:
-        state = initial_state(plan.initial_state_kind, cluster)
+        state = initial_state(program.init_kind, cluster)
         _, (curve,) = evolve(state, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

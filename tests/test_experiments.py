@@ -74,8 +74,7 @@ def test_fid_curve_matches_engine_route(four_spin):
     curve = ex.fid(four_spin)
     plan = engine.PropagationPlan(
         cluster=four_spin,
-        segments=(engine.Acquire("x", curve.times[-1], curve.times[1]),),
-        initial_state_kind="ix")
+        segments=(engine.Acquire("x", curve.times[-1], curve.times[1]),))
     _, (raw,) = engine.evolve(engine.initial_state("ix", four_spin), plan)
     np.testing.assert_allclose(curve.values, raw.values, atol=1e-12)
     np.testing.assert_allclose(curve.times, raw.times, rtol=1e-12)
@@ -324,8 +323,9 @@ def test_dsl_route_matches_direct_rpw(four_spin):
     gamma = four_spin.constants.gamma
     text = pp.builtin_program("rpw", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
-    plan = pp.compile(pp.parse(text), four_spin)
-    state = engine.initial_state(plan.initial_state_kind, four_spin)
+    program = pp.parse(text)
+    plan = pp.compile(program, four_spin)
+    state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
     omega1 = gamma * 25.3
     direct = ex.rpw_magic_echo(four_spin, omega1, 20 * np.pi / omega1,
@@ -342,8 +342,9 @@ def test_dsl_route_matches_direct_seq2(four_spin):
     gamma = four_spin.constants.gamma
     text = pp.builtin_program("seq2", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
-    plan = pp.compile(pp.parse(text), four_spin)
-    state = engine.initial_state(plan.initial_state_kind, four_spin)
+    program = pp.parse(text)
+    plan = pp.compile(program, four_spin)
+    state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
     omega1 = gamma * 25.3
     direct = ex.sequence2_signal(four_spin, omega1, 40 * np.pi / omega1,
@@ -356,8 +357,9 @@ def test_dsl_route_matches_component_sum_seq1(four_spin):
     gamma = four_spin.constants.gamma
     text = pp.builtin_program("seq1", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
-    plan = pp.compile(pp.parse(text), four_spin)
-    state = engine.initial_state(plan.initial_state_kind, four_spin)
+    program = pp.parse(text)
+    plan = pp.compile(program, four_spin)
+    state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
     omega1 = gamma * 25.3
     p_curve, hd_curve = ex.sequence1_components(
@@ -366,6 +368,23 @@ def test_dsl_route_matches_component_sum_seq1(four_spin):
     total = p_curve.values + hd_curve.values
     scale = np.abs(total).max()
     np.testing.assert_allclose(dsl.values, total, atol=1e-9 * scale)
+
+
+def test_run_program_needs_exactly_one_acquire(four_spin):
+    for text in ("init ix\ndelay 5us\n",
+                 "init ix\nacquire Ix for 4us step 1us\n"
+                 "acquire Ix for 4us step 1us\n"):
+        with pytest.raises(ValueError, match="exactly one acquire"):
+            ex.run_program(pp.parse(text), four_spin)
+
+
+def test_run_program_labels_the_curve(four_spin):
+    program = pp.parse("init ix\nacquire Ix for 4us step 1us\n")
+    curve = ex.run_program(program, four_spin, label="fid", sequence="pp")
+    assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert curve.label == "fid"
+    assert curve.meta == ex.cluster_meta(four_spin, ideal_reversal=False,
+                                         sequence="pp")
 
 
 # ------------------------------- exact identities beyond the dense oracles
@@ -409,8 +428,9 @@ def test_x_mirror_of_seq1_negates_the_signal(nine_spin):
             "acquire Iy for 20us step 1us\n")
     signals = []
     for y, p, m in (("y", "+", "-"), ("-y", "-", "+")):
-        plan = pp.compile(pp.parse(body.format(y=y, p=p, m=m)), nine_spin)
-        state = engine.initial_state(plan.initial_state_kind, nine_spin)
+        program = pp.parse(body.format(y=y, p=p, m=m))
+        plan = pp.compile(program, nine_spin)
+        state = engine.initial_state(program.init_kind, nine_spin)
         signals.append(engine.evolve(state, plan)[1][0].values)
     scale = np.abs(signals[0]).max()
     assert scale > 1e-3

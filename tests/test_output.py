@@ -78,7 +78,7 @@ def test_empty_curve_emits_header_only(tmp_path):
     empty = SignalCurve(times=np.array([]), values=np.array([]),
                         observable="y", start=0.0, label="fid", meta={})
     path = str(tmp_path / "empty.csv")
-    assert output.emit_csv(empty, path) == 0
+    assert output.write_csv(path, *output.object_columns(empty)) == 0
     lines = open(path).read().splitlines()
     assert lines[-1] == "time_us,value"
     meta, cols = output.read_csv(path)
@@ -99,7 +99,7 @@ def test_write_csv_validation(tmp_path):
 def test_emit_curve_columns(tmp_path):
     path = str(tmp_path / "c.csv")
     c = curve()
-    output.emit_csv(c, path)
+    output.write_csv(path, *output.object_columns(c))
     meta, cols = output.read_csv(path)
     assert list(cols) == ["time_us", "value"]
     np.testing.assert_allclose(cols["time_us"], c.times * 1e6, rtol=1e-11)
@@ -110,7 +110,7 @@ def test_emit_curve_columns(tmp_path):
 
 def test_emit_sweep_columns(tmp_path):
     path = str(tmp_path / "s.csv")
-    output.emit_csv(curve(label="seq1-sweep"), path)
+    output.write_csv(path, *output.object_columns(curve(label="seq1-sweep")))
     _, cols = output.read_csv(path)
     assert list(cols) == ["t1_us", "amplitude"]
 
@@ -120,7 +120,7 @@ def test_emit_trajectory_columns(tmp_path):
                                curvature=1.0e9)
     traj = thermo.solve_beta(kernel, 1.0e-4, 2.0e-6)
     path = str(tmp_path / "beta.csv")
-    rows = output.emit_csv(traj, path)
+    rows = output.write_csv(path, *output.object_columns(traj))
     assert rows == len(traj.times)
     meta, cols = output.read_csv(path)
     assert list(cols) == ["t1_us", "beta"]
@@ -131,7 +131,8 @@ def test_emit_trajectory_columns(tmp_path):
 
 def test_emit_rejects_unknown_type(tmp_path):
     with pytest.raises(TypeError, match="cannot emit"):
-        output.emit_csv({"not": "a curve"}, str(tmp_path / "x.csv"))
+        output.write_csv(str(tmp_path / "x.csv"),
+                         *output.object_columns({"not": "a curve"}))
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):

@@ -120,8 +120,9 @@ def test_printer_canonical_format():
 
 def test_compile_sequence_segments():
     cluster = build_cluster("100", radius=1.0, max_sites=2)
-    plan = pp.compile(pp.parse(SEQ1_TEXT), cluster)
-    assert plan.initial_state_kind == "dipolar"
+    program = pp.parse(SEQ1_TEXT)
+    assert program.init_kind == "dipolar"
+    plan = pp.compile(program, cluster)
     seg = plan.segments
     assert isinstance(seg[0], engine.Pulse) and seg[0].angle == pytest.approx(
         np.pi / 2)
