@@ -12,16 +12,16 @@ exponentials go through Hermitian eigendecomposition, so propagators are
 unitary to round-off.
 
 The engine works in symmetry blocks. :func:`evolve` carries Delta in the
-sorted basis of :func:`~magicecho.operators.sector_layout` and permutes it
-back once at the end. H' is block-diagonal in magnetization and the burst
+sorted basis of :func:`~magicecho.operators.sector_layout`. H' is
+block-diagonal in magnetization and the burst
 Hamiltonian in the parity of the down-spin count, so an eigendecomposition
 is a tuple of (slice, w, v) blocks over contiguous slices of that basis,
 each built real symmetric in sorted positions. :func:`_factors` forms each
 block of exp(-iHt) from two real products, one block at a time, for
 propagation in place, the verify errors and A3. The global spin flip X maps
-burst(+) onto burst(-), so burst(-) is burst(+) with the eigenvector rows
-permuted by X, and the ideal burst -H'/2 is H' with the eigenvalues scaled
-by -1/2; neither is decomposed again. Decompositions are cached
+burst(+) onto burst(-), so a burst(-) block factor is a burst(+) one with
+rows and columns permuted by X, and the ideal burst -H'/2 is H' with the
+eigenvalues scaled by -1/2; neither is decomposed again. Decompositions are cached
 process-wide for the most recent coupling table, so a sweep decomposes
 each distinct Hamiltonian once.
 
@@ -29,11 +29,22 @@ Acquisition works in the eigenbasis of H', where each sample is a phase sum
 over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
 observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
 meeting one block of Delta. Delta is then advanced by the propagator of the
-whole window. So a run holds one d x d Delta of its own, besides the
-caller's initial state, and at most one d x d work buffer (the second
-buffer of a pulse, or Delta back in the product basis at the end). A pulse
-applies the single-site 2x2 factor to every site index of Delta
-(:func:`~magicecho.operators.rotate`). After every segment Tr(Delta) and
+whole window. A pulse permutes Delta into the product basis in place,
+applies the single-site 2x2 factor to every site index
+(:func:`~magicecho.operators.rotate`) and permutes it back, all through
+one d x d work buffer.
+
+Memory: a state built in sorted positions is handed to the run, which
+advances it in place, so a single run holds one d x d Delta. Besides it
+there are the cached real eigenvectors (a quarter of a dense operator per
+decomposed burst or average Hamiltonian, under a tenth for H'), then
+either a pulse's work buffer or one parity-class factor in the making,
+and propagation products of at most _CHUNK_BYTES. A seq1 point so peaks
+at about 2.34 dense complex operators of 16 d^2 bytes. A state in the
+product basis stays the caller's: the run sorts a copy of it and returns
+the final state unsorted. Before it allocates, a run, ``verify`` and A3
+estimate their peak this way and refuse, with a ValueError, one that
+exceeds the available memory. After every segment Tr(Delta) and
 the Frobenius norm sqrt(Tr(Delta^2)), both unchanged by the sorting, are
 checked against their initial values, and every acquired sample must be
 real; a failure, a NaN included, raises
@@ -42,6 +53,8 @@ real; a failure, a NaN included, raises
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,10 +152,16 @@ class PropagationPlan:
 
 @dataclass
 class DeviationState:
-    """Traceless deviation Delta of the density matrix, scaled by beta."""
+    """Traceless deviation Delta of the density matrix, scaled by beta.
+
+    With ``sorted_basis`` its rows and columns are in the sorted positions
+    of :func:`~magicecho.operators.sector_layout`, and :func:`evolve`
+    takes it as the run's own (see there).
+    """
 
     delta: np.ndarray
     beta: float = 1.0
+    sorted_basis: bool = False
 
     def __post_init__(self):
         d = np.asarray(self.delta, complex)
@@ -151,11 +170,15 @@ class DeviationState:
         scale = float(np.linalg.norm(d))
         if not np.isfinite(scale):
             raise ValueError("delta must be finite")
-        # row slabs against column slabs: no temporary as large as delta
-        slab = max(1, d.shape[0] // 16)
-        residual = np.sqrt(sum(
-            np.linalg.norm(d[k:k + slab] - d[:, k:k + slab].conj().T) ** 2
-            for k in range(0, d.shape[0], slab)))
+        # tile (i, j) against tile (j, i): each pair is read once, as
+        # small blocks, and counted twice off the diagonal
+        b = _TILE
+        residual = 0.0
+        for i in range(0, d.shape[0], b):
+            for j in range(i, d.shape[0], b):
+                t = d[i:i + b, j:j + b] - d[j:j + b, i:i + b].conj().T
+                residual += (1 + (j > i)) * np.vdot(t, t).real
+        residual = np.sqrt(residual)
         if not residual <= HERMITICITY_TOL * max(1.0, scale):
             raise ValueError("delta must be Hermitian")
         if not self.beta > 0:
@@ -179,7 +202,8 @@ class SignalCurve:
 INITIAL_STATE_KINDS = ("ix", "dipolar", "seq2")
 
 
-def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0) -> DeviationState:
+def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0,
+                  sorted_basis: bool = False) -> DeviationState:
     """Deviation states the pulse programs start from.
 
     'ix'      ->  beta * I_x            (transverse order after a 90 pulse,
@@ -190,20 +214,22 @@ def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0) -> DeviationS
                                         (dipolar order tilted by a 45-degree
                                          pulse about y, written out explicitly)
 
-    Each is built in a single d x d buffer.
+    Each is built in a single d x d buffer, in the product basis or
+    (``sorted_basis``) straight in sorted positions.
     """
     a = ops.couplings_of(cluster_or_matrix)
     if kind == "ix":
-        delta = ops.collective("x", a.shape[0])
+        delta = ops.collective("x", a.shape[0], sorted_basis)
         delta *= beta
     elif kind == "dipolar":
-        delta = ops.operator_sum(a, hd=-beta)
+        delta = ops.operator_sum(a, hd=-beta, sorted_basis=sorted_basis)
     elif kind == "seq2":
         delta = ops.operator_sum(a, hd=-0.25 * beta, p=-(3.0 / 16.0) * beta,
-                                 q=(3.0 / 8.0) * beta)
+                                 q=(3.0 / 8.0) * beta,
+                                 sorted_basis=sorted_basis)
     else:
         raise ValueError(f"unknown initial state kind {kind!r}")
-    return DeviationState(delta=delta, beta=beta)
+    return DeviationState(delta, beta, sorted_basis)
 
 
 class EigenCache:
@@ -211,8 +237,9 @@ class EigenCache:
 
     :meth:`get` returns a tuple of (slice, w, v) blocks in the sorted basis:
     one per magnetization sector for H' and the ideal burst, one per parity
-    class for a burst and the average kind. burst(-) and the ideal burst are
-    derived from burst(+) and H' (see the module docstring). Only
+    class for a burst and the average kind. The ideal burst is derived
+    from H' (see the module docstring); a run takes burst(-) from the
+    burst(+) entry (:func:`_segment_factors`). Only
     the most recent coupling table is held: a lookup with another table
     drops every entry, so memory is bounded by the distinct Hamiltonian
     specs of one cluster. ``computed`` counts lookups since the last
@@ -243,30 +270,26 @@ class EigenCache:
     def _blocks(self, spec: HamiltonianSpec, a: np.ndarray) -> tuple:
         if spec in self._eigs:
             return self._eigs[spec]
-        layout = ops.sector_layout(a.shape[0])
         if spec.kind == "ideal_burst":
             blocks = [(s, -0.5 * w, v)
                       for s, w, v in self._blocks(_DIPOLAR, a)]
-        elif spec.kind == "burst" and spec.sign < 0:
-            # X H+ X = H-, and X keeps each parity class for even n and
-            # swaps the two for odd n
-            plus = self._blocks(replace(spec, sign=1), a)
-            blocks = []
-            for k, (s, _, _) in enumerate(plus):
-                t, w, v = plus[k ^ (a.shape[0] % 2)]
-                blocks.append((s, w, v[layout.flip[s] - t.start]))
         else:
             # I_z, H', P and H1 have real matrix elements, so each block is
             # built real symmetric, straight in sorted positions
+            layout = ops.sector_layout(a.shape[0])
             slices = layout.sectors if spec.kind == "dipolar" \
                 else layout.parities
             h1 = (ops.h1_parity_blocks(a, spec.omega1)
                   if spec.kind == "average" else None)
             blocks = []
-            for k, s in enumerate(slices):
-                h = ops.sector_block(a, s, s, **spec.terms)
-                if h1:
-                    h += h1[k][1] + h1[k][2]
+            for s in slices:
+                if h1 is None:
+                    h = ops.sector_block(a, s, s, **spec.terms)
+                else:   # H1's class block first: forming it is the peak
+                    _, h, cross = next(h1)
+                    h += cross
+                    del cross
+                    h += ops.sector_block(a, s, s, **spec.terms)
                 blocks.append((s, *np.linalg.eigh(h)))
             self.computed += 1
         for _, w, v in blocks:
@@ -281,23 +304,57 @@ EIGENSYSTEMS = EigenCache()
 
 _DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
+_CHUNK_BYTES = 2**24     # product slab of a propagation pass; d <= 1024 is
+                         # one slab
+_TILE = 128              # Hermiticity check tile edge
 
 
 def _factors(blocks, t: float):
     """Yield (slice, exp(-i H t) on it) per eigenblock (slice, w, v) of H,
-    each when asked for; v is real, so from two real products."""
+    each when asked for and held only by the caller; v is real, so from
+    two real products."""
     for s, w, v in blocks:
-        u = ((v * np.cos(w * t)) @ v.T).astype(complex)
-        u.imag = (v * -np.sin(w * t)) @ v.T
-        yield s, u
+        yield s, _factor(w, v, t)
 
 
-def _propagate(delta: np.ndarray, blocks, t: float) -> None:
-    """delta <- U delta U^dagger in place, U = exp(-i H t), applying each
-    block's row and column passes together (left and right commute)."""
-    for s, u in _factors(blocks, t):
-        delta[s] = u @ delta[s]
-        delta[:, s] = delta[:, s] @ np.conjugate(u, out=u).T
+def _factor(w, v, t):
+    u = ((v * np.cos(w * t)) @ v.T).astype(complex)
+    u.imag = (v * -np.sin(w * t)) @ v.T
+    return u
+
+
+def _segment_factors(spec: HamiltonianSpec, a: np.ndarray, t: float):
+    """:func:`_factors` of an Evolve segment's Hamiltonian.
+
+    burst(-) is X burst(+) X, and X keeps each parity class for even n and
+    swaps the two for odd n, so the burst(-) factor of class k is the
+    burst(+) factor of class k XOR (n mod 2), its rows and columns indexed
+    by the spin flip.
+    """
+    if spec.kind != "burst" or spec.sign > 0:
+        yield from _factors(EIGENSYSTEMS.get(spec, a), t)
+        return
+    n = a.shape[0]
+    layout = ops.sector_layout(n)
+    plus = EIGENSYSTEMS.get(replace(spec, sign=1), a)
+    for k, (c, w, v) in enumerate(plus):
+        s = layout.parities[k ^ n % 2]
+        i = layout.flip[s] - c.start
+        yield s, _factor(w, v, t)[np.ix_(i, i)]
+
+
+def _propagate(delta: np.ndarray, factors) -> None:
+    """delta <- U delta U^dagger in place, from U's blocks (slice, u),
+    applying each block's row and column passes together (left and right
+    commute), in slabs of at most _CHUNK_BYTES of product."""
+    for s, u in factors:
+        step = max(1, _CHUNK_BYTES // (16 * u.shape[0]))
+        for k in range(0, delta.shape[0], step):
+            delta[s, k:k + step] = u @ delta[s, k:k + step]
+        np.conjugate(u, out=u)
+        for k in range(0, delta.shape[0], step):
+            delta[k:k + step, s] = delta[k:k + step, s] @ u.T
+        del u   # before the next factor is formed
 
 
 def phase_sum(spectra, terms, times) -> np.ndarray:
@@ -343,6 +400,46 @@ def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
     return terms
 
 
+def _available_bytes() -> int:
+    """MemAvailable from /proc/meminfo, else the free physical pages."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(what: str, n: int, specs, arrays: int,
+                  pulses: bool = False) -> None:
+    """Refuse (ValueError) a job whose estimated peak exceeds the available
+    memory, before it allocates.
+
+    The estimate: ``arrays`` dense complex d x d arrays of 16 d^2 bytes,
+    the real eigenvectors EIGENSYSTEMS keeps for ``specs`` (8 bytes per
+    block entry: H' per sector, a burst or the average kind per parity
+    class; burst(-) and the ideal burst share theirs), and the larger of
+    a pulse's work buffer and the class factors being formed (three
+    complex (d/2) x (d/2) blocks).
+    """
+    d = 2**n
+    spectra = {"dipolar" if s.kind in ("dipolar", "ideal_burst")
+               else (s.kind, s.omega1) for s in specs}
+    # sum_k C(n, k)^2 = C(2n, n) entries over the sectors, d^2 / 2 over
+    # the two classes
+    cached = sum(8 * math.comb(2 * n, n) if key == "dipolar" else 4 * d * d
+                 for key in spectra)
+    need = (16 * d * d * arrays + cached
+            + max(16 * d * d * pulses, 12 * d * d))
+    available = _available_bytes()
+    if need > available:
+        raise ValueError(f"{what} at n = {n} would allocate an estimated "
+                         f"{need / 2**20:.0f} MiB, but only "
+                         f"{available / 2**20:.0f} MiB is available")
+
+
 def _check_drift(delta, norm0, tr0, where):
     tol = SEGMENT_DRIFT_TOL * max(1.0, norm0)
     if not abs(np.linalg.norm(delta) - norm0) <= tol:
@@ -355,30 +452,42 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     """Run a deviation state through a plan.
 
     Returns (final_state, curves) where curves holds one
-    :class:`SignalCurve` per Acquire segment, in plan order.
+    :class:`SignalCurve` per Acquire segment, in plan order. A state in
+    sorted positions is the run's own: it is advanced in place and returned
+    still sorted. A product-basis state is the caller's: the run sorts a
+    copy and returns the final state in the product basis.
     """
     a = ops.couplings_of(plan.cluster)
     n = a.shape[0]
     if state.delta.shape != (2**n, 2**n):
         raise ValueError("state dimension does not match the plan's cluster")
+    segments = plan.segments
+    _check_memory("this run", n, [
+        seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
+        for seg in segments if not isinstance(seg, Pulse)],
+        0 if state.sorted_basis else 2,
+        any(isinstance(seg, Pulse) for seg in segments))
     layout = ops.sector_layout(n)
-    delta = layout.sort(state.delta)   # the run's own copy, kept in place
+    delta = state.delta if state.sorted_basis else layout.sort(state.delta)
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
     curves = []
     t_abs = 0.0
-    for k, seg in enumerate(plan.segments):
+    for k, seg in enumerate(segments):
         where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Pulse):
-            # positive-gamma pulse convention: conjugate by exp(+i angle I).
-            # Rebinding frees each copy as soon as the next one exists
-            delta = layout.unsort(delta)
-            delta = layout.sort(ops.rotate(delta, seg.axis, -seg.angle,
-                                           overwrite=True))
+            # positive-gamma pulse convention: conjugate by exp(+i angle I),
+            # in the product basis, with one work buffer
+            work = np.empty_like(delta)
+            layout.unsort(delta, work)
+            ops.rotate(delta, seg.axis, -seg.angle, overwrite=True,
+                       spare=work)
+            layout.sort(delta, work)
+            del work
         elif isinstance(seg, Evolve):
             if seg.duration > 0.0:
-                _propagate(delta, EIGENSYSTEMS.get(seg.hamiltonian, a),
-                           seg.duration)
+                _propagate(delta, _segment_factors(seg.hamiltonian, a,
+                                                   seg.duration))
                 t_abs += seg.duration
         elif isinstance(seg, Acquire):
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
@@ -392,7 +501,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
             if not np.all(np.abs(s.imag) <= SIGNAL_IMAG_TOL
                           * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")
-            _propagate(delta, blocks, seg.window)
+            _propagate(delta, _factors(blocks, seg.window))
             curves.append(SignalCurve(
                 times=times, values=s.real, observable=seg.observable,
                 start=t_abs))
@@ -400,7 +509,9 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         _check_drift(delta, norm0, tr0, where)
-    return DeviationState(delta=layout.unsort(delta), beta=state.beta), curves
+    if state.sorted_basis:
+        return DeviationState(delta, state.beta, sorted_basis=True), curves
+    return DeviationState(layout.unsort(delta), state.beta), curves
 
 
 def halfcycle_duration(omega1: float, n_halfcycles):
@@ -425,16 +536,19 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     if n_halfcycles < 1 or n_halfcycles != int(n_halfcycles):
         raise ValueError("half-cycle count must be a positive integer")
     t1 = halfcycle_duration(omega1, int(n_halfcycles))
+    specs = (HamiltonianSpec("burst", 1, omega1),
+             HamiltonianSpec("average", omega1=omega1))
+    _check_memory("verify", n, (_DIPOLAR, *specs), 0)
     ideal = EIGENSYSTEMS.get(HamiltonianSpec("ideal_burst"), a)
     # exp(-i omega1 I_z t1) is diagonal: one phase per sorted state, from
     # its I_z eigenvalue n/2 - (number of down spins)
     down = (ops.sector_layout(n).order[:, None] >> np.arange(n) & 1).sum(1)
     u_z = np.exp(-1j * (omega1 * (0.5 * n - down)) * t1)[:, None]
     squares = np.zeros(2)
-    for k, ((c, u), (_, approx)) in enumerate(zip(*(
-            _factors(EIGENSYSTEMS.get(spec, a), t1)
-            for spec in (HamiltonianSpec("burst", 1, omega1),
-                         HamiltonianSpec("average", omega1=omega1))))):
+    burst, average = (EIGENSYSTEMS.get(spec, a) for spec in specs)
+    for k, ((c, w, v), (_, w_avg, v_avg)) in enumerate(zip(burst, average)):
+        u = _factor(w, v, t1)
+        approx = _factor(w_avg, v_avg, t1)
         approx *= -u_z[c]
         approx += u
         squares[1] += np.linalg.norm(approx) ** 2
@@ -443,6 +557,7 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
             r = slice(s.start - c.start, s.stop - c.start)
             u[r, r] -= u_z[s] * f
         squares[0] += np.linalg.norm(u) ** 2
+        del u, approx   # before the next class's factors are formed
     err0, err1 = np.sqrt(squares / 2**n)
     return {"t1": t1, "omega1": omega1, "n_halfcycles": int(n_halfcycles),
             "err0": float(err0), "err1": float(err1)}
@@ -461,11 +576,13 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     a = ops.couplings_of(cluster_or_matrix)
+    average = HamiltonianSpec("average", omega1=omega1)
+    _check_memory("A3", a.shape[0], (_DIPOLAR, average), 1)
     layout = ops.sector_layout(a.shape[0])
     sectors = EIGENSYSTEMS.get(_DIPOLAR, a)
     u = np.zeros((layout.order.size,) * 2, complex)
-    for k, (c, g) in enumerate(_factors(EIGENSYSTEMS.get(
-            HamiltonianSpec("average", omega1=omega1), a), t1)):
+    for k, (c, w, v) in enumerate(EIGENSYSTEMS.get(average, a)):
+        g = _factor(w, v, t1)
         # H' sectors nest in the classes: each multiplies its own rows
         for s, f in _factors(sectors[k::2], 0.5 * t1):
             r = slice(s.start - c.start, s.stop - c.start)

@@ -127,12 +127,22 @@ def snap_t1(t1: float, omega1: float) -> float:
 def run_program(program, cluster, ideal_reversal=False, start=None,
                 label="", **meta) -> SignalCurve:
     """The signal of a program with exactly one acquire statement, run from
-    ``start`` or its init state and labelled with :func:`cluster_meta`."""
+    ``start`` or its init state and labelled with :func:`cluster_meta`.
+
+    The run owns the only copy of Delta it evolves: its init state, built
+    in sorted positions, or a sorted ``start`` handed over to it, or else
+    one sorted copy of a product-basis ``start``, which the caller keeps.
+    """
     plan = pulseprog.compile(program, cluster, ideal_reversal)
     if sum(isinstance(s, engine.Acquire) for s in plan.segments) != 1:
         raise ValueError("a signal needs exactly one acquire statement")
     if start is None:
-        start = engine.initial_state(program.init_kind, cluster)
+        start = engine.initial_state(program.init_kind, cluster,
+                                     sorted_basis=True)
+    elif not start.sorted_basis:
+        start = engine.DeviationState(
+            ops.sector_layout(ops.site_count(cluster)).sort(start.delta),
+            start.beta, sorted_basis=True)
     _, (curve,) = engine.evolve(start, plan)
     return replace(curve, label=label, meta=cluster_meta(
         cluster, ideal_reversal=bool(ideal_reversal), **meta))
@@ -151,21 +161,23 @@ def _program(name, cluster, omega1, t1, ideal_reversal, window, step):
     return pulseprog.sequence(name, half, 0.5 * t1, window, step)
 
 
-def _sequence1_start(part, cluster) -> engine.DeviationState:
+def _sequence1_start(part, cluster, sorted_basis=False
+                     ) -> engine.DeviationState:
     """The P-borne ('p') or H'-borne ('hd') part of the state after init
     dipolar + 90y pulse (exact: the tilt of H' has no other components)."""
-    a = ops.couplings_of(cluster)
-    return engine.DeviationState(ops.operator_sum(a, p=-3.0 / 8.0)
-                                 if part == "p"
-                                 else ops.operator_sum(a, hd=0.5))
+    coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
+    return engine.DeviationState(
+        ops.operator_sum(cluster, sorted_basis=sorted_basis, **coeffs),
+        sorted_basis=sorted_basis)
 
 
 def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
                     step, start=None) -> SignalCurve:
-    """A seq1 component, ``start`` or built by :func:`_sequence1_start`,
-    run through the seq1 program without its leading 90y pulse."""
+    """A seq1 component, ``start`` or built by :func:`_sequence1_start`
+    for the run to own, run through the seq1 program without its leading
+    90y pulse."""
     if start is None:
-        start = _sequence1_start(part, cluster)
+        start = _sequence1_start(part, cluster, sorted_basis=True)
     init, _, *rest = _program("seq1", cluster, omega1, t1, ideal_reversal,
                               window, step).statements
     return run_program(pulseprog.PulseProgram((init, *rest)), cluster,

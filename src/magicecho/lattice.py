@@ -16,11 +16,20 @@ free parameter.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+# CPython's builtin SHA-256: hashlib would load OpenSSL's libcrypto, a few
+# MB of every job's resident set, for one digest
+try:
+    from _sha2 import sha256              # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256        # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 GAMMA_F19 = 2.5166e4
 """Gyromagnetic ratio of 19F, rad s^-1 G^-1."""
@@ -196,7 +205,7 @@ class SpinCluster:
 
     @property
     def hash_hex(self) -> str:
-        h = hashlib.sha256()
+        h = sha256()
         h.update(np.ascontiguousarray(self.positions).tobytes())
         h.update(np.asarray(self.orientation.direction, float).tobytes())
         h.update(np.ascontiguousarray(self.couplings).tobytes())

@@ -15,8 +15,8 @@ X = prod sigma^x is a permutation of sorted positions.
 Every operator's matrix elements are listed once, from bit patterns of
 basis-state indices, and written out in one of two forms: dense complex128
 in the product basis (:func:`operator_sum`, :func:`collective` and the
-named builders), for states, the CLI and the tests; or as real blocks in
-sorted positions (:func:`sector_block`, :func:`collective_blocks`,
+named builders), for states, the CLI and the tests, or in sorted positions
+for a run's own initial state; or as real blocks in sorted positions (:func:`sector_block`, :func:`collective_blocks`,
 :func:`pair_raising_positions`; H1 in :func:`h1_parity_blocks`), which is
 all the engine builds of its Hamiltonians and observables.
 
@@ -123,19 +123,22 @@ def _entries(a, states, hd=0.0, p=0.0, q=0.0, iz=0.0, ix=0.0, iy=0.0):
         yield rows.ravel(), cols.ravel(), values.ravel()
 
 
-def _dense(a, **coeffs) -> np.ndarray:
-    states = np.arange(2 ** a.shape[0])
+def _dense(a, sorted_basis=False, **coeffs) -> np.ndarray:
+    layout = sector_layout(a.shape[0])
+    states = layout.order if sorted_basis else np.arange(layout.order.size)
     out = np.zeros((states.size, states.size), complex)
     for rows, cols, values in _entries(a, states, **coeffs):
-        out[rows, cols] = values
+        out[layout.position[rows] if sorted_basis else rows, cols] = values
     return out
 
 
-def operator_sum(cluster_or_matrix, hd=0.0, p=0.0, q=0.0, iz=0.0
-                 ) -> np.ndarray:
-    """hd H' + p P + q Q + iz I_z, dense in the product basis, built in one
-    buffer."""
-    return _dense(couplings_of(cluster_or_matrix), hd=hd, p=p, q=q, iz=iz)
+def operator_sum(cluster_or_matrix, hd=0.0, p=0.0, q=0.0, iz=0.0,
+                 sorted_basis=False) -> np.ndarray:
+    """hd H' + p P + q Q + iz I_z, dense in one buffer, in the product
+    basis or (``sorted_basis``) in the sorted positions of
+    :func:`sector_layout`."""
+    return _dense(couplings_of(cluster_or_matrix), sorted_basis, hd=hd, p=p,
+                  q=q, iz=iz)
 
 
 def sector_block(cluster_or_matrix, rows: slice, cols: slice, hd=0.0, p=0.0,
@@ -172,13 +175,24 @@ class SectorLayout(NamedTuple):
     parities: tuple
     flip: np.ndarray
 
-    def sort(self, op: np.ndarray) -> np.ndarray:
-        """op with rows and columns in sorted order."""
-        return op[np.ix_(self.order, self.order)]
+    def sort(self, op: np.ndarray, work=None) -> np.ndarray:
+        """op with rows and columns in sorted order. With ``work``, an
+        array like op, op itself is permuted, through work."""
+        return _permuted(op, self.order, work)
 
-    def unsort(self, op: np.ndarray) -> np.ndarray:
+    def unsort(self, op: np.ndarray, work=None) -> np.ndarray:
         """Inverse of :meth:`sort`."""
-        return op[np.ix_(self.position, self.position)]
+        return _permuted(op, self.position, work)
+
+
+def _permuted(op, index, work):
+    if work is None:
+        return op[np.ix_(index, index)]
+    # rows into work, then columns back into op; with mode 'clip' take
+    # writes straight into out ('raise' buffers a whole copy)
+    np.take(op, index, axis=0, out=work, mode="clip")
+    np.take(work, index, axis=1, out=op, mode="clip")
+    return op
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +228,11 @@ def _split_axis(axis: str):
     return sign, axis
 
 
-def collective(axis: str, n: int) -> np.ndarray:
-    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'."""
+def collective(axis: str, n: int, sorted_basis=False) -> np.ndarray:
+    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'.
+    ``sorted_basis`` as for :func:`operator_sum`."""
     sign, axis = _split_axis(axis)
-    return _dense(np.zeros((n, n)), **{"i" + axis: sign})
+    return _dense(np.zeros((n, n)), sorted_basis, **{"i" + axis: sign})
 
 
 def collective_blocks(axis: str, n: int) -> list:
@@ -295,7 +310,7 @@ _FACTOR_SITES = 4
 
 
 def rotate(op: np.ndarray, axis: str, angle: float,
-           overwrite: bool = False) -> np.ndarray:
+           overwrite: bool = False, spare=None) -> np.ndarray:
     """Conjugate: R op R^dagger with R = exp(-i * angle * I_axis).
 
     R is the kron of n copies of the site factor u, so op, read as a tensor
@@ -305,7 +320,8 @@ def rotate(op: np.ndarray, axis: str, angle: float,
     so after all of them the index order is restored: O(n 4^n), with no
     dense R. The products alternate between two buffers, and as their
     count is even the result lands in the first: op itself with
-    ``overwrite`` if op is complex and C-contiguous, otherwise a copy.
+    ``overwrite`` if op is complex and C-contiguous, otherwise a copy. The
+    second is ``spare`` if given (an array like op), else a new one.
     """
     n = int(round(np.log2(op.shape[0])))
     if 2**n != op.shape[0]:
@@ -315,7 +331,7 @@ def rotate(op: np.ndarray, axis: str, angle: float,
                for k in range(0, n, _FACTOR_SITES)]
     out = (op if overwrite and op.dtype == complex and op.flags.c_contiguous
            else np.array(op, complex, order="C"))
-    spare = np.empty_like(out)
+    spare = np.empty_like(out) if spare is None else spare
     for f in factors + [f.conj() for f in factors]:
         np.matmul(out.reshape(f.shape[0], -1).T, f.T,
                   out=spare.reshape(-1, f.shape[0]))
@@ -359,25 +375,32 @@ def tilt_decompose(cluster_or_matrix, theta: float) -> TiltReport:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    c = a @ b
+    c -= b @ a
+    return c
 
 
-def h1_parity_blocks(cluster_or_matrix, omega1: float) -> list:
+def h1_parity_blocks(cluster_or_matrix, omega1: float):
     """The two parts of :func:`magnus_first_correction` as real blocks
     (slice, double_quantum, cross) on each parity class, the only nonzero
-    blocks. H2 lowers the down-spin count by two, so in sorted order it is
-    the upper triangle of P's class block."""
+    blocks, yielded one class at a time. H2 lowers the down-spin count by
+    two, so in sorted order it is the upper triangle of P's class block."""
     if omega1 <= 0:
         raise ValueError("omega1 must be positive")
     a = couplings_of(cluster_or_matrix)
-    blocks = []
     for s in sector_layout(a.shape[0]).parities:
-        h2 = np.triu(sector_block(a, s, s, p=1.0))
-        blocks.append((s, (3.0 / 8.0) ** 2 * commutator(h2, h2.T)
-                       / (2.0 * omega1),
-                       (3.0 / 16.0) * commutator(sector_block(a, s, s, hd=1.0),
-                                                 h2.T - h2) / (2.0 * omega1)))
-    return blocks
+        yield (s, *_h1_class_blocks(a, s, omega1))
+
+
+def _h1_class_blocks(a, s, omega1):
+    h2 = np.triu(sector_block(a, s, s, p=1.0))
+    cross = commutator(sector_block(a, s, s, hd=1.0), h2.T - h2)
+    cross *= 3.0 / 16.0
+    cross /= 2.0 * omega1
+    dq = commutator(h2, h2.T)
+    dq *= (3.0 / 8.0) ** 2
+    dq /= 2.0 * omega1
+    return dq, cross
 
 
 def magnus_first_correction(cluster_or_matrix, omega1: float):

@@ -194,9 +194,13 @@ def _integrate(kernel: KernelSpec, t_end: float, n_steps: int):
     rhs[0] = y0
 
     def mul(u, v, n):
-        # first n coefficients of the product. A short factor is convolved
+        # first n coefficients of the product. Terms past n of a factor
+        # cannot reach them, and an FFT's round-off is relative to the
+        # largest coefficient, so with a growing beta they would swamp the
+        # first n; they are cut first. A short factor is convolved
         # directly: faster, and its round-off stays relative to each
         # coefficient, which a coarse grid with a growing beta needs
+        u, v = u[:n], v[:n]
         if min(u.size, v.size) <= 32:
             return np.convolve(u, v)[:n]
         fft_size = 1 << (u.size + v.size - 2).bit_length()

@@ -5,6 +5,7 @@ captured stdout, or emitted CSV/manifest files.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -299,6 +300,33 @@ def test_run_error_codes(tmp_path):
     bad = tmp_path / "bad.pp"
     bad.write_text("frobnicate 3us\n")
     assert run_main(["run", str(bad)] + base) == 2             # parse error
+
+
+def test_jobs_over_the_available_memory_exit_2(monkeypatch, capsys):
+    # the estimate and the available memory are both in the message
+    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**20)
+    base = ["--orientation", "100", "--radius", "2", "--max-sites", "8"]
+    for argv in (["run", "builtin:seq1"] + base,
+                 ["run", "builtin:seq2", "--t1-grid", "2:4:2hc"] + base):
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"an estimated \d+ MiB, but only 1 MiB", err), err
+
+
+def test_jobs_do_not_load_openssl():
+    # hashlib's OpenSSL binding would add a few MB to every job's resident
+    # set; the cluster hash uses CPython's builtin SHA-256
+    jobs = [["run", "builtin:seq1", "--max-sites", "6"],
+            ["thermo", "--orientation", "100", "--t-end-us", "20"]]
+    code = ("import json, sys\n"
+            "from magicecho import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_run_needs_exactly_one_acquire(tmp_path, capsys):

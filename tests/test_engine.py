@@ -400,6 +400,81 @@ def test_pp_run_peak_memory_is_bounded():
     assert peak <= PEAK_OPERATORS * 16 * 256**2
 
 
+# the same program at n = 9 (d = 512) as a single run through
+# experiments.run_program: the run builds its start in sorted positions and
+# owns it, so it holds Delta, a pulse's work buffer and the cached
+# eigenvectors (measured 2.34)
+RUN_PEAK_OPERATORS = 2.5
+
+
+def test_single_run_peak_memory_is_bounded():
+    import tracemalloc
+
+    from magicecho import experiments, pulseprog
+
+    cluster = build_cluster("110", radius=2.0, max_sites=9)
+    program = pulseprog.parse(_PEAK_PROGRAM)
+    ops.sector_layout(9)
+    ops.collective_blocks("y", 9)
+    engine.EIGENSYSTEMS.clear()
+    tracemalloc.start()
+    try:
+        curve = experiments.run_program(program, cluster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.values.size == 121
+    assert peak <= RUN_PEAK_OPERATORS * 16 * 512**2
+
+
+def test_sorted_state_is_the_runs_own(four_spin):
+    # a sorted state is advanced in place and returned sorted; a product
+    # state is left alone and the result comes back in the product basis
+    layout = ops.sector_layout(4)
+    plan = PropagationPlan(cluster=four_spin, segments=(
+        Pulse("y", 0.7), Evolve(HamiltonianSpec("burst", -1, 3e5), 2e-5),
+        Acquire("x", 1e-5, 1e-6)))
+    product = initial_state("seq2", four_spin)
+    kept = product.delta.copy()
+    own = initial_state("seq2", four_spin, sorted_basis=True)
+    np.testing.assert_array_equal(own.delta, layout.sort(kept))
+    out, (curve,) = evolve(product, plan)
+    out_own, (curve_own,) = evolve(own, plan)
+    np.testing.assert_array_equal(product.delta, kept)
+    assert out_own.sorted_basis and out_own.delta is own.delta
+    np.testing.assert_allclose(layout.unsort(out_own.delta), out.delta,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(curve_own.values, curve.values)
+
+
+def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
+    cluster = build_cluster("100", radius=2.0, max_sites=8)
+    omega1 = 10.0 * local_field(cluster)
+    plan = PropagationPlan(cluster=cluster, segments=(
+        Pulse("y", 0.5), Acquire("x", 1e-5, 1e-6)))
+    # n = 8: a dense operator is 1 MiB, so no job fits in 1 MiB
+    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**20)
+    message = r"an estimated \d+ MiB, but only 1 MiB is available"
+    with pytest.raises(ValueError, match="this run .*" + message):
+        evolve(initial_state("ix", cluster), plan)
+    with pytest.raises(ValueError, match="verify .*" + message):
+        verify_average_hamiltonian(cluster, omega1)
+    with pytest.raises(ValueError, match="A3 .*" + message):
+        effective_propagator_a3(cluster, omega1, 1e-6)
+    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**30)
+    evolve(initial_state("ix", cluster), plan)
+
+
+def test_available_memory_without_proc_meminfo(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr(engine, "open", missing, raising=False)
+    pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
+    assert engine._available_bytes() == 4096000
+
+
 # verify plus A3 at n = 8, eigendecompositions included, in the same
 # units: the cached spectra, one class factor at a time and A3's d x d
 # result (measured 2.37; 4.25 with dense sorted unitaries)
@@ -424,26 +499,31 @@ def test_verify_and_a3_peak_memory_is_bounded():
     assert peak <= VERIFY_PEAK_OPERATORS * 16 * 256**2
 
 
-def test_burst_minus_is_burst_plus_under_spin_flip():
+def test_burst_minus_is_burst_plus_under_spin_flip(monkeypatch):
+    # a run takes the burst(-) factors from the burst(+) spectra, indexed
+    # by the spin flip X (which swaps the parity classes for odd n): they
+    # must be exp(-i H- t) of the true burst(-), with no eigh of their own
     rng = np.random.default_rng(3)
+    plus = HamiltonianSpec("burst", 1, 3e5)
+    minus = HamiltonianSpec("burst", -1, 3e5)
     for n in (4, 5):
         a = rng.normal(scale=1e4, size=(n, n))
         a = a + a.T
+        layout = ops.sector_layout(n)
+        h_plus, h_minus = (layout.sort(build_hamiltonian(spec, a))
+                           for spec in (plus, minus))
+        np.testing.assert_array_equal(
+            h_plus[np.ix_(layout.flip, layout.flip)], h_minus)
         cache = engine.EigenCache()
-        plus = cache.get(HamiltonianSpec("burst", 1, 3e5), a)
-        minus = cache.get(HamiltonianSpec("burst", -1, 3e5), a)
+        monkeypatch.setattr(engine, "EIGENSYSTEMS", cache)
+        t = 2.0e-5
+        for spec, h in ((plus, h_plus), (minus, h_minus)):
+            got = np.zeros_like(h)
+            for s, u in engine._segment_factors(spec, a, t):
+                got[s, s] = u
+            exact = expm_hermitian(h, t)
+            np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
         assert (cache.computed, cache.reused) == (1, 1)
-        h_minus = ops.sector_layout(n).sort(
-            build_hamiltonian(HamiltonianSpec("burst", -1, 3e5), a))
-        for (s, w, v), (s_plus, w_plus, _) in zip(minus, plus):
-            block = h_minus[s, s]
-            scale = np.abs(block).max()
-            # eigenpairs of the true burst(-) block, off-block part zero
-            np.testing.assert_allclose(block @ v, v * w, atol=1e-12 * scale)
-            assert not np.any(np.delete(h_minus[s], np.r_[s], axis=1))
-        # odd n: X swaps the parity classes, so the spectra swap too
-        if n % 2:
-            np.testing.assert_array_equal(minus[0][1], plus[1][1])
 
 
 def test_phase_sum_blocks_match_direct_sum():

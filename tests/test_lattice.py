@@ -110,6 +110,17 @@ def test_cluster_build_is_deterministic():
     assert c3.hash_hex != c1.hash_hex
 
 
+def test_cluster_hash_is_sha256_of_its_arrays():
+    import hashlib
+
+    c = build_cluster("111", radius=2.0, max_sites=8)
+    digest = hashlib.sha256(
+        np.ascontiguousarray(c.positions).tobytes()
+        + np.asarray(c.orientation.direction, float).tobytes()
+        + np.ascontiguousarray(c.couplings).tobytes()).hexdigest()
+    assert c.hash_hex == digest[:12]
+
+
 def test_pair_second_moment_closed_form():
     # Isolated pair with coupling a: M2 = (9/16) a^2, omega_L = sqrt(3) a / 4.
     cl = build_cluster("100", radius=1.0, max_sites=2)

@@ -302,3 +302,27 @@ def test_sector_blocks_tile_the_sorted_dense_operators(a):
             built[ops.pair_raising_positions(i, j, n)] = 1.0
             np.testing.assert_array_equal(
                 built, layout.sort(ops.nonsecular_pair_raising(one_pair)[0]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(coupling_tables())
+def test_sorted_builds_and_in_place_permutations(a):
+    # the sorted-basis builds are the sorted product-basis operators, and
+    # sort/unsort through a work buffer permute op itself
+    n = a.shape[0]
+    layout = ops.sector_layout(n)
+    coeffs = {"hd": 0.7, "p": -0.3, "q": 1.1, "iz": 2.0}
+    product = ops.operator_sum(a, **coeffs)
+    np.testing.assert_array_equal(
+        ops.operator_sum(a, sorted_basis=True, **coeffs), layout.sort(product))
+    np.testing.assert_array_equal(ops.collective("-y", n, sorted_basis=True),
+                                  layout.sort(ops.collective("-y", n)))
+    op = product.copy()
+    work = np.empty_like(op)
+    assert layout.sort(op, work) is op
+    np.testing.assert_array_equal(op, layout.sort(product))
+    assert layout.unsort(op, work) is op
+    np.testing.assert_array_equal(op, product)
+    turned = ops.rotate(product, "x", 0.4)
+    assert ops.rotate(op, "x", 0.4, overwrite=True, spare=work) is op
+    np.testing.assert_array_equal(op, turned)
