@@ -164,20 +164,24 @@ class DeviationState:
     sorted_basis: bool = False
 
     def __post_init__(self):
-        d = np.asarray(self.delta, complex)
+        # C order: a run permutes and rotates a sorted Delta in place
+        d = np.ascontiguousarray(self.delta, complex)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("delta must be square")
         scale = float(np.linalg.norm(d))
         if not np.isfinite(scale):
             raise ValueError("delta must be finite")
-        # tile (i, j) against tile (j, i): each pair is read once, as
-        # small blocks, and counted twice off the diagonal
-        b = _TILE
+        # tile (i, j) against tile (j, i), 16 tiles a side: each pair is
+        # read once, as blocks small next to delta, and counted twice off
+        # the diagonal. einsum, not a BLAS dot, sums the squares: threaded
+        # dots of this size took up to 10 ms a call
+        b = max(1, d.shape[0] // 16)
         residual = 0.0
         for i in range(0, d.shape[0], b):
             for j in range(i, d.shape[0], b):
-                t = d[i:i + b, j:j + b] - d[j:j + b, i:i + b].conj().T
-                residual += (1 + (j > i)) * np.vdot(t, t).real
+                t = (d[i:i + b, j:j + b]
+                     - d[j:j + b, i:i + b].conj().T).view(float)
+                residual += (1 + (j > i)) * np.einsum("ij,ij->", t, t)
         residual = np.sqrt(residual)
         if not residual <= HERMITICITY_TOL * max(1.0, scale):
             raise ValueError("delta must be Hermitian")
@@ -306,7 +310,6 @@ _DIPOLAR = HamiltonianSpec("dipolar")
 _PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
 _CHUNK_BYTES = 2**24     # product slab of a propagation pass; d <= 1024 is
                          # one slab
-_TILE = 128              # Hermiticity check tile edge
 
 
 def _factors(blocks, t: float):
@@ -588,4 +591,5 @@ def effective_propagator_a3(cluster_or_matrix, omega1: float,
             r = slice(s.start - c.start, s.stop - c.start)
             g[r] = f @ g[r]
         u[np.ix_(layout.order[c], layout.order[c])] = g
+        del g   # before the next class's factor is formed
     return u

@@ -439,12 +439,15 @@ def test_sorted_state_is_the_runs_own(four_spin):
     own = initial_state("seq2", four_spin, sorted_basis=True)
     np.testing.assert_array_equal(own.delta, layout.sort(kept))
     out, (curve,) = evolve(product, plan)
-    out_own, (curve_own,) = evolve(own, plan)
     np.testing.assert_array_equal(product.delta, kept)
-    assert out_own.sorted_basis and out_own.delta is own.delta
-    np.testing.assert_allclose(layout.unsort(out_own.delta), out.delta,
-                               rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(curve_own.values, curve.values)
+    # a Fortran-ordered array too: the state takes it in C order
+    for own in (own, DeviationState(np.asfortranarray(own.delta),
+                                    sorted_basis=True)):
+        out_own, (curve_own,) = evolve(own, plan)
+        assert out_own.sorted_basis and out_own.delta is own.delta
+        np.testing.assert_allclose(layout.unsort(out_own.delta), out.delta,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(curve_own.values, curve.values)
 
 
 def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
