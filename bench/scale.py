@@ -26,10 +26,10 @@ The tasks are
   Richardson value (4 D(h/2) - D(h)) / 3 drops the h^2 term. The record's
   value is |(that + M2) / M2|, and ``uncorrected`` is |(D(h) + M2) / M2|;
 * ``mirror``: the seq1 point as a pulse-program text, parsed and run by
-  ``experiments.run_program``, and its X mirror (pulses about -y, burst phases swapped), whose
-  signal is exactly -s(t) because X = prod sigma^x maps the + burst onto
-  the - burst and I_y onto -I_y and leaves H' alone. The record's value is
-  max|s + s_mirror| / max|s|.
+  ``experiments.run_program``, and its X mirror (pulses about -y, burst
+  phases swapped), whose signal is exactly -s(t) because X = prod sigma^x
+  maps the + burst onto the - burst and I_y onto -I_y and leaves H'
+  alone. The record's value is max|s + s_mirror| / max|s|.
 
 The child runs the task cold and times it. If that took under a second,
 it runs the task twice more, each time with the eigendecompositions

@@ -174,7 +174,7 @@ class DeviationState:
         # tile (i, j) against tile (j, i), 16 tiles a side: each pair is
         # read once, as blocks small next to delta, and counted twice off
         # the diagonal. einsum, not a BLAS dot, sums the squares: threaded
-        # dots of this size took up to 10 ms a call
+        # dots of this size took up to 10 ms a call on two cores
         b = max(1, d.shape[0] // 16)
         residual = 0.0
         for i in range(0, d.shape[0], b):

@@ -371,9 +371,9 @@ pulse 45 y
 acquire Iy for 60us step 0.5us
 """
 # peak traced numpy data of that run, in dense complex operators of
-# 16 d^2 bytes: the caller's initial Delta, the run's own Delta and one
-# work buffer, plus the eigenblocks (measured 4.0; a dense acquire and
-# dense Hamiltonians peak near 8.8)
+# 16 d^2 bytes: the caller's initial Delta, the run's sorted copy and one
+# work buffer, plus the eigenblocks (measured 3.5, 4.0 with a second
+# buffer per pulse; a dense acquire and dense Hamiltonians peak near 8.8)
 PEAK_OPERATORS = 4.5
 
 
@@ -403,7 +403,7 @@ def test_pp_run_peak_memory_is_bounded():
 # the same program at n = 9 (d = 512) as a single run through
 # experiments.run_program: the run builds its start in sorted positions and
 # owns it, so it holds Delta, a pulse's work buffer and the cached
-# eigenvectors (measured 2.34)
+# eigenvectors (measured 2.35)
 RUN_PEAK_OPERATORS = 2.5
 
 
@@ -480,7 +480,7 @@ def test_available_memory_without_proc_meminfo(monkeypatch):
 
 # verify plus A3 at n = 8, eigendecompositions included, in the same
 # units: the cached spectra, one class factor at a time and A3's d x d
-# result (measured 2.37; 4.25 with dense sorted unitaries)
+# result (measured 2.12; 4.25 with dense sorted unitaries)
 VERIFY_PEAK_OPERATORS = 3.0
 
 
