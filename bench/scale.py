@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Wall time, peak memory and exact-identity residuals of a seq1 point, an
-acquire, verify, the ideal seq2/seq1 ratio, the FID curvature and the seq1
-X mirror, by n.
+"""Wall time, peak memory and exact-identity residuals of a seq1 point, a
+seq1 sweep, an acquire, verify, the ideal seq2/seq1 ratio, the FID
+curvature and the seq1 X mirror, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -12,6 +12,8 @@ The tasks are
 
 * ``seq1``: ``experiments.sequence1_amplitude`` at omega1 = gamma * 30 G
   and t1 = 8 half-cycles, on the default 251-sample grid;
+* ``sweep``: ``experiments.sweep_t1("seq1", ...)`` at the seq1 point's
+  omega1 over t1 and 2 t1. The record's value is the amplitude at 2 t1;
 * ``acquire``: a program of I_x order and one I_x acquire over the same
   grid, run by ``experiments.run_program``;
 * ``verify``: ``engine.verify_average_hamiltonian`` at omega1 = 10 omega_L
@@ -54,7 +56,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "acquire", "verify", "ratio", "curvature", "mirror")
+TASKS = ("seq1", "sweep", "acquire", "verify", "ratio", "curvature", "mirror")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -86,6 +88,9 @@ def child(src: str, n: int, task: str) -> dict:
     def run():
         if task == "seq1":
             return experiments.sequence1_amplitude(cluster, omega1, t1)
+        if task == "sweep":
+            return experiments.sweep_t1("seq1", cluster, omega1,
+                                        [t1, 2 * t1]).values[-1]
         if task == "verify":
             report = engine.verify_average_hamiltonian(
                 cluster, 10.0 * local_field(cluster))

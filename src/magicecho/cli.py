@@ -271,7 +271,11 @@ def _cmd_dump_operator(args) -> int:
     omega1 = (None if args.omega1_gauss is None
               else cluster.constants.gamma * args.omega1_gauss)
     matrix = _OPERATOR_BUILDERS[args.name](cluster.couplings, omega1)
-    rows, cols = np.nonzero(matrix)
+    # d eps max|M| bounds the rounding of a length-d inner product, so an
+    # entry at or below it is the residue of terms that cancel exactly
+    size = np.abs(matrix)
+    rows, cols = np.nonzero(
+        size > matrix.shape[0] * np.finfo(float).eps * size.max())
     meta = {"name": args.name, "dim": str(matrix.shape[0]),
             "n_sites": str(cluster.n_sites),
             "orientation": cluster.orientation.label,

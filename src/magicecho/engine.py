@@ -11,8 +11,9 @@ while Delta evolves freely under the secular dipolar Hamiltonian. All
 exponentials go through Hermitian eigendecomposition, so propagators are
 unitary to round-off.
 
-The engine works in symmetry blocks. :func:`evolve` carries Delta in the
-sorted basis of :func:`~magicecho.operators.sector_layout`. H' is
+The engine works in symmetry blocks. A :class:`DeviationState` holds Delta
+in the sorted basis of :func:`~magicecho.operators.sector_layout`, and
+:func:`evolve` advances the state it is given in place. H' is
 block-diagonal in magnetization and the burst
 Hamiltonian in the parity of the down-spin count, so an eigendecomposition
 is a tuple of (slice, w, v) blocks over contiguous slices of that basis,
@@ -34,18 +35,15 @@ applies the single-site 2x2 factor to every site index
 (:func:`~magicecho.operators.rotate`) and permutes it back, all through
 one d x d work buffer.
 
-Memory: a state built in sorted positions is handed to the run, which
-advances it in place, so a single run holds one d x d Delta. Besides it
-there are the cached real eigenvectors (a quarter of a dense operator per
+Memory: a run holds one d x d Delta, the state's own. Besides it there
+are the cached real eigenvectors (a quarter of a dense operator per
 decomposed burst or average Hamiltonian, under a tenth for H'), then
 either a pulse's work buffer or one parity-class factor in the making,
 and propagation products of at most _CHUNK_BYTES. A seq1 point so peaks
-at about 2.34 dense complex operators of 16 d^2 bytes. A state in the
-product basis stays the caller's: the run sorts a copy of it and returns
-the final state unsorted. Before it allocates, a run, ``verify`` and A3
-estimate their peak this way and refuse, with a ValueError, one that
-exceeds the available memory. After every segment Tr(Delta) and
-the Frobenius norm sqrt(Tr(Delta^2)), both unchanged by the sorting, are
+at about 2.34 dense complex operators of 16 d^2 bytes. Before it
+allocates, a run, ``verify`` and A3 estimate their peak this way and
+refuse, with a ValueError, one that exceeds the available memory. After
+every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are
 checked against their initial values, and every acquired sample must be
 real; a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
@@ -154,17 +152,17 @@ class PropagationPlan:
 class DeviationState:
     """Traceless deviation Delta of the density matrix, scaled by beta.
 
-    With ``sorted_basis`` its rows and columns are in the sorted positions
-    of :func:`~magicecho.operators.sector_layout`, and :func:`evolve`
-    takes it as the run's own (see there).
+    Delta's rows and columns are in the sorted positions of
+    :func:`~magicecho.operators.sector_layout`. A complex C-ordered array
+    is kept as given, not copied; any other is taken as a complex C-ordered
+    copy, the order in which :func:`evolve` permutes and rotates it in
+    place.
     """
 
     delta: np.ndarray
     beta: float = 1.0
-    sorted_basis: bool = False
 
     def __post_init__(self):
-        # C order: a run permutes and rotates a sorted Delta in place
         d = np.ascontiguousarray(self.delta, complex)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("delta must be square")
@@ -206,8 +204,8 @@ class SignalCurve:
 INITIAL_STATE_KINDS = ("ix", "dipolar", "seq2")
 
 
-def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0,
-                  sorted_basis: bool = False) -> DeviationState:
+def initial_state(kind: str, cluster_or_matrix,
+                  beta: float = 1.0) -> DeviationState:
     """Deviation states the pulse programs start from.
 
     'ix'      ->  beta * I_x            (transverse order after a 90 pulse,
@@ -218,22 +216,20 @@ def initial_state(kind: str, cluster_or_matrix, beta: float = 1.0,
                                         (dipolar order tilted by a 45-degree
                                          pulse about y, written out explicitly)
 
-    Each is built in a single d x d buffer, in the product basis or
-    (``sorted_basis``) straight in sorted positions.
+    Each is built in a single d x d buffer, straight in sorted positions.
     """
     a = ops.couplings_of(cluster_or_matrix)
     if kind == "ix":
-        delta = ops.collective("x", a.shape[0], sorted_basis)
+        delta = ops.collective("x", a.shape[0], sorted_basis=True)
         delta *= beta
     elif kind == "dipolar":
-        delta = ops.operator_sum(a, hd=-beta, sorted_basis=sorted_basis)
+        delta = ops.operator_sum(a, hd=-beta, sorted_basis=True)
     elif kind == "seq2":
         delta = ops.operator_sum(a, hd=-0.25 * beta, p=-(3.0 / 16.0) * beta,
-                                 q=(3.0 / 8.0) * beta,
-                                 sorted_basis=sorted_basis)
+                                 q=(3.0 / 8.0) * beta, sorted_basis=True)
     else:
         raise ValueError(f"unknown initial state kind {kind!r}")
-    return DeviationState(delta, beta, sorted_basis)
+    return DeviationState(delta, beta)
 
 
 class EigenCache:
@@ -454,11 +450,10 @@ def _check_drift(delta, norm0, tr0, where):
 def evolve(state: DeviationState, plan: PropagationPlan):
     """Run a deviation state through a plan.
 
-    Returns (final_state, curves) where curves holds one
-    :class:`SignalCurve` per Acquire segment, in plan order. A state in
-    sorted positions is the run's own: it is advanced in place and returned
-    still sorted. A product-basis state is the caller's: the run sorts a
-    copy and returns the final state in the product basis.
+    Returns (state, curves) where curves holds one :class:`SignalCurve`
+    per Acquire segment, in plan order. The state is the run's own: its
+    Delta, in sorted positions, is advanced in place, and the same object
+    is returned.
     """
     a = ops.couplings_of(plan.cluster)
     n = a.shape[0]
@@ -467,11 +462,10 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     segments = plan.segments
     _check_memory("this run", n, [
         seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
-        for seg in segments if not isinstance(seg, Pulse)],
-        0 if state.sorted_basis else 2,
+        for seg in segments if not isinstance(seg, Pulse)], 0,
         any(isinstance(seg, Pulse) for seg in segments))
     layout = ops.sector_layout(n)
-    delta = state.delta if state.sorted_basis else layout.sort(state.delta)
+    delta = state.delta
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
     curves = []
@@ -512,9 +506,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         _check_drift(delta, norm0, tr0, where)
-    if state.sorted_basis:
-        return DeviationState(delta, state.beta, sorted_basis=True), curves
-    return DeviationState(layout.unsort(delta), state.beta), curves
+    return state, curves
 
 
 def halfcycle_duration(omega1: float, n_halfcycles):

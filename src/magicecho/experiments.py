@@ -9,6 +9,8 @@ the same grid for every sequence makes amplitude ratios exact in the ideal
 limit. The echo sequences are the builtin programs of the pulseprog module,
 run by :func:`run_program` like any program; this module adds only the
 default grid, t1 validation and snapping, and the seq1 component split.
+Every run, each point of a sweep included, builds its own start state in
+the engine's sorted positions and advances it in place.
 
 All curves carry a ``macroscopic: False`` metadata flag: a handful of spins
 evolved unitarily realizes the exact density-matrix predictions, not the
@@ -129,20 +131,15 @@ def run_program(program, cluster, ideal_reversal=False, start=None,
     """The signal of a program with exactly one acquire statement, run from
     ``start`` or its init state and labelled with :func:`cluster_meta`.
 
-    The run owns the only copy of Delta it evolves: its init state, built
-    in sorted positions, or a sorted ``start`` handed over to it, or else
-    one sorted copy of a product-basis ``start``, which the caller keeps.
+    The run advances the state it is given, ``start`` or the init state it
+    builds, in place (see :func:`engine.evolve`): its Delta is the only
+    copy the run evolves.
     """
     plan = pulseprog.compile(program, cluster, ideal_reversal)
     if sum(isinstance(s, engine.Acquire) for s in plan.segments) != 1:
         raise ValueError("a signal needs exactly one acquire statement")
     if start is None:
-        start = engine.initial_state(program.init_kind, cluster,
-                                     sorted_basis=True)
-    elif not start.sorted_basis:
-        start = engine.DeviationState(
-            ops.sector_layout(ops.site_count(cluster)).sort(start.delta),
-            start.beta, sorted_basis=True)
+        start = engine.initial_state(program.init_kind, cluster)
     _, (curve,) = engine.evolve(start, plan)
     return replace(curve, label=label, meta=cluster_meta(
         cluster, ideal_reversal=bool(ideal_reversal), **meta))
@@ -161,23 +158,15 @@ def _program(name, cluster, omega1, t1, ideal_reversal, window, step):
     return pulseprog.sequence(name, half, 0.5 * t1, window, step)
 
 
-def _sequence1_start(part, cluster, sorted_basis=False
-                     ) -> engine.DeviationState:
-    """The P-borne ('p') or H'-borne ('hd') part of the state after init
-    dipolar + 90y pulse (exact: the tilt of H' has no other components)."""
-    coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
-    return engine.DeviationState(
-        ops.operator_sum(cluster, sorted_basis=sorted_basis, **coeffs),
-        sorted_basis=sorted_basis)
-
-
 def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
-                    step, start=None) -> SignalCurve:
-    """A seq1 component, ``start`` or built by :func:`_sequence1_start`
-    for the run to own, run through the seq1 program without its leading
-    90y pulse."""
-    if start is None:
-        start = _sequence1_start(part, cluster, sorted_basis=True)
+                    step) -> SignalCurve:
+    """A seq1 component, run from its part of the state after init dipolar
+    + 90y pulse, the P-borne ('p') or the H'-borne ('hd') one (exact: the
+    tilt of H' has no other components), through the seq1 program without
+    that pulse."""
+    coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
+    start = engine.DeviationState(
+        ops.operator_sum(cluster, sorted_basis=True, **coeffs))
     init, _, *rest = _program("seq1", cluster, omega1, t1, ideal_reversal,
                               window, step).statements
     return run_program(pulseprog.PulseProgram((init, *rest)), cluster,
@@ -199,34 +188,31 @@ def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
 
 
 def sequence1_amplitude(cluster, omega1, t1, ideal_reversal=False,
-                        window=None, step=None, start=None) -> float:
+                        window=None, step=None) -> float:
     """Peak |s| of the double-quantum-borne echo component, the only part
-    evolved. ``start`` is that component's state if already built (a sweep
-    builds it once)."""
+    evolved."""
     curve = _sequence1_part("p", cluster, omega1, t1, ideal_reversal, window,
-                            step, start)
+                            step)
     return float(np.abs(curve.values).max())
 
 
 def sequence2_signal(cluster, omega1, t1, ideal_reversal=False,
-                     window=None, step=None, start=None) -> SignalCurve:
+                     window=None, step=None) -> SignalCurve:
     """Echo of the 45-degree-first sequence, acquired from the echo center.
 
     The state after the 45-degree pulse carries dipolar-order, double-
     quantum and single-quantum parts; only the single-quantum part can
     reach the transverse observable (coherence order is conserved under
-    dipolar evolution), so no component splitting is needed. ``start`` is
-    the initial state if already built (a sweep builds it once).
+    dipolar evolution), so no component splitting is needed.
     """
     return run_program(_program("seq2", cluster, omega1, t1, ideal_reversal,
                                 window, step), cluster, ideal_reversal,
-                       start, "seq2", sequence="seq2", omega1=omega1, t1=t1)
+                       label="seq2", sequence="seq2", omega1=omega1, t1=t1)
 
 
 def sequence2_amplitude(cluster, omega1, t1, ideal_reversal=False,
-                        window=None, step=None, start=None) -> float:
-    curve = sequence2_signal(cluster, omega1, t1, ideal_reversal, window, step,
-                             start)
+                        window=None, step=None) -> float:
+    curve = sequence2_signal(cluster, omega1, t1, ideal_reversal, window, step)
     return float(np.abs(curve.values).max())
 
 
@@ -270,12 +256,8 @@ def sweep_t1(sequence: str, cluster, omega1, t1_grid, ideal_reversal=False,
         raise ValueError("t1 values must be nonnegative")
     executed = (requested if ideal_reversal
                 else np.array([snap_t1(t, omega1) for t in requested]))
-    # every point starts from the same state, so it is built once: seq1's
-    # P component, or the dipolar order seq2's program begins with
-    start = (_sequence1_start("p", cluster) if sequence == "seq1"
-             else engine.initial_state("dipolar", cluster))
-    amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step,
-                        start) for t in executed])
+    amps = np.array([op(cluster, omega1, t, ideal_reversal, window, step)
+                     for t in executed])
     meta = cluster_meta(cluster, sequence=sequence, omega1=omega1,
                         ideal_reversal=bool(ideal_reversal),
                         t1_requested=requested.tolist())

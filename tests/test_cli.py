@@ -572,6 +572,28 @@ def test_dump_operator_h1_needs_omega1(tmp_path):
     assert err.value.code == 2
 
 
+def test_dump_operator_lists_no_rounding_residue(tmp_path):
+    # H1 at n = 8 holds sums that cancel exactly but round to at most 5e-18
+    # of max|H1|; the floor is d eps max|H1|, and the smallest real entry is
+    # 3e-4 of max|H1|
+    from magicecho import operators as ops, pulseprog
+    from magicecho.lattice import build_cluster
+
+    out = str(tmp_path / "h1.csv")
+    assert run_main(["dump-operator", "--name", "h1", "--orientation", "100",
+                     "--radius", "2", "--max-sites", "8", "--out", out]) == 0
+    _, cols = output.read_csv(out)
+    listed = np.abs(cols["re"] + 1j * cols["im"])
+    floor = 256 * np.finfo(float).eps * listed.max()
+    assert listed.min() > floor
+    cluster = build_cluster("100", radius=2.0, max_sites=8)
+    h1, _ = ops.magnus_first_correction(
+        cluster.couplings,
+        cluster.constants.gamma * pulseprog.DEFAULT_AMPLITUDE_GAUSS)
+    assert listed.size == np.count_nonzero(np.abs(h1) > floor) \
+        < np.count_nonzero(h1)
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_all_checks_pass(capsys):

@@ -108,10 +108,14 @@ def test_hamiltonian_spec_validation():
 
 
 def test_initial_state_kinds():
+    # states are built in sorted positions
+    layout = ops.sector_layout(2)
     s = initial_state("ix", PAIR, beta=2.0)
-    np.testing.assert_allclose(s.delta, 2.0 * ops.collective("x", 2), atol=0.0)
+    np.testing.assert_allclose(layout.unsort(s.delta),
+                               2.0 * ops.collective("x", 2), atol=0.0)
     s = initial_state("dipolar", PAIR)
-    np.testing.assert_allclose(s.delta, -ops.secular_dipolar(PAIR), atol=0.0)
+    np.testing.assert_allclose(layout.unsort(s.delta),
+                               -ops.secular_dipolar(PAIR), atol=0.0)
     with pytest.raises(ValueError, match="unknown initial state"):
         initial_state("iy", PAIR)
 
@@ -120,9 +124,11 @@ def test_seq2_state_is_tilted_dipolar_order(four_spin):
     # the explicit seq2 mixture equals dipolar order conjugated by a
     # 45-degree pulse about y (positive-gamma convention)
     n = four_spin.n_sites
-    direct = initial_state("seq2", four_spin).delta
+    layout = ops.sector_layout(n)
+    direct = layout.unsort(initial_state("seq2", four_spin).delta)
     u = rotation("y", -np.pi / 4, n)
-    tilted = u @ initial_state("dipolar", four_spin).delta @ u.conj().T
+    tilted = (u @ layout.unsort(initial_state("dipolar", four_spin).delta)
+              @ u.conj().T)
     np.testing.assert_allclose(direct, tilted, atol=1e-9 * np.linalg.norm(tilted))
 
 
@@ -131,10 +137,11 @@ def test_pulse_segment_on_dipolar_order():
     state = initial_state("dipolar", PAIR)
     plan = PropagationPlan(cluster=PAIR, segments=(Pulse("y", np.pi / 2),))
     out, _ = evolve(state, plan)
+    delta = ops.sector_layout(2).unsort(out.delta)
     hd = ops.secular_dipolar(PAIR)
     _, _, p = ops.nonsecular_pair_raising(PAIR)
-    c_hd = np.trace(out.delta @ hd).real / np.trace(hd @ hd).real
-    c_p = np.trace(out.delta @ p.conj().T).real / np.trace(p @ p.conj().T).real
+    c_hd = np.trace(delta @ hd).real / np.trace(hd @ hd).real
+    c_p = np.trace(delta @ p.conj().T).real / np.trace(p @ p.conj().T).real
     assert c_hd == pytest.approx(0.5, abs=1e-12)
     assert c_p == pytest.approx(-0.375, abs=1e-12)
 
@@ -158,17 +165,20 @@ def test_pair_fid_closed_form():
 
 def test_dipolar_order_is_stationary():
     state = initial_state("dipolar", PAIR)
+    delta0 = state.delta.copy()   # the run advances state.delta in place
     plan = PropagationPlan(cluster=PAIR, segments=(
         Evolve(HamiltonianSpec("dipolar"), 1.0e-5),
         Acquire("x", 1.0e-5, 2.0e-6),
     ))
     out, (curve,) = evolve(state, plan)
     np.testing.assert_allclose(curve.values, 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.delta, state.delta, atol=1e-9)
+    np.testing.assert_allclose(out.delta, delta0, atol=1e-9)
 
 
 def test_acquire_grid_and_state_advance():
+    layout = ops.sector_layout(2)
     state = initial_state("ix", PAIR)
+    delta0 = layout.unsort(state.delta)   # a copy, taken before the run
     window, step = 1.0e-5, 3.0e-6
     plan = PropagationPlan(cluster=PAIR, segments=(Acquire("x", window, step),))
     out, (curve,) = evolve(state, plan)
@@ -176,8 +186,8 @@ def test_acquire_grid_and_state_advance():
                                atol=1e-18)
     # the state advances by the full window, not just to the last sample
     u = expm_hermitian(ops.secular_dipolar(PAIR), window)
-    expected = u @ state.delta @ u.conj().T
-    np.testing.assert_allclose(out.delta, expected, atol=1e-9)
+    expected = u @ delta0 @ u.conj().T
+    np.testing.assert_allclose(layout.unsort(out.delta), expected, atol=1e-9)
 
 
 def _stepwise_acquire(delta, a, observable, window, step, beta):
@@ -211,16 +221,18 @@ def test_spectral_acquire_matches_stepwise_oracle():
     delta0 = m + m.conj().T
     delta0 -= np.trace(delta0) / 32 * np.eye(32)
     beta = 2.0
+    layout = ops.sector_layout(5)
     for observable in ("x", "y"):
         plan = PropagationPlan(cluster=cluster,
                                segments=(Acquire(observable, window, step),))
-        out, (curve,) = evolve(DeviationState(delta0, beta), plan)
+        out, (curve,) = evolve(DeviationState(layout.sort(delta0), beta),
+                               plan)
         values, delta = _stepwise_acquire(delta0, a, observable, window,
                                           step, beta)
         assert curve.values.size == values.size == 76
         assert np.abs(curve.values - values).max() <= \
             1e-12 * np.abs(values).max()
-        assert np.linalg.norm(out.delta - delta) <= \
+        assert np.linalg.norm(layout.unsort(out.delta) - delta) <= \
             1e-12 * np.linalg.norm(delta)
 
 
@@ -290,11 +302,12 @@ def blocked_cases(draw):
 def test_blocked_evolve_matches_dense_oracle(case):
     a, delta0, segments = case
     beta = 1.5
-    out, curves = evolve(DeviationState(delta0, beta),
+    layout = ops.sector_layout(a.shape[0])
+    out, curves = evolve(DeviationState(layout.sort(delta0), beta),
                          PropagationPlan(cluster=a, segments=segments))
     delta, samples = _dense_evolve(delta0, beta, a, segments)
     scale = np.linalg.norm(delta0)
-    assert np.linalg.norm(out.delta - delta) <= 1e-10 * scale
+    assert np.linalg.norm(layout.unsort(out.delta) - delta) <= 1e-10 * scale
     got = np.concatenate([c.values for c in curves] + [np.zeros(0)])
     assert got.shape == samples.shape
     # |s| <= ||Delta|| / (beta ||O||), and ||O|| >= sqrt(2^n / 4)
@@ -347,7 +360,8 @@ def acquire_cases(draw):
 def test_blockwise_acquire_matches_dense_phase_sum(case):
     a, delta0, seg = case
     beta = 0.7
-    out, (curve,) = evolve(DeviationState(delta0, beta),
+    layout = ops.sector_layout(a.shape[0])
+    out, (curve,) = evolve(DeviationState(layout.sort(delta0), beta),
                            PropagationPlan(cluster=a, segments=(seg,)))
     samples, imag, delta = _dense_phase_sum_acquire(delta0, beta, a, seg)
     scale = np.linalg.norm(delta0)
@@ -356,7 +370,7 @@ def test_blockwise_acquire_matches_dense_phase_sum(case):
     assert np.abs(imag).max() <= 1e-10 * bound   # the oracle is sound
     assert curve.values.shape == samples.shape
     assert np.abs(curve.values - samples).max() <= 1e-10 * bound
-    assert np.linalg.norm(out.delta - delta) <= 1e-10 * scale
+    assert np.linalg.norm(layout.unsort(out.delta) - delta) <= 1e-10 * scale
 
 
 # a .pp run at n = 8 (d = 256): dipolar order, pulse, burst pair, delay,
@@ -371,9 +385,8 @@ pulse 45 y
 acquire Iy for 60us step 0.5us
 """
 # peak traced numpy data of that run, in dense complex operators of
-# 16 d^2 bytes: the caller's initial Delta, the run's sorted copy and one
-# work buffer, plus the eigenblocks (measured 3.5, 4.0 with a second
-# buffer per pulse; a dense acquire and dense Hamiltonians peak near 8.8)
+# 16 d^2 bytes: the run's Delta and one work buffer, plus the eigenblocks
+# (measured 2.39; a dense acquire and dense Hamiltonians peak near 8.8)
 PEAK_OPERATORS = 4.5
 
 
@@ -427,27 +440,72 @@ def test_single_run_peak_memory_is_bounded():
     assert peak <= RUN_PEAK_OPERATORS * 16 * 512**2
 
 
-def test_sorted_state_is_the_runs_own(four_spin):
-    # a sorted state is advanced in place and returned sorted; a product
-    # state is left alone and the result comes back in the product basis
+def test_sweep_peak_memory_is_bounded():
+    # every point of a sweep builds its own start and the run advances it
+    # in place, so a sweep peaks as a single run does (measured 2.37)
+    import tracemalloc
+
+    from magicecho import experiments
+
+    cluster = build_cluster("110", radius=2.0, max_sites=9)
+    omega1 = cluster.constants.gamma * 30.0
+    t1 = 8 * np.pi / omega1
+    ops.sector_layout(9)
+    ops.collective_blocks("y", 9)
+    engine.EIGENSYSTEMS.clear()
+    tracemalloc.start()
+    try:
+        curve = experiments.sweep_t1("seq1", cluster, omega1,
+                                     [t1, 2 * t1, 3 * t1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.values.size == 3
+    assert peak <= RUN_PEAK_OPERATORS * 16 * 512**2
+
+
+def test_run_advances_the_state_it_is_given(four_spin):
+    from magicecho import experiments, pulseprog
+
     layout = ops.sector_layout(4)
-    plan = PropagationPlan(cluster=four_spin, segments=(
-        Pulse("y", 0.7), Evolve(HamiltonianSpec("burst", -1, 3e5), 2e-5),
-        Acquire("x", 1e-5, 1e-6)))
-    product = initial_state("seq2", four_spin)
-    kept = product.delta.copy()
-    own = initial_state("seq2", four_spin, sorted_basis=True)
-    np.testing.assert_array_equal(own.delta, layout.sort(kept))
-    out, (curve,) = evolve(product, plan)
-    np.testing.assert_array_equal(product.delta, kept)
-    # a Fortran-ordered array too: the state takes it in C order
-    for own in (own, DeviationState(np.asfortranarray(own.delta),
-                                    sorted_basis=True)):
-        out_own, (curve_own,) = evolve(own, plan)
-        assert out_own.sorted_basis and out_own.delta is own.delta
-        np.testing.assert_allclose(layout.unsort(out_own.delta), out.delta,
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(curve_own.values, curve.values)
+    a = four_spin.couplings
+    segments = (Pulse("y", 0.7), Evolve(HamiltonianSpec("burst", -1, 3e5),
+                                        2e-5), Acquire("x", 1e-5, 1e-6))
+    plan = PropagationPlan(cluster=four_spin, segments=segments)
+    given = initial_state("seq2", four_spin).delta
+    expected, samples = _dense_evolve(layout.unsort(given), 1.0, a, segments)
+    expected = layout.sort(expected)
+    tol = 1e-12 * np.linalg.norm(given)
+    # a complex C-ordered Delta is the state's own: evolve advances it in
+    # place and returns the same state
+    state = DeviationState(given.copy())
+    kept = state.delta
+    out, (curve,) = evolve(state, plan)
+    assert out is state and out.delta is kept
+    np.testing.assert_allclose(kept, expected, rtol=0, atol=tol)
+    np.testing.assert_allclose(curve.values, samples, rtol=0,
+                               atol=1e-12 * np.abs(samples).max())
+    # a Fortran-ordered or real Delta is taken in C order as a copy, which
+    # the run advances; the given array is left as it was
+    assert not given.imag.any()   # so its real part is the same Delta
+    for other in (np.asfortranarray(given), given.real.copy()):
+        before = other.copy()
+        state = DeviationState(other)
+        assert state.delta is not other and state.delta.flags.c_contiguous
+        out, _ = evolve(state, plan)
+        assert out is state
+        np.testing.assert_array_equal(other, before)
+        np.testing.assert_allclose(state.delta, expected, rtol=0, atol=tol)
+    # run_program(start=s) runs s itself
+    program = pulseprog.parse("init dipolar\npulse 45 y\ndelay 10us\n"
+                              "acquire Iy for 5us step 1us\n")
+    start = initial_state("dipolar", four_spin)
+    own, _ = evolve(initial_state("dipolar", four_spin),
+                    pulseprog.compile(program, four_spin))
+    experiments.run_program(program, four_spin, start=start)
+    assert np.abs(start.delta - initial_state("dipolar", four_spin).delta
+                  ).max() > 1e-3 * np.abs(own.delta).max()
+    np.testing.assert_array_equal(start.delta, own.delta)
 
 
 def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
@@ -593,13 +651,14 @@ def test_burst_echo_improves_with_field(four_spin):
 
 def test_evolve_preserves_spectrum_over_ten_segments(four_spin):
     state = initial_state("seq2", four_spin)
+    delta0 = state.delta.copy()   # the run advances state.delta in place
     segs = []
     for k in range(5):
         segs.append(Pulse("x" if k % 2 else "y", 0.3 + 0.1 * k))
         segs.append(Evolve(HamiltonianSpec("dipolar"), 5.0e-6))
     plan = PropagationPlan(cluster=four_spin, segments=tuple(segs))
     out, _ = evolve(state, plan)
-    w_in = np.linalg.eigvalsh(state.delta)
+    w_in = np.linalg.eigvalsh(delta0)
     w_out = np.linalg.eigvalsh(out.delta)
     scale = max(1.0, np.abs(w_in).max())
     assert np.abs(w_in - w_out).max() < 1e-9 * scale

@@ -266,44 +266,6 @@ def test_rpw_rejects_nonpositive_tau(four_spin):
 
 # ------------------------------------------------------------- sweeps
 
-def test_sweep_builds_its_starting_state_once(four_spin, monkeypatch):
-    # every dense operator of a sweep goes through operator_sum (the
-    # Hamiltonians are built as blocks), so a sweep builds exactly one
-    built = []
-    real = ops.operator_sum
-    monkeypatch.setattr(ops, "operator_sum",
-                        lambda *a, **k: built.append(k) or real(*a, **k))
-    omega1 = 20.0 * local_field(four_spin)
-    grid = np.array([2, 4, 6]) * np.pi / omega1
-    for sequence in ("seq1", "seq2"):
-        built.clear()
-        curve = ex.sweep_t1(sequence, four_spin, omega1, grid)
-        assert curve.values.size == 3
-        assert len(built) == 1, (sequence, built)
-
-
-def test_reused_start_is_left_as_it_was(four_spin, monkeypatch):
-    # a run owns one sorted copy of a start it is given, so the caller's
-    # start comes back element for element: from run_program, and from a
-    # sweep, whose one start serves every point
-    omega1 = 20.0 * local_field(four_spin)
-    t1 = 4 * np.pi / omega1
-    start = engine.initial_state("dipolar", four_spin)
-    kept = start.delta.copy()
-    program = ex._program("seq2", four_spin, omega1, t1, False, None, None)
-    ex.run_program(program, four_spin, start=start)
-    np.testing.assert_array_equal(start.delta, kept)
-    built = []
-    real = ops.operator_sum
-    monkeypatch.setattr(ops, "operator_sum", lambda *a, **k: built.append(
-        (a, k, real(*a, **k))) or built[-1][2])
-    for sequence in ("seq1", "seq2"):
-        built.clear()
-        ex.sweep_t1(sequence, four_spin, omega1, [t1, 2 * t1])
-        ((args, kwargs, delta),) = built
-        np.testing.assert_array_equal(delta, real(*args, **kwargs))
-
-
 def test_sweep_single_point_matches_direct_call(four_spin):
     omega1 = 20.0 * local_field(four_spin)
     t1 = 4 * np.pi / omega1

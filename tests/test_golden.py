@@ -7,7 +7,8 @@ zero-burst sweep and the ideal rpw run before the builtin sequences got one
 definition, and lattice-info, the two dump-operator runs and the Gaussian
 thermo --divergence run before the CLI emitted every result from columns.
 thermo-micro-n9 was captured when the microscopic kernel's eight-site cap
-was lifted. A rerun must have the same metadata keys and columns, equal
+was lifted, and dump-h1-n4 recaptured when dump-operator stopped listing
+the rounding residue of matrix elements that are zero in exact arithmetic. A rerun must have the same metadata keys and columns, equal
 non-numeric metadata, and every column and numeric metadata value within
 GOLDEN_RTOL of that column's (or value's) maximum absolute value. A value
 that is a list of numbers, such as a sweep's t1_requested, must have the
