@@ -264,6 +264,19 @@ def test_rpw_rejects_nonpositive_tau(four_spin):
         ex.rpw_magic_echo(four_spin, 1.0e6, 0.0)
 
 
+def test_run_program_advances_a_given_start(four_spin):
+    # run_program(start=s) runs s itself: s ends as the run's final state
+    program = pp.parse("init dipolar\npulse 45 y\ndelay 10us\n"
+                       "acquire Iy for 5us step 1us\n")
+    start = engine.initial_state("dipolar", four_spin)
+    own, _ = engine.evolve(engine.initial_state("dipolar", four_spin),
+                           pp.compile(program, four_spin))
+    ex.run_program(program, four_spin, start=start)
+    assert np.abs(start.delta - engine.initial_state("dipolar", four_spin)
+                  .delta).max() > 1e-3 * np.abs(own.delta).max()
+    np.testing.assert_array_equal(start.delta, own.delta)
+
+
 # ------------------------------------------------------------- sweeps
 
 def test_sweep_single_point_matches_direct_call(four_spin):
