@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall time, peak memory and exact-identity residuals of a seq1 point, a
 seq1 sweep, an acquire, verify, the ideal seq2/seq1 ratio, the FID
-curvature and the seq1 X mirror, by n.
+curvature, the seq1 X mirror and three pulses, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -31,7 +31,11 @@ The tasks are
   ``experiments.run_program``, and its X mirror (pulses about -y, burst
   phases swapped), whose signal is exactly -s(t) because X = prod sigma^x
   maps the + burst onto the - burst and I_y onto -I_y and leaves H'
-  alone. The record's value is max|s + s_mirror| / max|s|.
+  alone. The record's value is max|s + s_mirror| / max|s|;
+* ``pulse``: ``engine.evolve`` of ``initial_state("dipolar")`` through
+  pulses of pi/4 about y, 0.5 about -x and 0.3 about z, with no acquire.
+  A pulse is unitary, so the record's value is |norm(Delta) /
+  norm(Delta_0) - 1|, 0 in exact arithmetic.
 
 The child runs the task cold and times it. If that took under a second,
 it runs the task twice more, each time with the eigendecompositions
@@ -56,7 +60,8 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "sweep", "acquire", "verify", "ratio", "curvature", "mirror")
+TASKS = ("seq1", "sweep", "acquire", "verify", "ratio", "curvature", "mirror",
+         "pulse")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -115,6 +120,14 @@ def child(src: str, n: int, task: str) -> dict:
             s = seq1_signal("y", "+", "-")
             s_mirror = seq1_signal("-y", "-", "+")
             return np.abs(s + s_mirror).max() / np.abs(s).max()
+        if task == "pulse":
+            state = engine.initial_state("dipolar", cluster)
+            norm0 = np.linalg.norm(state.delta)
+            plan = engine.PropagationPlan(cluster, (
+                engine.Pulse("y", np.pi / 4), engine.Pulse("-x", 0.5),
+                engine.Pulse("z", 0.3)))
+            out, _ = engine.evolve(state, plan)
+            return abs(np.linalg.norm(out.delta) / norm0 - 1.0)
         return float(signal("init ix\nacquire Ix " + grid)[-1])
 
     def timed():

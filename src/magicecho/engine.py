@@ -2,43 +2,43 @@
 
 A plan is a sequence of segments applied to a deviation state Delta (the
 traceless part of the density matrix, in units of the inverse spin
-temperature beta). Unitary segments conjugate Delta; acquisition segments
-sample a normalized transverse signal
+temperature beta, so no beta enters a signal). Unitary segments conjugate
+Delta; acquisition segments sample a normalized transverse signal
 
-    s(t) = Tr(Delta O) / (beta Tr(O^2))
+    s(t) = Tr(Delta O) / Tr(O^2)
 
 while Delta evolves freely under the secular dipolar Hamiltonian. All
 exponentials go through Hermitian eigendecomposition, so propagators are
 unitary to round-off.
 
 The engine works in symmetry blocks. A :class:`DeviationState` holds Delta
-in the sorted basis of :func:`~magicecho.operators.sector_layout`, and
-:func:`evolve` advances the state it is given in place. H' is
-block-diagonal in magnetization and the burst
-Hamiltonian in the parity of the down-spin count, so an eigendecomposition
-is a tuple of (slice, w, v) blocks over contiguous slices of that basis,
-each built real symmetric in sorted positions. :func:`_factors` forms each
-block of exp(-iHt) from two real products, one block at a time, for
-propagation in place, the verify errors and A3. The global spin flip X maps
-burst(+) onto burst(-), so a burst(-) block factor is a burst(+) one with
-rows and columns permuted by X, and the ideal burst -H'/2 is H' with the
-eigenvalues scaled by -1/2; neither is decomposed again. Decompositions are cached
-process-wide for the most recent coupling table, so a sweep decomposes
-each distinct Hamiltonian once.
+in the sorted basis of :func:`~magicecho.operators.sector_layout`, built
+there from a row of ``INITIAL_STATES``, and :func:`evolve` advances the
+state it is given in place. H' is block-diagonal in magnetization and the
+burst Hamiltonian in the parity of the down-spin count, so an
+eigendecomposition is a tuple of (slice, w, v) blocks over contiguous
+slices of that basis, each built real symmetric in sorted positions.
+:func:`_factors` forms each block of exp(-iHt) from two real products, one
+block at a time, for propagation in place, the verify errors and A3. The
+global spin flip X maps burst(+) onto burst(-), so a burst(-) block factor
+is a burst(+) one with rows and columns permuted by X, and the ideal burst
+-H'/2 is H' with the eigenvalues scaled by -1/2; neither is decomposed
+again. Decompositions are cached process-wide for the most recent coupling
+table, so a sweep decomposes each distinct Hamiltonian once.
 
 Acquisition works in the eigenbasis of H', where each sample is a phase sum
 over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
 observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
 meeting one block of Delta. Delta is then advanced by the propagator of the
-whole window. A pulse permutes Delta into the product basis in place,
-applies the single-site 2x2 factor to every site index
-(:func:`~magicecho.operators.rotate`) and permutes it back, all through
-one d x d work buffer.
+whole window. A pulse is one call,
+:func:`~magicecho.operators.rotate_sorted`: it permutes Delta into the
+product basis in place, applies the single-site 2x2 factor to every site
+index and permutes it back, all through one d x d work buffer.
 
 Memory: a run holds one d x d Delta, the state's own. Besides it there
 are the cached real eigenvectors (a quarter of a dense operator per
 decomposed burst or average Hamiltonian, under a tenth for H'), then
-either a pulse's work buffer or one parity-class factor in the making,
+either the pulse's work buffer or one parity-class factor in the making,
 and propagation products of at most _CHUNK_BYTES. A seq1 point so peaks
 at about 2.34 dense complex operators of 16 d^2 bytes. Before it
 allocates, a run, ``verify`` and A3 estimate their peak this way and
@@ -148,19 +148,19 @@ class PropagationPlan:
     segments: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviationState:
-    """Traceless deviation Delta of the density matrix, scaled by beta.
+    """Traceless deviation Delta of the density matrix, in units of beta.
 
-    Delta's rows and columns are in the sorted positions of
-    :func:`~magicecho.operators.sector_layout`. A complex C-ordered array
-    is kept as given, not copied; any other is taken as a complex C-ordered
-    copy, the order in which :func:`evolve` permutes and rotates it in
-    place.
+    Delta is in the sorted positions of
+    :func:`~magicecho.operators.sector_layout`, checked here to be square,
+    finite and Hermitian. A complex C-ordered array is kept as given; any
+    other is taken as a complex C-ordered copy, the form :func:`evolve`
+    advances in place. The field cannot be rebound, so every segment of a
+    run acts on the checked array.
     """
 
     delta: np.ndarray
-    beta: float = 1.0
 
     def __post_init__(self):
         d = np.ascontiguousarray(self.delta, complex)
@@ -183,9 +183,7 @@ class DeviationState:
         residual = np.sqrt(residual)
         if not residual <= HERMITICITY_TOL * max(1.0, scale):
             raise ValueError("delta must be Hermitian")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        self.delta = d
+        object.__setattr__(self, "delta", d)
 
 
 @dataclass(frozen=True)
@@ -201,35 +199,24 @@ class SignalCurve:
     meta: dict = field(default_factory=dict)
 
 
-INITIAL_STATE_KINDS = ("ix", "dipolar", "seq2")
+# The deviation states a pulse program starts from, as operator_sum
+# coefficients: I_x, transverse order after a 90 pulse, receiver phased so
+# s_x(0) = +1; -H', dipolar order, the high-temperature ADRF limit of the
+# equilibrium state; and -H' tilted by a 45-degree pulse about y, written
+# out as -(1/4 H' + 3/16 (H2 + H-2) - 3/8 Q)
+INITIAL_STATES = {
+    "ix": {"ix": 1.0},
+    "dipolar": {"hd": -1.0},
+    "seq2": {"hd": -0.25, "p": -3.0 / 16.0, "q": 3.0 / 8.0},
+}
 
 
-def initial_state(kind: str, cluster_or_matrix,
-                  beta: float = 1.0) -> DeviationState:
-    """Deviation states the pulse programs start from.
-
-    'ix'      ->  beta * I_x            (transverse order after a 90 pulse,
-                                         receiver phased so s_x(0) = +1)
-    'dipolar' -> -beta * H'             (dipolar order, high-temperature ADRF
-                                         limit of the equilibrium state)
-    'seq2'    -> -beta * (1/4 H' + 3/16 (H2+H-2) - 3/8 Q)
-                                        (dipolar order tilted by a 45-degree
-                                         pulse about y, written out explicitly)
-
-    Each is built in a single d x d buffer, straight in sorted positions.
-    """
-    a = ops.couplings_of(cluster_or_matrix)
-    if kind == "ix":
-        delta = ops.collective("x", a.shape[0], sorted_basis=True)
-        delta *= beta
-    elif kind == "dipolar":
-        delta = ops.operator_sum(a, hd=-beta, sorted_basis=True)
-    elif kind == "seq2":
-        delta = ops.operator_sum(a, hd=-0.25 * beta, p=-(3.0 / 16.0) * beta,
-                                 q=(3.0 / 8.0) * beta, sorted_basis=True)
-    else:
+def initial_state(kind: str, cluster_or_matrix) -> DeviationState:
+    """The INITIAL_STATES start ``kind``, built straight in sorted positions."""
+    if kind not in INITIAL_STATES:
         raise ValueError(f"unknown initial state kind {kind!r}")
-    return DeviationState(delta, beta)
+    return DeviationState(ops.operator_sum(
+        cluster_or_matrix, sorted_basis=True, **INITIAL_STATES[kind]))
 
 
 class EigenCache:
@@ -464,7 +451,6 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
         for seg in segments if not isinstance(seg, Pulse)], 0,
         any(isinstance(seg, Pulse) for seg in segments))
-    layout = ops.sector_layout(n)
     delta = state.delta
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
@@ -473,14 +459,8 @@ def evolve(state: DeviationState, plan: PropagationPlan):
     for k, seg in enumerate(segments):
         where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Pulse):
-            # positive-gamma pulse convention: conjugate by exp(+i angle I),
-            # in the product basis, with one work buffer
-            work = np.empty_like(delta)
-            layout.unsort(delta, work)
-            ops.rotate(delta, seg.axis, -seg.angle, overwrite=True,
-                       spare=work)
-            layout.sort(delta, work)
-            del work
+            # positive-gamma pulse convention: conjugate by exp(+i angle I)
+            ops.rotate_sorted(delta, seg.axis, -seg.angle)
         elif isinstance(seg, Evolve):
             if seg.duration > 0.0:
                 _propagate(delta, _segment_factors(seg.hamiltonian, a,
@@ -494,7 +474,7 @@ def evolve(state: DeviationState, plan: PropagationPlan):
             times = seg.times
             s = (phase_sum([w for _, w, _ in blocks],
                            _acquire_terms(blocks, obs, delta), times)
-                 / (state.beta * tro2))
+                 / tro2)
             if not np.all(np.abs(s.imag) <= SIGNAL_IMAG_TOL
                           * np.maximum(1.0, np.abs(s.real))):
                 raise InvariantViolation(f"complex signal in {where}")

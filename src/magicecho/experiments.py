@@ -1,6 +1,6 @@
 """Canned measurements: FID, time-reversal echo sequences, sweeps, decay times.
 
-Signals are dimensionless, s(t) = Tr(Delta O) / (beta Tr(O^2)), so the free
+Signals are dimensionless, s(t) = Tr(Delta O) / Tr(O^2), so the free
 induction decay starts at 1 and sequence amplitudes can be compared to
 max|dG/dt| with no free scale. Echo amplitudes are the peak |s| over an
 acquisition grid anchored at the predicted echo center; |dG/dt| is even
@@ -83,8 +83,13 @@ def fid_values(cluster, times) -> np.ndarray:
 
 def fid_derivative(cluster, times) -> np.ndarray:
     """dG/dt evaluated analytically from the same eigendecomposition."""
-    return engine.phase_sum(*_fid_terms(cluster, derivative=True),
-                            times).real
+    spectra, terms = _fid_terms(cluster, derivative=True)
+    g = engine.phase_sum(spectra, terms, times)
+    # sum |m| bounds |dG/dt| at every t, also at t = 0 where dG/dt vanishes
+    scale = sum(float(np.abs(m).sum()) for _, _, m in terms)
+    if not np.all(np.abs(g.imag) <= 1e-12 * scale):
+        raise engine.InvariantViolation("dG/dt acquired an imaginary part")
+    return g.real
 
 
 def fid(cluster, window=None, step=None) -> SignalCurve:

@@ -13,16 +13,19 @@ conserves) are then contiguous slices, and the global spin flip
 X = prod sigma^x is a permutation of sorted positions.
 
 Every operator's matrix elements are listed once, from bit patterns of
-basis-state indices, and written out in one of two forms: dense complex128
-in the product basis (:func:`operator_sum`, :func:`collective` and the
-named builders), for states, the CLI and the tests, or in sorted positions
-for a run's own initial state; or as real blocks in sorted positions (:func:`sector_block`, :func:`collective_blocks`,
-:func:`pair_raising_positions`; H1 in :func:`h1_parity_blocks`), which is
-all the engine builds of its Hamiltonians and observables.
+basis-state indices, and written out in one of three forms: dense in the
+product basis (:func:`operator_sum`, :func:`collective`, the named
+builders), for the CLI, ``verify`` and the tests; dense in sorted positions
+(:func:`operator_sum` with ``sorted_basis``), for a run's initial state; or
+real blocks in sorted positions (:func:`sector_block`,
+:func:`collective_blocks`, :func:`pair_raising_positions`; H1 in
+:func:`h1_parity_blocks`), all the engine builds of its Hamiltonians and
+observables.
 
-:func:`rotate` conjugates by a collective rotation without forming it: it
-applies the single-site 2x2 factor to every site index of the operator,
-O(N 4^N) instead of the O(8^N) of two dense products.
+:func:`rotate` conjugates by a collective rotation without forming it, into
+a new array: it applies the single-site 2x2 factor to every site index of
+the operator, O(N 4^N) instead of the O(8^N) of two dense products.
+:func:`rotate_sorted`, a run's pulse, does so in place in sorted positions.
 
 Sign conventions, fixed once here and relied on everywhere else:
 
@@ -132,13 +135,13 @@ def _dense(a, sorted_basis=False, **coeffs) -> np.ndarray:
     return out
 
 
-def operator_sum(cluster_or_matrix, hd=0.0, p=0.0, q=0.0, iz=0.0,
+def operator_sum(cluster_or_matrix, hd=0.0, p=0.0, q=0.0, iz=0.0, ix=0.0,
                  sorted_basis=False) -> np.ndarray:
-    """hd H' + p P + q Q + iz I_z, dense in one buffer, in the product
-    basis or (``sorted_basis``) in the sorted positions of
+    """hd H' + p P + q Q + iz I_z + ix I_x, dense in one buffer, in the
+    product basis or (``sorted_basis``) in the sorted positions of
     :func:`sector_layout`."""
     return _dense(couplings_of(cluster_or_matrix), sorted_basis, hd=hd, p=p,
-                  q=q, iz=iz)
+                  q=q, iz=iz, ix=ix)
 
 
 def sector_block(cluster_or_matrix, rows: slice, cols: slice, hd=0.0, p=0.0,
@@ -175,24 +178,13 @@ class SectorLayout(NamedTuple):
     parities: tuple
     flip: np.ndarray
 
-    def sort(self, op: np.ndarray, work=None) -> np.ndarray:
-        """op with rows and columns in sorted order. With ``work``, an
-        array like op, op itself is permuted, through work."""
-        return _permuted(op, self.order, work)
+    def sort(self, op: np.ndarray) -> np.ndarray:
+        """A copy of op with rows and columns in sorted order."""
+        return op[np.ix_(self.order, self.order)]
 
-    def unsort(self, op: np.ndarray, work=None) -> np.ndarray:
+    def unsort(self, op: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`sort`."""
-        return _permuted(op, self.position, work)
-
-
-def _permuted(op, index, work):
-    if work is None:
-        return op[np.ix_(index, index)]
-    # rows into work, then columns back into op; with mode 'clip' take
-    # writes straight into out ('raise' buffers a whole copy)
-    np.take(op, index, axis=0, out=work, mode="clip")
-    np.take(work, index, axis=1, out=op, mode="clip")
-    return op
+        return op[np.ix_(self.position, self.position)]
 
 
 @lru_cache(maxsize=None)
@@ -228,11 +220,10 @@ def _split_axis(axis: str):
     return sign, axis
 
 
-def collective(axis: str, n: int, sorted_basis=False) -> np.ndarray:
-    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'.
-    ``sorted_basis`` as for :func:`operator_sum`."""
+def collective(axis: str, n: int) -> np.ndarray:
+    """Total spin component I_axis = sum_i I_axis,i; axis may carry a '-'."""
     sign, axis = _split_axis(axis)
-    return _dense(np.zeros((n, n)), sorted_basis, **{"i" + axis: sign})
+    return _dense(np.zeros((n, n)), **{"i" + axis: sign})
 
 
 def collective_blocks(axis: str, n: int) -> list:
@@ -309,29 +300,54 @@ def _site_rotation(axis: str, angle: float) -> np.ndarray:
 _FACTOR_SITES = 4
 
 
-def rotate(op: np.ndarray, axis: str, angle: float,
-           overwrite: bool = False, spare=None) -> np.ndarray:
-    """Conjugate: R op R^dagger with R = exp(-i * angle * I_axis).
+def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
+    """Conjugate: R op R^dagger with R = exp(-i * angle * I_axis), as a
+    new complex C-ordered array.
 
     R is the kron of n copies of the site factor u, so op, read as a tensor
     of n row and n column site indices, gets u on every row index and u* on
-    every column index. Each product takes the leading _FACTOR_SITES
-    indices (u kron u ... as one small factor) and moves them to the back,
-    so after all of them the index order is restored: O(n 4^n), with no
-    dense R. The products alternate between two buffers, and as their
-    count is even the result lands in the first: op itself with
-    ``overwrite`` if op is complex and C-contiguous, otherwise a copy. The
-    second is ``spare`` if given (an array like op), else a new one.
+    every column index (:func:`_conjugate_sites`): O(n 4^n), with no dense R.
     """
+    out = np.array(op, complex, order="C")
+    return _conjugate_sites(out, np.empty_like(out), axis, angle)
+
+
+def rotate_sorted(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
+    """:func:`rotate` in place of op, complex128 and C-contiguous (else
+    ValueError) and held in sorted positions; returns op. op is permuted
+    into the product basis, conjugated and permuted back, through one work
+    buffer like op."""
+    if op.dtype != complex or not op.flags.c_contiguous:
+        raise ValueError("rotate_sorted needs a complex C-contiguous array")
+    layout = sector_layout(_sites(op))
+    work = np.empty_like(op)
+    # rows into work, then columns back into op; with mode 'clip' take
+    # writes straight into out ('raise' buffers a whole copy)
+    np.take(op, layout.position, axis=0, out=work, mode="clip")
+    np.take(work, layout.position, axis=1, out=op, mode="clip")
+    _conjugate_sites(op, work, axis, angle)
+    np.take(op, layout.order, axis=0, out=work, mode="clip")
+    np.take(work, layout.order, axis=1, out=op, mode="clip")
+    return op
+
+
+def _sites(op) -> int:
     n = int(round(np.log2(op.shape[0])))
     if 2**n != op.shape[0]:
         raise ValueError("operator dimension is not a power of 2")
+    return n
+
+
+def _conjugate_sites(out, spare, axis, angle):
+    """R out R^dagger into out, through spare (an array like it). Each
+    product takes the leading _FACTOR_SITES indices (u kron u ... as one
+    small factor) and moves them to the back, so after all of them the
+    index order is restored. The products alternate between the two
+    buffers, and as their count is even the result lands in out."""
+    n = _sites(out)
     u1 = _site_rotation(axis, angle)
     factors = [reduce(np.kron, [u1] * min(_FACTOR_SITES, n - k))
                for k in range(0, n, _FACTOR_SITES)]
-    out = (op if overwrite and op.dtype == complex and op.flags.c_contiguous
-           else np.array(op, complex, order="C"))
-    spare = np.empty_like(out) if spare is None else spare
     for f in factors + [f.conj() for f in factors]:
         np.matmul(out.reshape(f.shape[0], -1).T, f.T,
                   out=spare.reshape(-1, f.shape[0]))

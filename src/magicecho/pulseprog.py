@@ -139,7 +139,7 @@ def _parse_statement(toks: _Tokens):
     head, col = toks.next("a statement keyword")
     line = toks.lineno
     if head == "init":
-        kind, _ = toks.keyword(engine.INITIAL_STATE_KINDS, "an initial state kind")
+        kind, _ = toks.keyword(engine.INITIAL_STATES, "an initial state kind")
         toks.done()
         return Init(kind)
     if head == "pulse":

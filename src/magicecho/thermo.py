@@ -262,10 +262,12 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     not assumed.
 
     Taken literally, the stated operator ordering gives
-    G1(0) = -sum ||[H2_ij, Hm2]||^2 / norm <= 0, and a kernel negative at
-    zero lag cannot damp the reservoir; when that happens the conjugate
-    ordering (a global sign flip) is used instead and reported in
-    meta["ordering_flipped"].
+    G1(0) = -sum ||[H2_ij, Hm2]||^2 / norm, and a kernel negative at zero
+    lag cannot damp the reservoir, so the conjugate ordering (a global sign
+    flip) is used, and meta["ordering_flipped"] is always True. It is never
+    a choice: G1(0) = 0 would need every [H2_ij, Hm2] to vanish, so
+    [H2, H2^dagger] = 0; H2 is nilpotent, and a nonzero nilpotent matrix is
+    never normal, so H2 = 0, which the norm check refuses.
     """
     a = ops.couplings_of(cluster)
     nspins = a.shape[0]
@@ -287,8 +289,9 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     # weight matrix in the dipolar eigenbasis: the lag dependence is a pure
     # phase factor per eigenvalue gap, so the pair loop runs once. For real
     # couplings [Hm2_ij, H2] = -[H2_ij, Hm2]^dagger, and v is real, so each
-    # pair adds -|v^T [H2_ij, Hm2] v|^2. Each commutator conserves the
-    # magnetization, so only the diagonal sector blocks are nonzero
+    # pair adds |v^T [H2_ij, Hm2] v|^2 in the conjugate ordering. Each
+    # commutator conserves the magnetization, so only the diagonal sector
+    # blocks are nonzero
     wmat = [np.zeros((s.stop - s.start,) * 2) for s in sectors]
     for i, j in zip(*np.nonzero(np.triu(a, 1))):
         # H2_ij has a_ij at each (dst, src), two sectors apart
@@ -305,7 +308,7 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
                 c[:, src[down] - s.start] -= aij * hm2[k - 2][
                     :, dst[down] - sectors[k - 2].start]
             v = blocks[k][2]
-            wmat[k] -= np.abs(v.T @ c @ v) ** 2
+            wmat[k] += np.abs(v.T @ c @ v) ** 2
     spectra = [w for _, w, _ in blocks]
     terms = [(k, k, m) for k, m in enumerate(wmat)]
 
@@ -322,12 +325,9 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     if not np.abs(plus - minus).max() <= 1e-8 * scale:
         raise InvariantViolation("microscopic kernel is not even in the lag")
     values = plus.real
-    flipped = bool(values[0] < 0.0)
-    if flipped:
-        values = -values
     return KernelSpec("tabulated", times=tau, values=values,
                       offset=float(offset),
-                      meta={"ordering_flipped": flipped,
+                      meta={"ordering_flipped": True,
                             "n_sites": int(nspins),
                             "zero_lag": float(values[0])})
 

@@ -5,6 +5,7 @@ captured stdout, or emitted CSV/manifest files.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -248,6 +249,27 @@ def test_run_determinism(tmp_path):
         ma.pop("wall_time_s"), mb.pop("wall_time_s")
         ma.pop("output"), mb.pop("output")
         assert ma == mb
+
+
+def test_fresh_processes_print_the_same_bytes(tmp_path):
+    # test_run_determinism reruns inside one process, where caches and
+    # allocator state carry over; here each run is its own child. BLAS is
+    # held to one thread, as 1 and 2 threads may differ in the 12th digit
+    pp = tmp_path / "turns.pp"
+    pp.write_text("init dipolar\npulse 90 x\nburst + 30G 4hc\n"
+                  "pulse 30 -x\nburst - 30G 4hc\npulse 20 z\n"
+                  "pulse 45 y\nacquire Iy for 10us step 1us\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv in (["run", str(pp), "--max-sites", "7"],
+                 ["run", "builtin:seq1", "--max-sites", "6",
+                  "--t1-grid", "4:12:4hc"],
+                 ["thermo", "--kernel-from-cluster", "100:1:6",
+                  "--t-end-us", "50"]):
+        first, second = (subprocess.run(
+            [sys.executable, "-m", "magicecho.cli", *argv], env=env,
+            capture_output=True, check=True).stdout for _ in range(2))
+        assert first and first == second
 
 
 def test_run_manifest_counts_eigendecompositions(tmp_path):

@@ -5,6 +5,7 @@ reversal gives exact echoes; average-Hamiltonian factorizations are compared
 against exact propagators with known error orderings.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,9 +111,9 @@ def test_hamiltonian_spec_validation():
 def test_initial_state_kinds():
     # states are built in sorted positions
     layout = ops.sector_layout(2)
-    s = initial_state("ix", PAIR, beta=2.0)
+    s = initial_state("ix", PAIR)
     np.testing.assert_allclose(layout.unsort(s.delta),
-                               2.0 * ops.collective("x", 2), atol=0.0)
+                               ops.collective("x", 2), atol=0.0)
     s = initial_state("dipolar", PAIR)
     np.testing.assert_allclose(layout.unsort(s.delta),
                                -ops.secular_dipolar(PAIR), atol=0.0)
@@ -190,7 +191,7 @@ def test_acquire_grid_and_state_advance():
     np.testing.assert_allclose(layout.unsort(out.delta), expected, atol=1e-9)
 
 
-def _stepwise_acquire(delta, a, observable, window, step, beta):
+def _stepwise_acquire(delta, a, observable, window, step):
     """Oracle: sample Tr(Delta O) after each step of repeated conjugation by
     exp(-i H' step), then advance by the remainder of the window."""
     w, v = np.linalg.eigh(ops.secular_dipolar(a))
@@ -205,7 +206,7 @@ def _stepwise_acquire(delta, a, observable, window, step, beta):
     for m in range(n_samp):
         if m:
             delta = u_step @ delta @ u_step.conj().T
-        values.append(np.trace(delta @ o) / (beta * np.trace(o @ o)))
+        values.append(np.trace(delta @ o) / np.trace(o @ o))
     u_rest = u(window - (n_samp - 1) * step)
     return np.array(values), u_rest @ delta @ u_rest.conj().T
 
@@ -220,15 +221,13 @@ def test_spectral_acquire_matches_stepwise_oracle():
     m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     delta0 = m + m.conj().T
     delta0 -= np.trace(delta0) / 32 * np.eye(32)
-    beta = 2.0
     layout = ops.sector_layout(5)
     for observable in ("x", "y"):
         plan = PropagationPlan(cluster=cluster,
                                segments=(Acquire(observable, window, step),))
-        out, (curve,) = evolve(DeviationState(layout.sort(delta0), beta),
-                               plan)
+        out, (curve,) = evolve(DeviationState(layout.sort(delta0)), plan)
         values, delta = _stepwise_acquire(delta0, a, observable, window,
-                                          step, beta)
+                                          step)
         assert curve.values.size == values.size == 76
         assert np.abs(curve.values - values).max() <= \
             1e-12 * np.abs(values).max()
@@ -238,7 +237,7 @@ def test_spectral_acquire_matches_stepwise_oracle():
 
 # --------------------------------------------- blocked engine vs dense oracle
 
-def _dense_evolve(delta, beta, a, segments):
+def _dense_evolve(delta, a, segments):
     """Oracle: every segment with full-dimension matrices. Evolutions use
     one eigendecomposition of the whole Hamiltonian, pulses the kron
     rotation, and each sample is Tr(U(t) Delta U(t)^dagger O) at its time."""
@@ -262,7 +261,7 @@ def _dense_evolve(delta, beta, a, segments):
             for t in np.arange(n_samp) * seg.step:
                 ut = propagator(hd, t)
                 samples.append(np.trace(ut @ delta @ ut.conj().T @ o).real
-                               / (beta * np.vdot(o, o).real))
+                               / np.vdot(o, o).real)
             u = propagator(hd, seg.window)
         delta = u @ delta @ u.conj().T
     return delta, np.array(samples)
@@ -301,23 +300,22 @@ def blocked_cases(draw):
 @given(blocked_cases())
 def test_blocked_evolve_matches_dense_oracle(case):
     a, delta0, segments = case
-    beta = 1.5
     layout = ops.sector_layout(a.shape[0])
-    out, curves = evolve(DeviationState(layout.sort(delta0), beta),
+    out, curves = evolve(DeviationState(layout.sort(delta0)),
                          PropagationPlan(cluster=a, segments=segments))
-    delta, samples = _dense_evolve(delta0, beta, a, segments)
+    delta, samples = _dense_evolve(delta0, a, segments)
     scale = np.linalg.norm(delta0)
     assert np.linalg.norm(layout.unsort(out.delta) - delta) <= 1e-10 * scale
     got = np.concatenate([c.values for c in curves] + [np.zeros(0)])
     assert got.shape == samples.shape
-    # |s| <= ||Delta|| / (beta ||O||), and ||O|| >= sqrt(2^n / 4)
-    bound = scale / (beta * np.sqrt(2.0**a.shape[0] / 4.0))
+    # |s| <= ||Delta|| / ||O||, and ||O|| >= sqrt(2^n / 4)
+    bound = scale / np.sqrt(2.0**a.shape[0] / 4.0)
     assert np.abs(got - samples).max(initial=0.0) <= 1e-10 * bound
 
 
 # ---------------------------------- blockwise acquisition vs dense phase sum
 
-def _dense_phase_sum_acquire(delta, beta, a, seg):
+def _dense_phase_sum_acquire(delta, a, seg):
     """Oracle: one Acquire with full-dimension matrices. Delta~ and O~ in
     the eigenbasis of the dense H', the phase sum of m = Delta~ * O~.T over
     every eigenvalue gap, and Delta advanced by the dense phase outer
@@ -331,7 +329,7 @@ def _dense_phase_sum_acquire(delta, beta, a, seg):
     n_samp = int(np.floor(seg.window / seg.step + 1e-9)) + 1
     s = np.array([(m * np.exp(-1j * gaps * t)).sum()
                   for t in np.arange(n_samp) * seg.step])
-    s /= beta * np.vdot(o, o).real
+    s /= np.vdot(o, o).real
     phase = np.exp(-1j * w * seg.window)
     return (s.real, s.imag,
             v @ (d_eig * np.outer(phase, phase.conj())) @ v.conj().T)
@@ -359,14 +357,13 @@ def acquire_cases(draw):
 @given(acquire_cases())
 def test_blockwise_acquire_matches_dense_phase_sum(case):
     a, delta0, seg = case
-    beta = 0.7
     layout = ops.sector_layout(a.shape[0])
-    out, (curve,) = evolve(DeviationState(layout.sort(delta0), beta),
+    out, (curve,) = evolve(DeviationState(layout.sort(delta0)),
                            PropagationPlan(cluster=a, segments=(seg,)))
-    samples, imag, delta = _dense_phase_sum_acquire(delta0, beta, a, seg)
+    samples, imag, delta = _dense_phase_sum_acquire(delta0, a, seg)
     scale = np.linalg.norm(delta0)
-    # |s| <= ||Delta|| / (beta ||O||), and ||O|| >= sqrt(2^n / 4)
-    bound = scale / (beta * np.sqrt(2.0**a.shape[0] / 4.0))
+    # |s| <= ||Delta|| / ||O||, and ||O|| >= sqrt(2^n / 4)
+    bound = scale / np.sqrt(2.0**a.shape[0] / 4.0)
     assert np.abs(imag).max() <= 1e-10 * bound   # the oracle is sound
     assert curve.values.shape == samples.shape
     assert np.abs(curve.values - samples).max() <= 1e-10 * bound
@@ -472,7 +469,7 @@ def test_sorted_state_is_the_runs_own(four_spin):
                                         2e-5), Acquire("x", 1e-5, 1e-6))
     plan = PropagationPlan(cluster=four_spin, segments=segments)
     given = initial_state("seq2", four_spin).delta
-    expected, samples = _dense_evolve(layout.unsort(given), 1.0, a, segments)
+    expected, samples = _dense_evolve(layout.unsort(given), a, segments)
     expected = layout.sort(expected)
     tol = 1e-12 * np.linalg.norm(given)
     # a complex C-ordered Delta is the state's own: evolve advances it in
@@ -495,6 +492,16 @@ def test_sorted_state_is_the_runs_own(four_spin):
         assert out is state
         np.testing.assert_array_equal(other, before)
         np.testing.assert_allclose(state.delta, expected, rtol=0, atol=tol)
+
+
+def test_state_delta_cannot_be_rebound(four_spin):
+    # a rebound Delta skips the checks, and a Fortran-ordered one would be
+    # rotated as a copy by every pulse, leaving the state unturned
+    state = initial_state("dipolar", four_spin)
+    kept = state.delta
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.delta = np.asfortranarray(kept)
+    assert state.delta is kept
 
 
 def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):

@@ -70,6 +70,22 @@ def test_fid_derivative_matches_finite_difference(four_spin):
             (gp - gm) / (2.0 * h), rel=1e-6)
 
 
+@pytest.mark.parametrize("route", [ex.fid_values, ex.fid_derivative])
+def test_fid_routes_refuse_an_imaginary_part(monkeypatch, four_spin, route):
+    # G and dG/dt are real, so an imaginary part 1e-6 of the largest sample
+    # is a fault that either route must raise on, not discard
+    phase_sum = engine.phase_sum
+
+    def leaky(*args):
+        g = phase_sum(*args)
+        return g + 1e-6j * np.abs(g).max()
+
+    monkeypatch.setattr(engine, "phase_sum", leaky)
+    t = np.linspace(0.0, 2.0 / local_field(four_spin), 9)
+    with pytest.raises(engine.InvariantViolation, match="imaginary"):
+        route(four_spin, t)
+
+
 def test_fid_curve_matches_engine_route(four_spin):
     curve = ex.fid(four_spin)
     plan = engine.PropagationPlan(

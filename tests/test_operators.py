@@ -308,21 +308,29 @@ def test_sector_blocks_tile_the_sorted_dense_operators(a):
 @given(coupling_tables())
 def test_sorted_builds_and_in_place_permutations(a):
     # the sorted-basis builds are the sorted product-basis operators, and
-    # sort/unsort through a work buffer permute op itself
+    # rotate_sorted turns op itself into the sorted product-basis rotation
     n = a.shape[0]
     layout = ops.sector_layout(n)
     coeffs = {"hd": 0.7, "p": -0.3, "q": 1.1, "iz": 2.0}
     product = ops.operator_sum(a, **coeffs)
     np.testing.assert_array_equal(
         ops.operator_sum(a, sorted_basis=True, **coeffs), layout.sort(product))
-    np.testing.assert_array_equal(ops.collective("-y", n, sorted_basis=True),
-                                  layout.sort(ops.collective("-y", n)))
-    op = product.copy()
-    work = np.empty_like(op)
-    assert layout.sort(op, work) is op
-    np.testing.assert_array_equal(op, layout.sort(product))
-    assert layout.unsort(op, work) is op
-    np.testing.assert_array_equal(op, product)
-    turned = ops.rotate(product, "x", 0.4)
-    assert ops.rotate(op, "x", 0.4, overwrite=True, spare=work) is op
-    np.testing.assert_array_equal(op, turned)
+    np.testing.assert_array_equal(ops.operator_sum(a, ix=-1.0,
+                                                   sorted_basis=True),
+                                  layout.sort(ops.collective("-x", n)))
+    op = layout.sort(product)
+    assert ops.rotate_sorted(op, "x", 0.4) is op
+    np.testing.assert_array_equal(op,
+                                  layout.sort(ops.rotate(product, "x", 0.4)))
+
+
+def test_rotate_sorted_refuses_a_real_or_fortran_array():
+    # either would be rotated as a copy, and the caller's array would keep
+    # the unrotated operator
+    op = ops.sector_layout(3).sort(ops.operator_sum(np.ones((3, 3)), hd=1.0,
+                                                    ix=0.5))
+    for bad in (op.real.copy(), np.asfortranarray(op)):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="complex C-contiguous"):
+            ops.rotate_sorted(bad, "y", 0.3)
+        np.testing.assert_array_equal(bad, before)
