@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Wall time, peak memory and exact-identity residuals of a seq1 point, a
 seq1 sweep, an acquire, verify, the ideal seq2/seq1 ratio, the FID
-curvature, the seq1 X mirror and three pulses, by n.
+curvature, the seq1 X mirror, three pulses and the microscopic kernel,
+by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -35,7 +36,10 @@ The tasks are
 * ``pulse``: ``engine.evolve`` of ``initial_state("dipolar")`` through
   pulses of pi/4 about y, 0.5 about -x and 0.3 about z, with no acquire.
   A pulse is unitary, so the record's value is |norm(Delta) /
-  norm(Delta_0) - 1|, 0 in exact arithmetic.
+  norm(Delta_0) - 1|, 0 in exact arithmetic;
+* ``kernel``: ``thermo.microscopic_kernel`` with 97 lags on
+  [0, 6 / sqrt(M2)], the table ``thermo --kernel-from-cluster`` builds by
+  default. The record's value is G1(0), ``meta["zero_lag"]``.
 
 The child runs the task cold and times it. If that took under a second,
 it runs the task twice more, each time with the eigendecompositions
@@ -61,7 +65,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TASKS = ("seq1", "sweep", "acquire", "verify", "ratio", "curvature", "mirror",
-         "pulse")
+         "pulse", "kernel")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -70,7 +74,7 @@ def child(src: str, n: int, task: str) -> dict:
     import tracemalloc
 
     import numpy as np
-    from magicecho import engine, experiments, pulseprog
+    from magicecho import engine, experiments, pulseprog, thermo
     from magicecho.lattice import build_cluster, local_field, second_moment
 
     cluster = build_cluster("100", radius=2.0, max_sites=n)
@@ -128,6 +132,9 @@ def child(src: str, n: int, task: str) -> dict:
                 engine.Pulse("z", 0.3)))
             out, _ = engine.evolve(state, plan)
             return abs(np.linalg.norm(out.delta) / norm0 - 1.0)
+        if task == "kernel":
+            tau = np.linspace(0.0, 6.0 / np.sqrt(second_moment(cluster)), 97)
+            return thermo.microscopic_kernel(cluster, tau).meta["zero_lag"]
         return float(signal("init ix\nacquire Ix " + grid)[-1])
 
     def timed():

@@ -44,7 +44,7 @@ at about 2.34 dense complex operators of 16 d^2 bytes. Before it
 allocates, a run, ``verify`` and A3 estimate their peak this way and
 refuse, with a ValueError, one that exceeds the available memory. After
 every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are
-checked against their initial values, and every acquired sample must be
+checked against their initial values, and every phase-sum sample must be
 real; a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
@@ -52,17 +52,17 @@ real; a failure, a NaN included, raises
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import operators as ops
 from .errors import InvariantViolation
+from .memory import check_fits
 
 HERMITICITY_TOL = 1e-10    # ||Delta - Delta^dagger|| / max(1, ||Delta||)
 SEGMENT_DRIFT_TOL = 1e-9   # Tr(Delta) and ||Delta|| over each segment
-SIGNAL_IMAG_TOL = 1e-9     # |Im s| / max(1, |Re s|) of each acquired sample
+SIGNAL_IMAG_TOL = 1e-12    # |Im s(t)| / sum |m| of each phase-sum sample
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ class HamiltonianSpec:
             raise ValueError(f"unknown hamiltonian kind {self.kind!r}")
         if self.kind == "burst" and self.sign not in (-1, 1):
             raise ValueError("burst sign must be +1 or -1")
-        if self.kind in ("burst", "average") and not self.omega1 > 0:
-            raise ValueError(f"{self.kind} omega1 must be positive")
+        if (self.kind in ("burst", "average")
+                and not 0 < self.omega1 < math.inf):
+            raise ValueError(f"{self.kind} omega1 must be positive and finite")
 
     @property
     def terms(self) -> dict:
@@ -109,6 +110,10 @@ class Pulse:
     axis: str
     angle: float
 
+    def __post_init__(self):
+        if not abs(self.angle) < math.inf:
+            raise ValueError("pulse angle must be finite")
+
 
 @dataclass(frozen=True)
 class Evolve:
@@ -116,8 +121,8 @@ class Evolve:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError("duration must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,8 @@ class Acquire:
     def __post_init__(self):
         if self.observable not in ("x", "y", "z"):
             raise ValueError("observable must be 'x', 'y' or 'z'")
-        if not (self.window > 0 and self.step > 0):
-            raise ValueError("window and step must be positive")
+        if not (0 < self.window < math.inf and self.step > 0):
+            raise ValueError("window and step must be positive and finite")
         if self.step > self.window:
             raise ValueError("step exceeds acquisition window")
 
@@ -343,10 +348,10 @@ def _propagate(delta: np.ndarray, factors) -> None:
         del u   # before the next factor is formed
 
 
-def phase_sum(spectra, terms, times) -> np.ndarray:
-    """s(t) = sum over (r, c, m) in ``terms`` of
+def phase_sum(spectra, terms, times, what: str) -> np.ndarray:
+    """The real samples s(t) = sum over (r, c, m) in ``terms`` of
     sum_jk m_jk exp(-i (w_r[j] - w_c[k]) t), w_k = spectra[k], at every t
-    in ``times``.
+    in ``times``; the one place a spectral sample becomes a number.
 
     With Delta~ and O~ the deviation and the observable in the eigenbasis
     of a block-diagonal H (one spectrum per block), Tr(exp(-iHt) Delta
@@ -355,6 +360,10 @@ def phase_sum(spectra, terms, times) -> np.ndarray:
     summed. A term is evaluated as e_r(t) @ m @ e_c(t)* per row, in blocks
     of sample times, and each block's phases e_k(t) = exp(-i w_k t) are
     computed once per block of times.
+
+    Every caller's sum is real, and sum |m| bounds |s(t)| at every t, so
+    an imaginary part above SIGNAL_IMAG_TOL sum |m| at any sample, or a
+    NaN, raises InvariantViolation naming ``what``.
     """
     times = np.atleast_1d(np.asarray(times, float))
     out = np.zeros(times.shape, complex)
@@ -367,7 +376,10 @@ def phase_sum(spectra, terms, times) -> np.ndarray:
                     phases[i] = np.exp(-1j * t * spectra[i])
             out[k:k + _PHASE_SUM_BLOCK] += np.einsum(
                 "tj,tj->t", phases[r] @ m, phases[c].conj())
-    return out
+    scale = sum(float(np.abs(m).sum()) for _, _, m in terms)
+    if not np.all(np.abs(out.imag) <= SIGNAL_IMAG_TOL * scale):
+        raise InvariantViolation(f"{what} acquired an imaginary part")
+    return out.real
 
 
 def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
@@ -384,18 +396,6 @@ def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
         o_rc = coeff * (v_r.T @ f @ v_c)
         terms.append((c, r, (v_c.T @ delta[s_c, s_r] @ v_r) * o_rc.T))
     return terms
-
-
-def _available_bytes() -> int:
-    """MemAvailable from /proc/meminfo, else the free physical pages."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _check_memory(what: str, n: int, specs, arrays: int,
@@ -417,13 +417,8 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     # the two classes
     cached = sum(8 * math.comb(2 * n, n) if key == "dipolar" else 4 * d * d
                  for key in spectra)
-    need = (16 * d * d * arrays + cached
-            + max(16 * d * d * pulses, 12 * d * d))
-    available = _available_bytes()
-    if need > available:
-        raise ValueError(f"{what} at n = {n} would allocate an estimated "
-                         f"{need / 2**20:.0f} MiB, but only "
-                         f"{available / 2**20:.0f} MiB is available")
+    check_fits(f"{what} at n = {n}", 16 * d * d * arrays + cached
+               + max(16 * d * d * pulses, 12 * d * d))
 
 
 def _check_drift(delta, norm0, tr0, where):
@@ -469,18 +464,15 @@ def evolve(state: DeviationState, plan: PropagationPlan):
         elif isinstance(seg, Acquire):
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
             obs = ops.collective_blocks(seg.observable, n)
-            tro2 = sum(abs(coeff) ** 2 * float(np.vdot(f, f))
-                       for _, _, coeff, f in obs)
             times = seg.times
-            s = (phase_sum([w for _, w, _ in blocks],
-                           _acquire_terms(blocks, obs, delta), times)
-                 / tro2)
-            if not np.all(np.abs(s.imag) <= SIGNAL_IMAG_TOL
-                          * np.maximum(1.0, np.abs(s.real))):
-                raise InvariantViolation(f"complex signal in {where}")
+            # times 1 / Tr(O^2) = 4 / (n 2^n) for I_x, I_y and I_z: a product
+            # with the reciprocal keeps the recorded samples bit for bit
+            s = phase_sum([w for _, w, _ in blocks],
+                          _acquire_terms(blocks, obs, delta), times,
+                          f"the signal of {where}") * (4 / (n * 2**n))
             _propagate(delta, _factors(blocks, seg.window))
             curves.append(SignalCurve(
-                times=times, values=s.real, observable=seg.observable,
+                times=times, values=s, observable=seg.observable,
                 start=t_abs))
             t_abs += seg.window
         else:
@@ -491,8 +483,8 @@ def evolve(state: DeviationState, plan: PropagationPlan):
 
 def halfcycle_duration(omega1: float, n_halfcycles):
     """Duration of n burst half-cycles, n pi / omega1 (n may be an array)."""
-    if not omega1 > 0:
-        raise ValueError("omega1 must be positive")
+    if not 0 < omega1 < math.inf:
+        raise ValueError("omega1 must be positive and finite")
     return n_halfcycles * np.pi / omega1
 
 

@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .memory import check_fits
+
 # CPython's builtin SHA-256: hashlib would load OpenSSL's libcrypto, a few
 # MB of every job's resident set, for one digest
 try:
@@ -215,6 +217,10 @@ class SpinCluster:
 def _lattice_points(radius: float) -> np.ndarray:
     """Integer lattice points with |n| <= radius, sorted by (|n|^2, lex)."""
     r = int(np.floor(radius + 1e-12))
+    # the meshgrid, the stacked grid, its squares and the sort peak at
+    # 56-57 traced bytes per grid point (radius 10-30); 64 covers them
+    check_fits(f"the lattice points within radius {radius:g}",
+               64 * (2 * r + 1) ** 3)
     ax = np.arange(-r, r + 1)
     grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     r2 = (grid**2).sum(axis=1)
@@ -235,8 +241,8 @@ def build_cluster(orientation, radius, max_sites: int | None = None,
     lexicographic tie-break on the integer coordinates, then truncated to
     ``max_sites``.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     orientation = Orientation.from_spec(orientation)
     pts = _lattice_points(float(radius))
     if len(pts) < 2:
@@ -246,8 +252,9 @@ def build_cluster(orientation, radius, max_sites: int | None = None,
         if max_sites < 2:
             raise ValueError("max_sites must be at least 2")
         pts = pts[:max_sites]
-    prefactor = resolve_prefactor(constants)
     n = len(pts)
+    check_fits(f"the coupling table of {n} sites", 8 * n * n)
+    prefactor = resolve_prefactor(constants)
     d = constants.lattice_constant
     a = np.zeros((n, n))
     for i in range(n):

@@ -130,8 +130,8 @@ class _Tokens:
 
 
 def _positive(value, what, lineno, col):
-    if not value > 0:
-        raise ParseError(f"{what} must be positive", lineno, col)
+    if not 0 < value < np.inf:
+        raise ParseError(f"{what} must be positive and finite", lineno, col)
     return value
 
 

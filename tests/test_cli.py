@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from magicecho import cli, engine, output, thermo
+from magicecho import cli, engine, memory, output, thermo
 
 
 def run_main(argv):
@@ -326,13 +326,66 @@ def test_run_error_codes(tmp_path):
 
 def test_jobs_over_the_available_memory_exit_2(monkeypatch, capsys):
     # the estimate and the available memory are both in the message
-    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**20)
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
     base = ["--orientation", "100", "--radius", "2", "--max-sites", "8"]
     for argv in (["run", "builtin:seq1"] + base,
                  ["run", "builtin:seq2", "--t1-grid", "2:4:2hc"] + base):
         assert run_main(argv) == 2
         err = capsys.readouterr().err
         assert re.search(r"an estimated \d+ MiB, but only 1 MiB", err), err
+
+
+def test_a_radius_over_the_available_memory_exits_2(monkeypatch, capsys):
+    # refused from the estimates, before the lattice points (radius 400:
+    # 801^3 grid points) or the coupling table (radius 20: 33,401 sites)
+    # are allocated
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**30)
+    for argv, what in (
+            (["run", "builtin:rpw", "--radius", "400", "--max-sites", "4"],
+             "lattice points within radius 400"),
+            (["lattice-info", "--radius", "20"],
+             "coupling table of 33401 sites")):
+        assert run_main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(what + r" would allocate an estimated \d+ MiB, "
+                         r"but only 1024 MiB", err), err
+
+
+# each probe reaches one check with an infinite or NaN value (1e400 reads
+# as inf). Each once passed it: a zero-length burst, a beta held at 1, a
+# NaN drift or an OverflowError. Run in process, an uncaught exception
+# fails the test by itself, so no traceback can reach stderr
+NON_FINITE_PROGRAMS = {
+    "amplitude": "burst + 1e400G 4hc\nacquire Ix for 10us step 1us",
+    "delay": "delay 1e400us\nacquire Ix for 10us step 1us",
+    "pulse": "pulse 1e400 x\nacquire Ix for 10us step 1us",
+    "window": "acquire Ix for 1e400us step 1us",
+}
+_SMALL = ["--radius", "1", "--max-sites", "4"]
+_THERMO = ["thermo", "--orientation", "100", "--t-end-us", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "amplitude.pp"] + _SMALL,
+    ["run", "delay.pp"] + _SMALL,
+    ["run", "pulse.pp"] + _SMALL,
+    ["run", "window.pp"] + _SMALL,
+    ["run", "builtin:rpw", "--omega1-gauss", "inf"] + _SMALL,
+    ["run", "builtin:rpw", "--window-us", "inf"] + _SMALL,
+    _THERMO + ["--offset-us", "nan"],
+    _THERMO + ["--n", "nan"],
+    _THERMO + ["--m-ratio", "inf"],
+    ["thermo", "--kernel-from-cluster", "100:1:4", "--t-end-us", "100",
+     "--offset-us", "inf"],
+    ["thermo", "--orientation", "100", "--t-end-us", "inf"],
+    ["lattice-info", "--radius", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_values_exit_2(argv, tmp_path, monkeypatch, capsys):
+    for name, body in NON_FINITE_PROGRAMS.items():
+        (tmp_path / f"{name}.pp").write_text(f"init ix\n{body}\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_jobs_do_not_load_openssl():

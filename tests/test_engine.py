@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicecho import engine, operators as ops
+from magicecho import engine, memory, operators as ops
 from magicecho.engine import (
     Acquire,
     DeviationState,
@@ -510,7 +510,7 @@ def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
     plan = PropagationPlan(cluster=cluster, segments=(
         Pulse("y", 0.5), Acquire("x", 1e-5, 1e-6)))
     # n = 8: a dense operator is 1 MiB, so no job fits in 1 MiB
-    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**20)
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
     message = r"an estimated \d+ MiB, but only 1 MiB is available"
     with pytest.raises(ValueError, match="this run .*" + message):
         evolve(initial_state("ix", cluster), plan)
@@ -518,7 +518,7 @@ def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
         verify_average_hamiltonian(cluster, omega1)
     with pytest.raises(ValueError, match="A3 .*" + message):
         effective_propagator_a3(cluster, omega1, 1e-6)
-    monkeypatch.setattr(engine, "_available_bytes", lambda: 2**30)
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**30)
     evolve(initial_state("ix", cluster), plan)
 
 
@@ -526,10 +526,10 @@ def test_available_memory_without_proc_meminfo(monkeypatch):
     def missing(*args, **kwargs):
         raise FileNotFoundError(args[0])
 
-    monkeypatch.setattr(engine, "open", missing, raising=False)
+    monkeypatch.setattr(memory, "open", missing, raising=False)
     pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
-    assert engine._available_bytes() == 4096000
+    monkeypatch.setattr(memory.os, "sysconf", pages.__getitem__)
+    assert memory.available_bytes() == 4096000
 
 
 # verify plus A3 at n = 8, eigendecompositions included, in the same
@@ -587,14 +587,29 @@ def test_phase_sum_blocks_match_direct_sum():
     rng = np.random.default_rng(9)
     times = np.linspace(0.0, 7.0, 600)          # spans three blocks
     spectra = [rng.normal(size=size) for size in (6, 4, 7)]
-    terms = [(r, c, rng.normal(size=(spectra[r].size, spectra[c].size))
-              + 1j * rng.normal(size=(spectra[r].size, spectra[c].size)))
-             for r, c in ((0, 0), (1, 2), (2, 1))]   # square and rectangular
+    # a real sum: a Hermitian square term, and a rectangular term with
+    # its conjugate transpose at the mirrored block
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+    terms = [(0, 0, h + h.conj().T), (1, 2, m), (2, 1, m.conj().T)]
     direct = [sum((m * np.exp(-1j * np.subtract.outer(spectra[r], spectra[c])
                               * t)).sum() for r, c, m in terms)
               for t in times]
-    np.testing.assert_allclose(engine.phase_sum(spectra, terms, times),
+    np.testing.assert_allclose(engine.phase_sum(spectra, terms, times, "s"),
                                direct, rtol=0, atol=1e-12)
+    # an imaginary diagonal entry adds i eps to every sample: 2x the bound
+    # SIGNAL_IMAG_TOL sum |m| raises, 0.5x does not
+    scale = sum(np.abs(m).sum() for _, _, m in terms)
+    for factor, rejected in ((2.0, True), (0.5, False)):
+        leaky = terms[0][2].copy()
+        leaky[0, 0] += 1j * factor * engine.SIGNAL_IMAG_TOL * scale
+        leaky_terms = [(0, 0, leaky), *terms[1:]]
+        if rejected:
+            with pytest.raises(InvariantViolation,
+                               match="the test sum acquired an imaginary"):
+                engine.phase_sum(spectra, leaky_terms, times, "the test sum")
+        else:
+            engine.phase_sum(spectra, leaky_terms, times, "the test sum")
 
 
 def test_eigen_cache_holds_one_coupling_table():
@@ -676,7 +691,7 @@ def test_deviation_state_hermiticity_reads_its_tolerance():
 
 
 @pytest.mark.parametrize("name,match", [("SEGMENT_DRIFT_TOL", "drifted"),
-                                        ("SIGNAL_IMAG_TOL", "complex")])
+                                        ("SIGNAL_IMAG_TOL", "imaginary")])
 def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
     # a negative tolerance fails every comparison, so the check that reads
     # the constant is the one that fires
@@ -685,6 +700,19 @@ def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
         Acquire("x", 1.0e-5, 1.0e-6),))
     with pytest.raises(InvariantViolation, match=match):
         evolve(initial_state("ix", PAIR), plan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_segments_refuse_non_finite_values(bad):
+    # each check is one comparison that a NaN or an infinity fails
+    for make in (lambda: Pulse("x", bad),
+                 lambda: Evolve(HamiltonianSpec("dipolar"), bad),
+                 lambda: Acquire("x", bad, 1e-6),
+                 lambda: Acquire("x", 1e-5, bad),
+                 lambda: HamiltonianSpec("burst", 1, bad),
+                 lambda: engine.halfcycle_duration(bad, 4)):
+        with pytest.raises(ValueError):
+            make()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

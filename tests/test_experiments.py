@@ -70,17 +70,32 @@ def test_fid_derivative_matches_finite_difference(four_spin):
             (gp - gm) / (2.0 * h), rel=1e-6)
 
 
-@pytest.mark.parametrize("route", [ex.fid_values, ex.fid_derivative])
+def acquire(cluster, times):
+    """The I_x signal from I_x order through engine.evolve, at ``times``."""
+    plan = engine.PropagationPlan(cluster=cluster, segments=(
+        engine.Acquire("x", times[-1], times[1]),))
+    return engine.evolve(engine.initial_state("ix", cluster), plan)[1]
+
+
+@pytest.mark.parametrize("route", [ex.fid_values, ex.fid_derivative,
+                                   acquire])
 def test_fid_routes_refuse_an_imaginary_part(monkeypatch, four_spin, route):
-    # G and dG/dt are real, so an imaginary part 1e-6 of the largest sample
-    # is a fault that either route must raise on, not discard
-    phase_sum = engine.phase_sum
+    # G, dG/dt and the signal are real, so an imaginary part 1e-6 of the
+    # real part of every sample is a fault that each route must raise on,
+    # not discard. The check is phase_sum's own, so the fault goes into
+    # the terms each route hands it
+    def leak(terms):
+        return [(r, c, m * (1.0 + 1e-6j)) for r, c, m in terms]
 
-    def leaky(*args):
-        g = phase_sum(*args)
-        return g + 1e-6j * np.abs(g).max()
+    fid_terms, acquire_terms = ex._fid_terms, engine._acquire_terms
 
-    monkeypatch.setattr(engine, "phase_sum", leaky)
+    def leaky_fid_terms(*args, **kwargs):
+        spectra, terms = fid_terms(*args, **kwargs)
+        return spectra, leak(terms)
+
+    monkeypatch.setattr(ex, "_fid_terms", leaky_fid_terms)
+    monkeypatch.setattr(engine, "_acquire_terms",
+                        lambda *args: leak(acquire_terms(*args)))
     t = np.linspace(0.0, 2.0 / local_field(four_spin), 9)
     with pytest.raises(engine.InvariantViolation, match="imaginary"):
         route(four_spin, t)

@@ -18,6 +18,12 @@ Capture a new golden, or recapture one whose output is meant to change,
 by name; the other files are left as they are:
 
     PYTHONPATH=src python3 tests/test_golden.py --capture NAME [NAME ...]
+
+``verify.txt`` holds the stdout of ``magicecho verify`` at its default
+seed, which a rerun must reproduce byte for byte; it was captured before
+the phase sum returned real samples under one imaginary-part bound:
+
+    PYTHONPATH=src python3 -m magicecho.cli verify > tests/golden/verify.txt
 """
 
 import os
@@ -120,6 +126,12 @@ def test_golden_output(name, tmp_path):
         scale = np.abs(gold).max()
         assert np.abs(cols[column] - gold).max() <= GOLDEN_RTOL * scale, \
             column
+
+
+def test_verify_stdout_golden(capsys):
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN_DIR / "verify.txt").read_bytes()
 
 
 def test_list_metadata_compared_elementwise_at_rtol():

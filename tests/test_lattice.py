@@ -8,7 +8,7 @@ here as constants).
 import numpy as np
 import pytest
 
-from magicecho import lattice
+from magicecho import lattice, memory
 from magicecho.lattice import (
     Orientation,
     PhysicalConstants,
@@ -181,3 +181,17 @@ def test_local_field_trace_route_agrees():
     hd = secular_dipolar(cl)
     assert local_field_trace(cl, hd) == pytest.approx(
         local_field(cl), rel=1e-12)
+
+
+def test_lattice_refuses_what_does_not_fit(monkeypatch):
+    # both estimates are read before anything is allocated: with 1 MiB
+    # available, the radius-400 grid (801^3 points) and the 925-site table
+    # of radius 6 are refused, while the radius-6 grid (13^3 points) and
+    # a table cut to 8 sites fit
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
+    message = r" would allocate an estimated \d+ MiB, but only 1 MiB"
+    with pytest.raises(ValueError, match="points within radius 400" + message):
+        build_cluster("100", radius=400.0, max_sites=4)
+    with pytest.raises(ValueError, match="table of 925 sites" + message):
+        build_cluster("100", radius=6.0)
+    assert build_cluster("100", radius=6.0, max_sites=8).n_sites == 8
