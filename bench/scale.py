@@ -75,12 +75,13 @@ def child(src: str, n: int, task: str) -> dict:
 
     import numpy as np
     from magicecho import engine, experiments, pulseprog, thermo
-    from magicecho.lattice import build_cluster, local_field, second_moment
+    from magicecho.lattice import (GAMMA_F19, build_cluster, local_field,
+                                   second_moment)
 
     cluster = build_cluster("100", radius=2.0, max_sites=n)
     if len(cluster.couplings) != n:
         raise SystemExit(f"cluster has fewer than {n} sites")
-    omega1 = cluster.constants.gamma * 30.0
+    omega1 = GAMMA_F19 * 30.0
     t1 = 8 * np.pi / omega1
     window, step = 5.0 / local_field(cluster), 0.02 / local_field(cluster)
 

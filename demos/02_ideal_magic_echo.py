@@ -19,7 +19,7 @@ section shows the amplitude drifting below the ideal as t1 grows.
 import numpy as np
 
 from magicecho import experiments
-from magicecho.lattice import build_cluster, local_field
+from magicecho.lattice import GAMMA_F19, build_cluster, local_field
 
 
 def main():
@@ -51,7 +51,7 @@ def main():
           f"   ratio seq2/seq1 = {amp2 / amp1:.9f}")
 
     print(f"\nfinite burst omega_1 = 10 omega_L "
-          f"({omega1 / cluster.constants.gamma:.1f} G), snapped grid:")
+          f"({omega1 / GAMMA_F19:.1f} G), snapped grid:")
     for count in (2, 8, 16, 24):
         t1 = count * np.pi / omega1
         amp = experiments.sequence1_amplitude(cluster, omega1, t1)

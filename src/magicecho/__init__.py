@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .lattice import (
     Orientation,
-    PhysicalConstants,
     SpinCluster,
     build_cluster,
     bulk_second_moment,
@@ -53,7 +52,6 @@ __all__ = [
     "InvariantViolation",
     "KernelSpec",
     "Orientation",
-    "PhysicalConstants",
     "PropagationPlan",
     "PulseProgram",
     "SignalCurve",

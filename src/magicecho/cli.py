@@ -28,8 +28,9 @@ import numpy as np
 from . import __version__, engine, experiments, operators as ops
 from . import output, pulseprog, thermo
 from .errors import ConvergenceError, InvariantViolation
-from .lattice import (BULK_SUM_RADIUS, build_cluster, bulk_local_field_gauss,
-                      bulk_second_moment, local_field, second_moment)
+from .lattice import (BULK_SUM_RADIUS, GAMMA_F19, build_cluster,
+                      bulk_local_field_gauss, bulk_second_moment, local_field,
+                      second_moment)
 
 TOLERANCES = {
     "hermiticity": engine.HERMITICITY_TOL,
@@ -108,12 +109,12 @@ def _parse_t1_grid(text: str) -> np.ndarray:
         s = s[:-2]
     parts = s.split(":")
     if len(parts) != 3:
-        raise ValueError(f"t1 grid {text!r} must be START:STOP:STEP "
+        raise ValueError(f"--t1-grid {text!r} must be START:STOP:STEP "
                          f"half-cycle counts, e.g. 2:40:2hc")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start or start < 0:
-        raise ValueError(f"t1 grid {text!r} must have 0 <= START <= STOP "
-                         f"and STEP > 0")
+    if not (0 <= start <= stop < np.inf and 0 < step < np.inf):
+        raise ValueError(f"--t1-grid {text!r} must have finite "
+                         f"0 <= START <= STOP and STEP > 0")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -136,7 +137,7 @@ def _cmd_lattice_info(args) -> int:
         "m2_cluster": fmt % second_moment(cluster),
         "m2_bulk": fmt % bulk_second_moment(cluster.orientation, args.radius),
         "local_field_cluster_gauss":
-            fmt % (local_field(cluster) / cluster.constants.gamma),
+            fmt % (local_field(cluster) / GAMMA_F19),
         "local_field_bulk_gauss":
             fmt % bulk_local_field_gauss(cluster.orientation, args.radius),
         "m2_ratio_100_111": fmt % ratio,
@@ -167,7 +168,7 @@ def _cmd_run(args) -> int:
                  step_us=pulseprog.DEFAULT_STEP_US)
         program = pulseprog.builtin(
             name, args.omega1_gauss, args.halfcycles, args.window_us,
-            args.step_us, cluster.constants.gamma)
+            args.step_us)
     else:
         _reject(args, "applies to a single builtin run only", "halfcycles")
         counts = _parse_t1_grid(args.t1_grid)
@@ -176,7 +177,7 @@ def _cmd_run(args) -> int:
             for us in (args.window_us, args.step_us)))
         _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS,
                  window_us=window * 1e6, step_us=step * 1e6)
-        omega1 = cluster.constants.gamma * args.omega1_gauss
+        omega1 = GAMMA_F19 * args.omega1_gauss
         curve = experiments.sweep_t1(
             name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
             ideal_reversal=args.ideal, window=window, step=step)
@@ -205,8 +206,9 @@ def _cmd_thermo(args) -> int:
         _resolve(args, kernel_samples=thermo.DEFAULT_KERNEL_SAMPLES)
         if args.kernel_samples < 2:
             raise ValueError("--kernel-samples must be at least 2")
-        if args.kernel_tau_us is not None and not args.kernel_tau_us > 0:
-            raise ValueError("--kernel-tau-us must be positive")
+        if (args.kernel_tau_us is not None
+                and not 0 < args.kernel_tau_us < np.inf):
+            raise ValueError("--kernel-tau-us must be positive and finite")
         cluster = _parse_cluster_spec(args.kernel_from_cluster)
         tau_max = (6.0 / np.sqrt(second_moment(cluster))
                    if args.kernel_tau_us is None
@@ -269,7 +271,7 @@ def _cmd_dump_operator(args) -> int:
     else:
         _reject(args, "applies to --name h1 only", "omega1_gauss")
     omega1 = (None if args.omega1_gauss is None
-              else cluster.constants.gamma * args.omega1_gauss)
+              else GAMMA_F19 * args.omega1_gauss)
     matrix = _OPERATOR_BUILDERS[args.name](cluster.couplings, omega1)
     # d eps max|M| bounds the rounding of a length-d inner product, so an
     # entry at or below it is the residue of terms that cancel exactly

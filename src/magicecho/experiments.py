@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine, operators as ops, pulseprog
 from .engine import HamiltonianSpec, SignalCurve
-from .lattice import local_field
+from .lattice import GAMMA_F19, local_field
 
 DEFAULT_WINDOW_FACTOR = 5.0   # acquisition window, units of 1/omega_L
 DEFAULT_STEP_FACTOR = 0.02    # acquisition step, units of 1/omega_L
@@ -148,7 +148,7 @@ def _program(name, cluster, omega1, t1, ideal_reversal, window, step):
     if t1 != 0:
         if not ideal_reversal:
             check_burst_duration(t1, omega1)
-        gauss = omega1 / pulseprog.gamma_of(cluster)
+        gauss = omega1 / GAMMA_F19
         half = pulseprog.Burst(sign=1, amplitude_gauss=gauss, seconds=0.5 * t1)
     window, step = acquisition_grid(cluster, window, step)
     return pulseprog.sequence(name, half, 0.5 * t1, window, step)

@@ -8,16 +8,18 @@ of secular dipolar coupling constants
     a_ij = D * (1 - 3 cos^2 theta_ij) / r_ij^3        [rad/s]
 
 where theta_ij is the angle between the internuclear vector and the field.
-The single prefactor D is calibrated so that the converged bulk Van Vleck
-second moment for the field along [100] reproduces the tabulated CaF2 value;
-every other orientation then follows from pure lattice sums with no further
-free parameter.
+The model has one material, so its constants are module constants: the
+19F gyromagnetic ratio GAMMA_F19, the spacing F19_SPACING, and the single
+prefactor D, calibrated so that the converged bulk Van Vleck second moment
+for the field along [100] reproduces the tabulated CaF2 value. Every other
+orientation then follows from pure lattice sums with no further free
+parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -54,36 +56,6 @@ REFERENCE_LOCAL_FIELD_GAUSS = {"100": 2.01, "110": 1.25, "111": 0.88}
 M2_CALIBRATION_TARGET = REFERENCE_M2["100"]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical inputs of the model.
-
-    Parameters
-    ----------
-    gamma : float
-        Gyromagnetic ratio, rad s^-1 G^-1.
-    lattice_constant : float
-        Nearest-neighbor spacing, meters.
-    dipolar_prefactor : float or None
-        Coupling prefactor D in rad s^-1 m^3. None (default) means
-        "calibrate from the bulk [100] second moment".
-    """
-
-    gamma: float = GAMMA_F19
-    lattice_constant: float = F19_SPACING
-    dipolar_prefactor: float | None = None
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.lattice_constant <= 0:
-            raise ValueError("lattice_constant must be positive")
-        if self.dipolar_prefactor is not None and self.dipolar_prefactor <= 0:
-            raise ValueError("dipolar_prefactor must be positive when given")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
-
 _ORIENTATION_DIRECTIONS = {
     "100": (1.0, 0.0, 0.0),
     "110": (1.0, 1.0, 0.0),
@@ -99,10 +71,10 @@ class Orientation:
     label: str = "custom"
 
     def __post_init__(self):
-        d = np.asarray(self.direction, float)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("orientation direction must be a unit vector")
+        n = np.linalg.norm(np.asarray(self.direction, float))
+        if not abs(n - 1.0) <= 1e-12:
+            raise ValueError(f"orientation {self.direction} must be a finite "
+                             f"unit vector")
 
     @classmethod
     def from_spec(cls, spec) -> "Orientation":
@@ -120,8 +92,9 @@ class Orientation:
                 raise ValueError(f"cannot parse orientation {spec!r}") from None
             if d.shape != (3,):
                 raise ValueError("custom orientation needs three components")
-            if not np.linalg.norm(d) > 0:
-                raise ValueError("orientation direction must be nonzero")
+            if not 0 < np.linalg.norm(d) < np.inf:
+                raise ValueError(f"orientation {spec!r} must be a finite "
+                                 f"nonzero direction")
             label = "custom"
         d = d / np.linalg.norm(d)
         return cls(direction=tuple(float(x) for x in d), label=label)
@@ -145,46 +118,35 @@ def angular_lattice_sum(orientation, radius=BULK_SUM_RADIUS) -> float:
     return float((((1.0 - 3.0 * ct**2) ** 2) / r2**3).sum())
 
 
-@lru_cache(maxsize=32)
-def _calibrated_prefactor_cached(lattice_constant: float, radius: float) -> float:
-    s100 = angular_lattice_sum("100", radius)
-    # M2 = (9/16) (D/d^3)^2 S for I = 1/2, pinned to the [100] target.
-    return lattice_constant**3 * np.sqrt(16.0 * M2_CALIBRATION_TARGET / (9.0 * s100))
-
-
-def calibrated_prefactor(constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                         radius: float = BULK_SUM_RADIUS) -> float:
+@cache
+def calibrated_prefactor() -> float:
     """Prefactor D (rad s^-1 m^3) pinned to the bulk [100] second moment."""
-    return _calibrated_prefactor_cached(constants.lattice_constant, float(radius))
+    s100 = angular_lattice_sum("100", BULK_SUM_RADIUS)
+    # M2 = (9/16) (D/d^3)^2 S for I = 1/2, pinned to the [100] target.
+    return F19_SPACING**3 * np.sqrt(16.0 * M2_CALIBRATION_TARGET / (9.0 * s100))
 
 
-def resolve_prefactor(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    if constants.dipolar_prefactor is not None:
-        return constants.dipolar_prefactor
-    return calibrated_prefactor(constants)
-
-
-def coupling(r_vec, field_dir, constants: PhysicalConstants = DEFAULT_CONSTANTS,
-             prefactor: float | None = None) -> float:
-    """Secular dipolar coupling a = D (1 - 3 cos^2 theta) / r^3 in rad/s.
+def coupling(r_vec, field_dir) -> np.ndarray:
+    """Secular dipolar couplings a = D (1 - 3 cos^2 theta) / r^3 in rad/s.
 
     Parameters
     ----------
-    r_vec : array-like
-        Internuclear vector in meters.
+    r_vec : array-like, shape (..., 3)
+        Internuclear vectors in meters, on the last axis.
     field_dir : array-like
         Static-field direction (need not be normalized).
     """
-    r_vec = np.asarray(r_vec, float)
-    r = np.linalg.norm(r_vec)
-    if not r > 0:
-        raise ValueError("coincident sites: internuclear distance is zero")
+    v = np.asarray(r_vec, float)[..., None, :]
     d = np.asarray(field_dir, float)
     d = d / np.linalg.norm(d)
-    if prefactor is None:
-        prefactor = resolve_prefactor(constants)
-    ct = float(r_vec @ d) / r
-    return prefactor * (1.0 - 3.0 * ct**2) / r**3
+    # each product is a BLAS dot and each power libm's pow, as a single
+    # pair's 1-D `@` and scalar `**` are, so a table keeps its bits
+    r = np.sqrt(np.matmul(v, np.swapaxes(v, -1, -2))[..., 0, 0])
+    if not (r > 0).all():
+        raise ValueError("coincident sites: internuclear distance is zero")
+    ct = np.matmul(v, d[:, None])[..., 0, 0] / r
+    return (calibrated_prefactor() * (1.0 - 3.0 * np.float_power(ct, 2))
+            / np.float_power(r, 3))
 
 
 @dataclass(frozen=True)
@@ -197,8 +159,6 @@ class SpinCluster:
 
     positions: np.ndarray
     orientation: Orientation
-    constants: PhysicalConstants
-    prefactor: float
     couplings: np.ndarray = field(repr=False)
 
     @property
@@ -232,8 +192,8 @@ def _lattice_points(radius: float) -> np.ndarray:
     return pts[order]
 
 
-def build_cluster(orientation, radius, max_sites: int | None = None,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SpinCluster:
+def build_cluster(orientation, radius, max_sites: int | None = None
+                  ) -> SpinCluster:
     """Enumerate the cluster around the origin and fill its coupling table.
 
     Sites are all simple-cubic lattice points within ``radius`` (in lattice
@@ -254,18 +214,16 @@ def build_cluster(orientation, radius, max_sites: int | None = None,
         pts = pts[:max_sites]
     n = len(pts)
     check_fits(f"the coupling table of {n} sites", 8 * n * n)
-    prefactor = resolve_prefactor(constants)
-    d = constants.lattice_constant
     a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i, j] = a[j, i] = coupling((pts[i] - pts[j]) * d,
-                                         orientation.unit, constants, prefactor)
+    # one row at a time: all pairs at once would hold index and difference
+    # temporaries several times the table's own size
+    for i in range(n - 1):
+        a[i, i + 1:] = a[i + 1:, i] = coupling(
+            (pts[i] - pts[i + 1:]) * F19_SPACING, orientation.unit)
     pts = np.ascontiguousarray(pts)
     pts.setflags(write=False)
     a.setflags(write=False)
-    return SpinCluster(positions=pts, orientation=orientation,
-                       constants=constants, prefactor=prefactor, couplings=a)
+    return SpinCluster(positions=pts, orientation=orientation, couplings=a)
 
 
 def second_moment(cluster) -> float:
@@ -283,23 +241,20 @@ def local_field(cluster) -> float:
     return float(np.sqrt(second_moment(cluster) / 3.0))
 
 
-def bulk_second_moment(orientation, radius: float = BULK_SUM_RADIUS,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                       prefactor: float | None = None) -> float:
+def bulk_second_moment(orientation, radius: float = BULK_SUM_RADIUS) -> float:
     """Origin-centered bulk Van Vleck second moment, rad^2 s^-2.
 
     Uses every lattice point within ``radius`` of the origin (no site cap),
     so with the calibrated prefactor the [100] value reproduces the
     calibration target by construction at the calibration radius.
     """
-    if prefactor is None:
-        prefactor = resolve_prefactor(constants)
     s = angular_lattice_sum(orientation, radius)
-    return float((9.0 / 16.0) * (prefactor / constants.lattice_constant**3) ** 2 * s)
+    return float((9.0 / 16.0) * (calibrated_prefactor() / F19_SPACING**3) ** 2
+                 * s)
 
 
-def bulk_local_field_gauss(orientation, radius: float = BULK_SUM_RADIUS,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def bulk_local_field_gauss(orientation, radius: float = BULK_SUM_RADIUS
+                           ) -> float:
     """Bulk omega_L / gamma in Gauss for the given field direction."""
-    m2 = bulk_second_moment(orientation, radius, constants)
-    return float(np.sqrt(m2 / 3.0) / constants.gamma)
+    m2 = bulk_second_moment(orientation, radius)
+    return float(np.sqrt(m2 / 3.0) / GAMMA_F19)

@@ -10,8 +10,9 @@ Grammar (one statement per line, '#' starts a comment):
 
 The first statement is the program's one init. Burst amplitudes are in
 Gauss; half-cycle ("hc") durations must be positive integers and are
-converted at compile time to n * pi / omega1 with omega1 = gamma * B1, so
-compiled burst durations are exact integer multiples of the half-cycle.
+converted at compile time to n * pi / omega1 with omega1 = GAMMA_F19 * B1
+(the one nucleus the model has), so compiled burst durations are exact
+integer multiples of the half-cycle.
 
 Pulse and acquire statements parse straight into the engine's own
 :class:`~magicecho.engine.Pulse` and :class:`~magicecho.engine.Acquire`
@@ -234,11 +235,6 @@ def print_program(program: PulseProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def gamma_of(cluster) -> float:
-    """Gyromagnetic ratio of a cluster; GAMMA_F19 for a bare coupling table."""
-    return getattr(getattr(cluster, "constants", None), "gamma", GAMMA_F19)
-
-
 def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
             ) -> engine.PropagationPlan:
     """Lower a program to engine segments for the given cluster.
@@ -247,7 +243,6 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
     With ideal_reversal, bursts evolve under -H'/2 (the infinite-amplitude
     limit) for the same duration.
     """
-    gamma = gamma_of(cluster)
     segments = []
     for s in program.statements:
         if isinstance(s, (engine.Pulse, engine.Acquire)):
@@ -255,7 +250,7 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
         elif isinstance(s, Burst):
             if not s.amplitude_gauss > 0:
                 raise CompileError("burst amplitude must be positive")
-            omega1 = gamma * s.amplitude_gauss
+            omega1 = GAMMA_F19 * s.amplitude_gauss
             duration = (s.seconds if s.halfcycles is None
                         else engine.halfcycle_duration(omega1, s.halfcycles))
             spec = (engine.HamiltonianSpec("ideal_burst") if ideal_reversal
@@ -315,8 +310,7 @@ DEFAULT_WINDOW_US, DEFAULT_STEP_US = 60.0, 0.5
 def builtin(name: str, amplitude_gauss: float = DEFAULT_AMPLITUDE_GAUSS,
             halfcycles: int = DEFAULT_HALFCYCLES,
             window_us: float = DEFAULT_WINDOW_US,
-            step_us: float = DEFAULT_STEP_US,
-            gamma: float = GAMMA_F19) -> PulseProgram:
+            step_us: float = DEFAULT_STEP_US) -> PulseProgram:
     """A standard sequence with a burst of ``halfcycles`` total half-cycles.
 
     ``halfcycles`` must be even so each phase half is an integer number of
@@ -326,7 +320,7 @@ def builtin(name: str, amplitude_gauss: float = DEFAULT_AMPLITUDE_GAUSS,
         raise ValueError("halfcycles must be an even integer >= 2")
     n2 = halfcycles // 2
     half = Burst(sign=1, amplitude_gauss=amplitude_gauss, halfcycles=n2)
-    delay = engine.halfcycle_duration(gamma * amplitude_gauss, n2)
+    delay = engine.halfcycle_duration(GAMMA_F19 * amplitude_gauss, n2)
     return sequence(name, half, delay, window_us * 1e-6, step_us * 1e-6)
 
 

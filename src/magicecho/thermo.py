@@ -111,19 +111,17 @@ def kernel_values(kernel: KernelSpec, tau) -> np.ndarray:
 
 
 def gaussian_kernel_for_orientation(label, n=DEFAULT_N, m_ratio=DEFAULT_M_RATIO,
-                                    offset=DEFAULT_OFFSET, m2=None
-                                    ) -> KernelSpec:
+                                    offset=DEFAULT_OFFSET) -> KernelSpec:
     """Gaussian kernel from a field orientation's bulk second moment.
 
     omega_loc = sqrt(M2 / 3) and curvature = m_ratio * M2, with M2 the
-    tabulated reference value for the orientation unless given explicitly.
+    tabulated reference value for the orientation.
     """
-    if m2 is None:
-        key = str(label)
-        if key not in REFERENCE_M2:
-            raise ValueError(f"no reference second moment for orientation "
-                             f"{label!r}; known: {sorted(REFERENCE_M2)}")
-        m2 = REFERENCE_M2[key]
+    key = str(label)
+    if key not in REFERENCE_M2:
+        raise ValueError(f"no reference second moment for orientation "
+                         f"{label!r}; known: {sorted(REFERENCE_M2)}")
+    m2 = REFERENCE_M2[key]
     return KernelSpec("gaussian", n=float(n),
                       omega_loc=float(np.sqrt(m2 / 3.0)),
                       curvature=float(m_ratio * m2), offset=float(offset),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from magicecho import cli, engine, memory, output, thermo
+from magicecho.lattice import GAMMA_F19
 
 
 def run_main(argv):
@@ -184,7 +185,7 @@ def test_one_point_sweep_equals_p_component_seq1(tmp_path):
                      *_SAME_GRID, "--out", sweep]) == 0
     (amp,) = output.read_csv(sweep)[1]["amplitude"]
     cluster = build_cluster("110", radius=1.0, max_sites=5)
-    omega1 = cluster.constants.gamma * 30.0
+    omega1 = GAMMA_F19 * 30.0
     p_curve, _ = experiments.sequence1_components(
         cluster, omega1, 12 * np.pi / omega1, window=40e-6, step=0.5e-6)
     peak = float(output.CSV_FLOAT_FORMAT % np.abs(p_curve.values).max())
@@ -386,6 +387,31 @@ def test_non_finite_values_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# inf and NaN fail each range check written as 0 <= x < inf, so the
+# message names the input, not a later symptom of it
+NON_FINITE_INPUTS = [
+    (["lattice-info", "--orientation", "1,1,inf"],
+     "orientation '1,1,inf' must be a finite nonzero direction"),
+    (["run", "builtin:seq1", "--orientation", "inf,0,0"] + _SMALL,
+     "orientation 'inf,0,0' must be a finite nonzero direction"),
+    (["run", "builtin:seq1", "--orientation", "nan,1,0"] + _SMALL,
+     "orientation 'nan,1,0' must be a finite nonzero direction"),
+    (["run", "builtin:seq1", "--t1-grid", "nan:4:2hc"] + _SMALL,
+     "--t1-grid 'nan:4:2hc' must have finite"),
+    (["run", "builtin:seq1", "--t1-grid", "0:inf:2hc"] + _SMALL,
+     "--t1-grid '0:inf:2hc' must have finite"),
+    (["thermo", "--kernel-from-cluster", "100:1:4", "--kernel-tau-us", "inf",
+      "--t-end-us", "50"], "--kernel-tau-us must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NON_FINITE_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in NON_FINITE_INPUTS])
+def test_non_finite_inputs_name_their_flag(argv, message, capsys):
+    assert run_main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_jobs_do_not_load_openssl():
@@ -664,7 +690,7 @@ def test_dump_operator_lists_no_rounding_residue(tmp_path):
     cluster = build_cluster("100", radius=2.0, max_sites=8)
     h1, _ = ops.magnus_first_correction(
         cluster.couplings,
-        cluster.constants.gamma * pulseprog.DEFAULT_AMPLITUDE_GAUSS)
+        GAMMA_F19 * pulseprog.DEFAULT_AMPLITUDE_GAUSS)
     assert listed.size == np.count_nonzero(np.abs(h1) > floor) \
         < np.count_nonzero(h1)
 

@@ -26,7 +26,7 @@ from magicecho.engine import (
     verify_average_hamiltonian,
 )
 from magicecho.errors import InvariantViolation
-from magicecho.lattice import build_cluster, local_field
+from magicecho.lattice import GAMMA_F19, build_cluster, local_field
 from test_operators import rotation
 
 PAIR = np.array([[0.0, 1.0], [1.0, 0.0]]) * 1.0e5  # a = 1e5 rad/s
@@ -445,7 +445,7 @@ def test_sweep_peak_memory_is_bounded():
     from magicecho import experiments
 
     cluster = build_cluster("110", radius=2.0, max_sites=9)
-    omega1 = cluster.constants.gamma * 30.0
+    omega1 = GAMMA_F19 * 30.0
     t1 = 8 * np.pi / omega1
     ops.sector_layout(9)
     ops.collective_blocks("y", 9)

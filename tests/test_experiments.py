@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from magicecho import engine, experiments as ex, pulseprog as pp
 from magicecho import operators as ops
-from magicecho.lattice import build_cluster, local_field, second_moment
+from magicecho.lattice import (GAMMA_F19, build_cluster, local_field,
+                               second_moment)
 
 PAIR_A = 1.0e5
 
@@ -199,8 +200,8 @@ def coupling_tables(draw):
 @settings(max_examples=30, deadline=None)
 @given(coupling_tables(), st.floats(0.0, 5e-5))
 def test_ideal_ratio_is_two_for_random_tables(a, t1):
-    # bare tables go through the compiled builtins with the GAMMA_F19
-    # fallback; the 2:1 ratio is exact on any shared grid
+    # bare tables go through the compiled builtins; the 2:1 ratio is exact
+    # on any shared grid
     assume(np.any(a))
     a1 = ex.sequence1_amplitude(a, 1.0e6, t1, ideal_reversal=True)
     a2 = ex.sequence2_amplitude(a, 1.0e6, t1, ideal_reversal=True)
@@ -213,7 +214,7 @@ def test_seq1_components_sum_to_full_signal(four_spin):
     omega1 = 20.0 * local_field(four_spin)
     t1 = 8 * np.pi / omega1
     p_curve, hd_curve = ex.sequence1_components(four_spin, omega1, t1)
-    program = pp.builtin("seq1", omega1 / four_spin.constants.gamma,
+    program = pp.builtin("seq1", omega1 / GAMMA_F19,
                          halfcycles=8, window_us=p_curve.times[-1] * 1e6,
                          step_us=p_curve.times[1] * 1e6)
     plan = pp.compile(program, four_spin)
@@ -348,14 +349,13 @@ def test_sweep_rejects_bad_input(four_spin):
 # -------------------------------------------- pulse-program round trip
 
 def test_dsl_route_matches_direct_rpw(four_spin):
-    gamma = four_spin.constants.gamma
     text = pp.builtin_program("rpw", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
     plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
-    omega1 = gamma * 25.3
+    omega1 = GAMMA_F19 * 25.3
     direct = ex.rpw_magic_echo(four_spin, omega1, 20 * np.pi / omega1,
                                window=60.0e-6, step=0.5e-6)
     np.testing.assert_allclose(dsl.times, direct.times, rtol=1e-12)
@@ -367,14 +367,13 @@ def test_dsl_route_matches_direct_seq2(four_spin):
     # both routes compile the same seq2 statements from dipolar order (init
     # dipolar, then the 45 pulse): this one through the printed and
     # re-parsed program text, the direct one without the text
-    gamma = four_spin.constants.gamma
     text = pp.builtin_program("seq2", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
     plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
-    omega1 = gamma * 25.3
+    omega1 = GAMMA_F19 * 25.3
     direct = ex.sequence2_signal(four_spin, omega1, 40 * np.pi / omega1,
                                  window=60.0e-6, step=0.5e-6)
     scale = np.abs(direct.values).max()
@@ -382,14 +381,13 @@ def test_dsl_route_matches_direct_seq2(four_spin):
 
 
 def test_dsl_route_matches_component_sum_seq1(four_spin):
-    gamma = four_spin.constants.gamma
     text = pp.builtin_program("seq1", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
     plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, plan)
-    omega1 = gamma * 25.3
+    omega1 = GAMMA_F19 * 25.3
     p_curve, hd_curve = ex.sequence1_components(
         four_spin, omega1, 40 * np.pi / omega1,
         window=60.0e-6, step=0.5e-6)
@@ -469,7 +467,7 @@ def test_relabelling_sites_leaves_seq1_and_rpw_unchanged(nine_spin):
     # collective signals do not see which site carries which label
     a = nine_spin.couplings
     perm = np.random.default_rng(12).permutation(9)
-    omega1 = nine_spin.constants.gamma * 30.0
+    omega1 = GAMMA_F19 * 30.0
     t1 = 8 * np.pi / omega1
     seq1, rpw = zip(*((ex.sequence1_amplitude(table, omega1, t1),
                        ex.rpw_magic_echo(table, omega1, 0.5 * t1).values)
@@ -484,7 +482,7 @@ def test_scaling_couplings_field_and_times_scales_the_amplitudes(nine_spin):
     # H', so both amplitudes are lam times larger
     lam = 3.0
     a = nine_spin.couplings
-    omega1 = nine_spin.constants.gamma * 30.0
+    omega1 = GAMMA_F19 * 30.0
     t1 = 8 * np.pi / omega1
     window, step = 5.0 / local_field(a), 0.02 / local_field(a)
     for amplitude in (ex.sequence1_amplitude, ex.sequence2_amplitude):

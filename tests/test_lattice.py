@@ -11,7 +11,6 @@ import pytest
 from magicecho import lattice, memory
 from magicecho.lattice import (
     Orientation,
-    PhysicalConstants,
     SpinCluster,
     angular_lattice_sum,
     build_cluster,
@@ -50,26 +49,53 @@ def test_orientation_rejects_garbage():
         Orientation.from_spec("12x")
     with pytest.raises(ValueError):
         Orientation.from_spec("0,0,0")
+    for spec in ("1,1,inf", "inf,0,0", "nan,1,0"):
+        with pytest.raises(ValueError, match="must be a finite nonzero"):
+            Orientation.from_spec(spec)
+    with pytest.raises(ValueError, match="must be a finite unit vector"):
+        Orientation((float("nan"), 0.0, 0.0))
 
 
 def test_coupling_parallel_pair_sign_and_magnitude():
     # Vector along the field: 1 - 3cos^2 = -2, so a = -2 D / r^3.
-    c = PhysicalConstants(dipolar_prefactor=1.0)
-    d = c.lattice_constant
-    a = coupling((d, 0.0, 0.0), (1, 0, 0), c)
+    d = lattice.F19_SPACING
+    a = coupling((d, 0.0, 0.0), (1, 0, 0)) / calibrated_prefactor()
     assert a == pytest.approx(-2.0 / d**3, rel=1e-14)
 
 
 def test_coupling_magic_angle_vanishes():
-    c = PhysicalConstants(dipolar_prefactor=1.0)
     # cos^2 = 1/3 kills the secular coupling.
     v = np.array([1.0, np.sqrt(2.0), 0.0])
-    assert coupling(v, (1, 0, 0), c) == pytest.approx(0.0, abs=1e-12)
+    a = coupling(v, (1, 0, 0)) / calibrated_prefactor()
+    assert a == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coupling_rejects_zero_separation():
     with pytest.raises(ValueError):
         coupling((0.0, 0.0, 0.0), (1, 0, 0))
+    with pytest.raises(ValueError, match="coincident"):
+        coupling([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], (1, 0, 0))
+
+
+def test_coupling_table_matches_per_pair_formula_bitwise():
+    # the table is built a row at a time; pair by pair, each coupling is
+    # one 1-D dot product and scalar powers, and the rows keep those bits.
+    # On these two directions an elementwise square in place of pow, or an
+    # einsum in place of the BLAS dot, changes entries
+    for spec in ("0.541,0.215,0.355", "1.37,-0.665,0.352"):
+        cl = build_cluster(spec, radius=4.0)
+        pts, u = cl.positions, cl.orientation.unit
+        u = u / np.linalg.norm(u)
+        prefactor = calibrated_prefactor()
+        a = np.zeros((cl.n_sites, cl.n_sites))
+        for i in range(cl.n_sites):
+            for j in range(i + 1, cl.n_sites):
+                r_vec = (pts[i] - pts[j]) * lattice.F19_SPACING
+                r = np.linalg.norm(r_vec)
+                ct = float(r_vec @ u) / r
+                a[i, j] = a[j, i] = prefactor * (1.0 - 3.0 * ct**2) / r**3
+        assert cl.n_sites == 257
+        assert np.array_equal(cl.couplings, a), spec
 
 
 def test_radius_one_cluster_has_seven_sites():
@@ -154,12 +180,6 @@ def test_bulk_m2_other_orientations_against_reference():
     m111 = bulk_second_moment("111")
     assert m110 == pytest.approx(0.99e10, rel=0.15)
     assert m111 == pytest.approx(0.50e10, rel=0.15)
-
-
-def test_explicit_prefactor_bypasses_calibration():
-    c = PhysicalConstants(dipolar_prefactor=2.0 * lattice.F19_SPACING**3)
-    m2 = bulk_second_moment("100", constants=c)
-    assert m2 == pytest.approx((9.0 / 16.0) * 4.0 * 13.341538971, rel=1e-8)
 
 
 def local_field_trace(cluster: SpinCluster, hd: np.ndarray) -> float:

@@ -161,15 +161,6 @@ def test_compile_rejects_nonpositive_amplitude():
         pp.compile(prog, cluster)
 
 
-def test_compile_uses_cluster_gamma():
-    from magicecho.lattice import PhysicalConstants
-
-    cluster = build_cluster("100", radius=1.0, max_sites=2,
-                            constants=PhysicalConstants(gamma=2.0 * GAMMA_F19))
-    plan = pp.compile(pp.parse("init ix\nburst + 10G 4hc\n"), cluster)
-    assert plan.segments[0].hamiltonian.omega1 == 2.0 * GAMMA_F19 * 10.0
-
-
 def test_builtin_programs_parse_and_shape():
     for name in pp.BUILTIN_NAMES:
         prog = pp.parse(pp.builtin_program(name))
