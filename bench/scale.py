@@ -128,10 +128,9 @@ def child(src: str, n: int, task: str) -> dict:
         if task == "pulse":
             state = engine.initial_state("dipolar", cluster)
             norm0 = np.linalg.norm(state.delta)
-            plan = engine.PropagationPlan(cluster, (
+            out, _ = engine.evolve(state, cluster, (
                 engine.Pulse("y", np.pi / 4), engine.Pulse("-x", 0.5),
                 engine.Pulse("z", 0.3)))
-            out, _ = engine.evolve(state, plan)
             return abs(np.linalg.norm(out.delta) / norm0 - 1.0)
         if task == "kernel":
             tau = np.linspace(0.0, 6.0 / np.sqrt(second_moment(cluster)), 97)

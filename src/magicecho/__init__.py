@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .engine import (
     DeviationState,
-    PropagationPlan,
     SignalCurve,
     evolve,
     initial_state,
@@ -52,7 +51,6 @@ __all__ = [
     "InvariantViolation",
     "KernelSpec",
     "Orientation",
-    "PropagationPlan",
     "PulseProgram",
     "SignalCurve",
     "SpinCluster",

@@ -199,6 +199,8 @@ def _parse_cluster_spec(spec: str):
 
 def _cmd_thermo(args) -> int:
     t0 = time.perf_counter()
+    if not 0 <= args.offset_us < np.inf:
+        raise ValueError("--offset-us must be nonnegative and finite")
     cluster = None
     if args.kernel_from_cluster:
         _reject(args, "applies to the Gaussian kernel only",
@@ -276,6 +278,9 @@ def _cmd_dump_operator(args) -> int:
     # d eps max|M| bounds the rounding of a length-d inner product, so an
     # entry at or below it is the residue of terms that cancel exactly
     size = np.abs(matrix)
+    if not np.isfinite(size.max()):   # H1's 1/(2 omega1) overflowed
+        raise ValueError(f"--omega1-gauss {args.omega1_gauss} gives H1 "
+                         f"non-finite entries")
     rows, cols = np.nonzero(
         size > matrix.shape[0] * np.finfo(float).eps * size.max())
     meta = {"name": args.name, "dim": str(matrix.shape[0]),

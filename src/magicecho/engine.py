@@ -1,6 +1,6 @@
-"""Exact evolution of deviation density matrices through pulse plans.
+"""Exact evolution of deviation density matrices through pulse segments.
 
-A plan is a sequence of segments applied to a deviation state Delta (the
+A run is a sequence of segments applied to a deviation state Delta (the
 traceless part of the density matrix, in units of the inverse spin
 temperature beta, so no beta enters a signal). Unitary segments conjugate
 Delta; acquisition segments sample a normalized transverse signal
@@ -145,12 +145,6 @@ class Acquire:
     def times(self) -> np.ndarray:
         """Sample times 0, step, 2 step, ... up to the window."""
         return self.step * np.arange(int(self.window / self.step + 1e-9) + 1)
-
-
-@dataclass(frozen=True)
-class PropagationPlan:
-    cluster: object
-    segments: tuple
 
 
 @dataclass(frozen=True)
@@ -429,19 +423,18 @@ def _check_drift(delta, norm0, tr0, where):
         raise InvariantViolation(f"Tr(Delta) drifted after {where}")
 
 
-def evolve(state: DeviationState, plan: PropagationPlan):
-    """Run a deviation state through a plan.
+def evolve(state: DeviationState, cluster_or_matrix, segments):
+    """Run a deviation state through a sequence of segments on a cluster.
 
     Returns (state, curves) where curves holds one :class:`SignalCurve`
-    per Acquire segment, in plan order. The state is the run's own: its
+    per Acquire segment, in segment order. The state is the run's own: its
     Delta, in sorted positions, is advanced in place, and the same object
     is returned.
     """
-    a = ops.couplings_of(plan.cluster)
+    a = ops.couplings_of(cluster_or_matrix)
     n = a.shape[0]
     if state.delta.shape != (2**n, 2**n):
-        raise ValueError("state dimension does not match the plan's cluster")
-    segments = plan.segments
+        raise ValueError("state dimension does not match the cluster")
     _check_memory("this run", n, [
         seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
         for seg in segments if not isinstance(seg, Pulse)], 0,

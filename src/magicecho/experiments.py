@@ -131,12 +131,12 @@ def run_program(program, cluster, ideal_reversal=False, start=None,
     builds, in place (see :func:`engine.evolve`): its Delta is the only
     copy the run evolves.
     """
-    plan = pulseprog.compile(program, cluster, ideal_reversal)
-    if sum(isinstance(s, engine.Acquire) for s in plan.segments) != 1:
+    segments = pulseprog.compile(program, ideal_reversal)
+    if sum(isinstance(s, engine.Acquire) for s in segments) != 1:
         raise ValueError("a signal needs exactly one acquire statement")
     if start is None:
         start = engine.initial_state(program.init_kind, cluster)
-    _, (curve,) = engine.evolve(start, plan)
+    _, (curve,) = engine.evolve(start, cluster, segments)
     return replace(curve, label=label, meta=cluster_meta(
         cluster, ideal_reversal=bool(ideal_reversal), **meta))
 
@@ -163,11 +163,11 @@ def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
     coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
     start = engine.DeviationState(
         ops.operator_sum(cluster, sorted_basis=True, **coeffs))
-    init, _, *rest = _program("seq1", cluster, omega1, t1, ideal_reversal,
-                              window, step).statements
-    return run_program(pulseprog.PulseProgram((init, *rest)), cluster,
-                       ideal_reversal, start, f"seq1-{part}", sequence="seq1",
-                       component=part, omega1=omega1, t1=t1)
+    program = _program("seq1", cluster, omega1, t1, ideal_reversal, window,
+                       step)
+    return run_program(replace(program, statements=program.statements[1:]),
+                       cluster, ideal_reversal, start, f"seq1-{part}",
+                       sequence="seq1", component=part, omega1=omega1, t1=t1)
 
 
 def sequence1_components(cluster, omega1, t1, ideal_reversal=False,

@@ -401,8 +401,8 @@ def h1_parity_blocks(cluster_or_matrix, omega1: float):
     (slice, double_quantum, cross) on each parity class, the only nonzero
     blocks, yielded one class at a time. H2 lowers the down-spin count by
     two, so in sorted order it is the upper triangle of P's class block."""
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
+    if not 0 < omega1 < np.inf:
+        raise ValueError("omega1 must be positive and finite")
     a = couplings_of(cluster_or_matrix)
     for s in sector_layout(a.shape[0]).parities:
         yield (s, *_h1_class_blocks(a, s, omega1))
@@ -445,6 +445,6 @@ def magnus_first_correction(cluster_or_matrix, omega1: float):
 
 def h1_magnitude_proxy(m2: float, omega1: float) -> float:
     """Scalar size estimate M2 / (2 omega1) for the first-order correction."""
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
+    if not 0 < omega1 < np.inf:
+        raise ValueError("omega1 must be positive and finite")
     return float(m2) / (2.0 * omega1)

@@ -14,15 +14,16 @@ converted at compile time to n * pi / omega1 with omega1 = GAMMA_F19 * B1
 (the one nucleus the model has), so compiled burst durations are exact
 integer multiples of the half-cycle.
 
-Pulse and acquire statements parse straight into the engine's own
-:class:`~magicecho.engine.Pulse` and :class:`~magicecho.engine.Acquire`
-segments. Compilation is literal: those pass through as they are, each
-burst becomes an evolution under the tilted-rotating-frame burst
+A program is its init kind plus its other statements. Pulse, delay and
+acquire statements parse straight into the engine's own segments,
+:class:`~magicecho.engine.Pulse`, :class:`~magicecho.engine.Evolve` under
+H' and :class:`~magicecho.engine.Acquire`. Compilation lowers only
+bursts: each becomes an evolution under the tilted-rotating-frame burst
 Hamiltonian (or its infinite-field limit -H'/2 when ideal reversal is
-requested), each delay a free dipolar evolution. No statement is absorbed
-or reordered; the standard programs compose to the intended sequences
-because a 90-degree y pulse maps dipolar order exactly onto the burst
-frame's reversed Hamiltonian plus the double-quantum part.
+requested), and every other statement passes through as it is. No
+statement is absorbed or reordered; the standard programs compose to the
+intended sequences because a 90-degree y pulse maps dipolar order exactly
+onto the burst frame's reversed Hamiltonian plus the double-quantum part.
 
 The standard sequences seq1, seq2 and rpw are spelled out once, as
 statements, in :func:`sequence`; single runs, sweeps and the experiments
@@ -51,12 +52,7 @@ class ParseError(ValueError):
 
 
 class CompileError(ValueError):
-    """A parsed program that cannot be lowered to a propagation plan."""
-
-
-@dataclass(frozen=True)
-class Init:
-    kind: str
+    """A parsed program that cannot be lowered to engine segments."""
 
 
 @dataclass(frozen=True)
@@ -72,23 +68,19 @@ class Burst:
 
 
 @dataclass(frozen=True)
-class Delay:
-    seconds: float
-
-
-@dataclass(frozen=True)
 class PulseProgram:
-    statements: tuple
+    """A start kind of engine.INITIAL_STATES and the statements run from
+    it: engine Pulse, Evolve and Acquire segments, and Bursts."""
 
-    @property
-    def init_kind(self) -> str:
-        return self.statements[0].kind
+    init_kind: str
+    statements: tuple
 
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _NUM_UNIT_RE = re.compile(rf"({_NUM})([A-Za-z]*)\Z")
 _AXES = ("x", "y", "z", "-x", "-y", "-z")
 _OBSERVABLES = {"Ix": "x", "Iy": "y", "Iz": "z"}
+_DIPOLAR = engine.HamiltonianSpec("dipolar")
 
 
 class _Tokens:
@@ -137,12 +129,13 @@ def _positive(value, what, lineno, col):
 
 
 def _parse_statement(toks: _Tokens):
+    """The statement on one line; an init is its kind, a str."""
     head, col = toks.next("a statement keyword")
     line = toks.lineno
     if head == "init":
         kind, _ = toks.keyword(engine.INITIAL_STATES, "an initial state kind")
         toks.done()
-        return Init(kind)
+        return kind
     if head == "pulse":
         angle_deg, _, acol = toks.number("a flip angle", units=("", "deg"))
         _positive(angle_deg, "flip angle", line, acol)
@@ -167,7 +160,7 @@ def _parse_statement(toks: _Tokens):
         value, _, dcol = toks.number("a delay duration", units=("us",))
         _positive(value, "delay duration", line, dcol)
         toks.done()
-        return Delay(seconds=value * 1e-6)
+        return engine.Evolve(_DIPOLAR, value * 1e-6)
     if head == "acquire":
         obs_tok, _ = toks.keyword(tuple(_OBSERVABLES), "an observable (Ix/Iy/Iz)")
         toks.keyword(("for",), "'for'")
@@ -197,13 +190,13 @@ def parse(text: str) -> PulseProgram:
         lines.append(lineno)
     if not statements:
         raise ParseError("empty program: missing init", 1, 1)
-    if not isinstance(statements[0], Init):
+    if not isinstance(statements[0], str):
         raise ParseError("missing init: the first statement must be 'init'",
                          lines[0], 1)
-    inits = [k for k, s in enumerate(statements) if isinstance(s, Init)]
+    inits = [k for k, s in enumerate(statements) if isinstance(s, str)]
     if len(inits) > 1:
         raise ParseError("more than one init statement", lines[inits[1]], 1)
-    return PulseProgram(statements=tuple(statements))
+    return PulseProgram(statements[0], tuple(statements[1:]))
 
 
 def _fmt(x: float) -> str:
@@ -212,11 +205,9 @@ def _fmt(x: float) -> str:
 
 def print_program(program: PulseProgram) -> str:
     """Canonical text form; parse(print_program(p)) reproduces p."""
-    out = []
+    out = [f"init {program.init_kind}"]
     for s in program.statements:
-        if isinstance(s, Init):
-            out.append(f"init {s.kind}")
-        elif isinstance(s, engine.Pulse):
+        if isinstance(s, engine.Pulse):
             out.append(f"pulse {_fmt(np.degrees(s.angle))} {s.axis}")
         elif isinstance(s, Burst):
             sign = "+" if s.sign > 0 else "-"
@@ -225,8 +216,8 @@ def print_program(program: PulseProgram) -> str:
             else:
                 dur = f"{_fmt(s.seconds * 1e6)}us"
             out.append(f"burst {sign} {_fmt(s.amplitude_gauss)}G {dur}")
-        elif isinstance(s, Delay):
-            out.append(f"delay {_fmt(s.seconds * 1e6)}us")
+        elif isinstance(s, engine.Evolve) and s.hamiltonian.kind == "dipolar":
+            out.append(f"delay {_fmt(s.duration * 1e6)}us")
         elif isinstance(s, engine.Acquire):
             out.append(f"acquire I{s.observable} for {_fmt(s.window * 1e6)}us"
                        f" step {_fmt(s.step * 1e6)}us")
@@ -235,19 +226,17 @@ def print_program(program: PulseProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
-            ) -> engine.PropagationPlan:
-    """Lower a program to engine segments for the given cluster.
+def compile(program: PulseProgram, ideal_reversal: bool = False) -> tuple:
+    """The engine segments of a program's statements, bursts lowered.
 
-    Each hc burst duration becomes an exact integer multiple of pi/omega1.
-    With ideal_reversal, bursts evolve under -H'/2 (the infinite-amplitude
+    Pulse, Evolve and Acquire statements pass through as they are. Each hc
+    burst duration becomes an exact integer multiple of pi/omega1. With
+    ideal_reversal, bursts evolve under -H'/2 (the infinite-amplitude
     limit) for the same duration.
     """
     segments = []
     for s in program.statements:
-        if isinstance(s, (engine.Pulse, engine.Acquire)):
-            segments.append(s)
-        elif isinstance(s, Burst):
+        if isinstance(s, Burst):
             if not s.amplitude_gauss > 0:
                 raise CompileError("burst amplitude must be positive")
             omega1 = GAMMA_F19 * s.amplitude_gauss
@@ -255,14 +244,11 @@ def compile(program: PulseProgram, cluster, ideal_reversal: bool = False
                         else engine.halfcycle_duration(omega1, s.halfcycles))
             spec = (engine.HamiltonianSpec("ideal_burst") if ideal_reversal
                     else engine.HamiltonianSpec("burst", s.sign, omega1))
-            segments.append(engine.Evolve(hamiltonian=spec, duration=duration))
-        elif isinstance(s, Delay):
-            segments.append(engine.Evolve(
-                hamiltonian=engine.HamiltonianSpec("dipolar"),
-                duration=s.seconds))
-        elif not isinstance(s, Init):
+            s = engine.Evolve(hamiltonian=spec, duration=duration)
+        elif not isinstance(s, (engine.Pulse, engine.Evolve, engine.Acquire)):
             raise CompileError(f"cannot compile {type(s).__name__}")
-    return engine.PropagationPlan(cluster=cluster, segments=tuple(segments))
+        segments.append(s)
+    return tuple(segments)
 
 
 BUILTIN_NAMES = ("seq1", "seq2", "rpw")
@@ -288,19 +274,19 @@ def sequence(name: str, half: Burst | None, delay: float, window: float,
     acquisition on Ix from the burst end (the original magic-echo timing).
     """
     burst = () if half is None else (half, replace(half, sign=-1))
-    free = () if half is None else (Delay(delay),)
+    free = () if half is None else (engine.Evolve(_DIPOLAR, delay),)
     if name == "seq1":
-        body = (Init("dipolar"), engine.Pulse("y", np.pi / 2), *burst,
-                *free, engine.Pulse("y", np.pi / 4),
-                engine.Acquire("y", window, step))
-    elif name == "seq2":
-        body = (Init("dipolar"), engine.Pulse("y", np.pi / 4), *burst,
-                *free, engine.Acquire("y", window, step))
-    elif name == "rpw":
-        body = (Init("ix"), *free, *burst, engine.Acquire("x", window, step))
-    else:
-        raise ValueError(f"unknown builtin program {name!r}")
-    return PulseProgram(statements=body)
+        return PulseProgram("dipolar", (
+            engine.Pulse("y", np.pi / 2), *burst, *free,
+            engine.Pulse("y", np.pi / 4), engine.Acquire("y", window, step)))
+    if name == "seq2":
+        return PulseProgram("dipolar", (
+            engine.Pulse("y", np.pi / 4), *burst, *free,
+            engine.Acquire("y", window, step)))
+    if name == "rpw":
+        return PulseProgram("ix", (*free, *burst,
+                                   engine.Acquire("x", window, step)))
+    raise ValueError(f"unknown builtin program {name!r}")
 
 
 DEFAULT_AMPLITUDE_GAUSS, DEFAULT_HALFCYCLES = 25.3, 40

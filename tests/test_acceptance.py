@@ -235,14 +235,14 @@ def test_criterion_7_divergence_exhibit(tmp_path):
 # ------------------------------------------------ 8. parser and round-trip
 
 def test_criterion_8_builtin_golden_shapes():
-    shapes = {"seq1": 7, "seq2": 6, "rpw": 5}
+    shapes = {"seq1": 6, "seq2": 5, "rpw": 4}
     for name, count in shapes.items():
         program = pulseprog.parse(pulseprog.builtin_program(name))
         assert len(program.statements) == count
     seq1 = pulseprog.parse(pulseprog.builtin_program("seq1"))
     kinds = [type(s).__name__ for s in seq1.statements]
-    assert kinds == ["Init", "Pulse", "Burst", "Burst", "Delay", "Pulse",
-                     "Acquire"]
+    assert kinds == ["Pulse", "Burst", "Burst", "Evolve", "Pulse", "Acquire"]
+    assert seq1.statements[3].hamiltonian.kind == "dipolar"
     assert seq1.init_kind == "dipolar"
 
 

@@ -414,6 +414,40 @@ def test_non_finite_inputs_name_their_flag(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gauss, message", [
+    ("nan", "omega1 must be positive and finite"),
+    ("inf", "omega1 must be positive and finite"),
+    # finite, but 1/(2 omega1) overflows in every entry
+    ("1e-320", "--omega1-gauss 1e-320 gives H1 non-finite entries"),
+])
+def test_dump_h1_refuses_a_non_finite_matrix(gauss, message, capsys):
+    # each once exited 0 with a header and no rows: the d eps max|M|
+    # filter drops every entry of a NaN or infinite matrix
+    assert run_main(["dump-operator", "--name", "h1", "--radius", "1",
+                     "--max-sites", "4", "--omega1-gauss", gauss]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("offset", ["inf", "nan", "-1"])
+def test_offset_is_checked_before_either_kernel(offset, monkeypatch, capsys):
+    # a bad --offset-us is refused by name before a kernel is built, not
+    # after the microscopic kernel's whole table
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(thermo, "microscopic_kernel", unreachable)
+    monkeypatch.setattr(thermo, "gaussian_kernel_for_orientation",
+                        unreachable)
+    for source in (["--kernel-from-cluster", "100:1:4"],
+                   ["--orientation", "100"]):
+        assert run_main(["thermo", *source, "--t-end-us", "50",
+                         "--offset-us", offset]) == 2
+        assert ("--offset-us must be nonnegative and finite"
+                in capsys.readouterr().err)
+
+
 def test_jobs_do_not_load_openssl():
     # hashlib's OpenSSL binding would add a few MB to every job's resident
     # set; the cluster hash uses CPython's builtin SHA-256

@@ -18,7 +18,6 @@ from magicecho.engine import (
     DeviationState,
     Evolve,
     HamiltonianSpec,
-    PropagationPlan,
     Pulse,
     effective_propagator_a3,
     evolve,
@@ -136,8 +135,7 @@ def test_seq2_state_is_tilted_dipolar_order(four_spin):
 def test_pulse_segment_on_dipolar_order():
     # 90-degree y pulse turns -H' into -(3/8)P + (1/2)H'
     state = initial_state("dipolar", PAIR)
-    plan = PropagationPlan(cluster=PAIR, segments=(Pulse("y", np.pi / 2),))
-    out, _ = evolve(state, plan)
+    out, _ = evolve(state, PAIR, (Pulse("y", np.pi / 2),))
     delta = ops.sector_layout(2).unsort(out.delta)
     hd = ops.secular_dipolar(PAIR)
     _, _, p = ops.nonsecular_pair_raising(PAIR)
@@ -151,27 +149,22 @@ def test_pair_fid_closed_form():
     a = PAIR[0, 1]
     state = initial_state("ix", PAIR)
     window, step = 40.0e-6, 0.5e-6
-    plan = PropagationPlan(cluster=PAIR,
-                           segments=(Acquire("x", window, step),))
-    _, curves = evolve(state, plan)
+    _, curves = evolve(state, PAIR, (Acquire("x", window, step),))
     (curve,) = curves
     np.testing.assert_allclose(curve.values, np.cos(0.75 * a * curve.times),
                                atol=1e-12)
     # quadrature channel stays dark for this initial state
-    plan_y = PropagationPlan(cluster=PAIR,
-                             segments=(Acquire("y", window, step),))
-    _, (curve_y,) = evolve(state, plan_y)
+    _, (curve_y,) = evolve(state, PAIR, (Acquire("y", window, step),))
     np.testing.assert_allclose(curve_y.values, 0.0, atol=1e-12)
 
 
 def test_dipolar_order_is_stationary():
     state = initial_state("dipolar", PAIR)
     delta0 = state.delta.copy()   # the run advances state.delta in place
-    plan = PropagationPlan(cluster=PAIR, segments=(
+    out, (curve,) = evolve(state, PAIR, (
         Evolve(HamiltonianSpec("dipolar"), 1.0e-5),
         Acquire("x", 1.0e-5, 2.0e-6),
     ))
-    out, (curve,) = evolve(state, plan)
     np.testing.assert_allclose(curve.values, 0.0, atol=1e-12)
     np.testing.assert_allclose(out.delta, delta0, atol=1e-9)
 
@@ -181,8 +174,7 @@ def test_acquire_grid_and_state_advance():
     state = initial_state("ix", PAIR)
     delta0 = layout.unsort(state.delta)   # a copy, taken before the run
     window, step = 1.0e-5, 3.0e-6
-    plan = PropagationPlan(cluster=PAIR, segments=(Acquire("x", window, step),))
-    out, (curve,) = evolve(state, plan)
+    out, (curve,) = evolve(state, PAIR, (Acquire("x", window, step),))
     np.testing.assert_allclose(curve.times, [0.0, 3.0e-6, 6.0e-6, 9.0e-6],
                                atol=1e-18)
     # the state advances by the full window, not just to the last sample
@@ -223,9 +215,8 @@ def test_spectral_acquire_matches_stepwise_oracle():
     delta0 -= np.trace(delta0) / 32 * np.eye(32)
     layout = ops.sector_layout(5)
     for observable in ("x", "y"):
-        plan = PropagationPlan(cluster=cluster,
-                               segments=(Acquire(observable, window, step),))
-        out, (curve,) = evolve(DeviationState(layout.sort(delta0)), plan)
+        out, (curve,) = evolve(DeviationState(layout.sort(delta0)), cluster,
+                               (Acquire(observable, window, step),))
         values, delta = _stepwise_acquire(delta0, a, observable, window,
                                           step)
         assert curve.values.size == values.size == 76
@@ -301,8 +292,7 @@ def blocked_cases(draw):
 def test_blocked_evolve_matches_dense_oracle(case):
     a, delta0, segments = case
     layout = ops.sector_layout(a.shape[0])
-    out, curves = evolve(DeviationState(layout.sort(delta0)),
-                         PropagationPlan(cluster=a, segments=segments))
+    out, curves = evolve(DeviationState(layout.sort(delta0)), a, segments)
     delta, samples = _dense_evolve(delta0, a, segments)
     scale = np.linalg.norm(delta0)
     assert np.linalg.norm(layout.unsort(out.delta) - delta) <= 1e-10 * scale
@@ -358,8 +348,7 @@ def acquire_cases(draw):
 def test_blockwise_acquire_matches_dense_phase_sum(case):
     a, delta0, seg = case
     layout = ops.sector_layout(a.shape[0])
-    out, (curve,) = evolve(DeviationState(layout.sort(delta0)),
-                           PropagationPlan(cluster=a, segments=(seg,)))
+    out, (curve,) = evolve(DeviationState(layout.sort(delta0)), a, (seg,))
     samples, imag, delta = _dense_phase_sum_acquire(delta0, a, seg)
     scale = np.linalg.norm(delta0)
     # |s| <= ||Delta|| / ||O||, and ||O|| >= sqrt(2^n / 4)
@@ -394,7 +383,7 @@ def test_pp_run_peak_memory_is_bounded():
 
     cluster = build_cluster("110", radius=2.0, max_sites=8)
     program = pulseprog.parse(_PEAK_PROGRAM)
-    plan = pulseprog.compile(program, cluster)
+    segments = pulseprog.compile(program)
     # warm the per-n caches, then count the run's own eigenblocks
     ops.sector_layout(8)
     ops.collective_blocks("y", 8)
@@ -402,7 +391,7 @@ def test_pp_run_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         state = initial_state(program.init_kind, cluster)
-        _, (curve,) = evolve(state, plan)
+        _, (curve,) = evolve(state, cluster, segments)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,7 +456,6 @@ def test_sorted_state_is_the_runs_own(four_spin):
     a = four_spin.couplings
     segments = (Pulse("y", 0.7), Evolve(HamiltonianSpec("burst", -1, 3e5),
                                         2e-5), Acquire("x", 1e-5, 1e-6))
-    plan = PropagationPlan(cluster=four_spin, segments=segments)
     given = initial_state("seq2", four_spin).delta
     expected, samples = _dense_evolve(layout.unsort(given), a, segments)
     expected = layout.sort(expected)
@@ -476,7 +464,7 @@ def test_sorted_state_is_the_runs_own(four_spin):
     # place and returns the same state
     state = DeviationState(given.copy())
     kept = state.delta
-    out, (curve,) = evolve(state, plan)
+    out, (curve,) = evolve(state, four_spin, segments)
     assert out is state and out.delta is kept
     np.testing.assert_allclose(kept, expected, rtol=0, atol=tol)
     np.testing.assert_allclose(curve.values, samples, rtol=0,
@@ -488,7 +476,7 @@ def test_sorted_state_is_the_runs_own(four_spin):
         before = other.copy()
         state = DeviationState(other)
         assert state.delta is not other and state.delta.flags.c_contiguous
-        out, _ = evolve(state, plan)
+        out, _ = evolve(state, four_spin, segments)
         assert out is state
         np.testing.assert_array_equal(other, before)
         np.testing.assert_allclose(state.delta, expected, rtol=0, atol=tol)
@@ -507,19 +495,18 @@ def test_state_delta_cannot_be_rebound(four_spin):
 def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
     cluster = build_cluster("100", radius=2.0, max_sites=8)
     omega1 = 10.0 * local_field(cluster)
-    plan = PropagationPlan(cluster=cluster, segments=(
-        Pulse("y", 0.5), Acquire("x", 1e-5, 1e-6)))
+    segments = (Pulse("y", 0.5), Acquire("x", 1e-5, 1e-6))
     # n = 8: a dense operator is 1 MiB, so no job fits in 1 MiB
     monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
     message = r"an estimated \d+ MiB, but only 1 MiB is available"
     with pytest.raises(ValueError, match="this run .*" + message):
-        evolve(initial_state("ix", cluster), plan)
+        evolve(initial_state("ix", cluster), cluster, segments)
     with pytest.raises(ValueError, match="verify .*" + message):
         verify_average_hamiltonian(cluster, omega1)
     with pytest.raises(ValueError, match="A3 .*" + message):
         effective_propagator_a3(cluster, omega1, 1e-6)
     monkeypatch.setattr(memory, "available_bytes", lambda: 2**30)
-    evolve(initial_state("ix", cluster), plan)
+    evolve(initial_state("ix", cluster), cluster, segments)
 
 
 def test_available_memory_without_proc_meminfo(monkeypatch):
@@ -630,13 +617,12 @@ def test_eigen_cache_holds_one_coupling_table():
 
 def test_ideal_rpw_echo_is_exact(four_spin):
     tau = 20.0e-6
-    plan = PropagationPlan(cluster=four_spin, segments=(
+    state = initial_state("ix", four_spin)
+    _, (curve,) = evolve(state, four_spin, (
         Evolve(HamiltonianSpec("dipolar"), tau),
         Evolve(HamiltonianSpec("ideal_burst"), 2.0 * tau),
         Acquire("x", 1.0e-6, 1.0e-6),
     ))
-    state = initial_state("ix", four_spin)
-    _, (curve,) = evolve(state, plan)
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -646,13 +632,12 @@ def test_burst_echo_improves_with_field(four_spin):
     def echo_defect(omega1):
         n_half = 8
         tau = n_half * np.pi / omega1
-        plan = PropagationPlan(cluster=four_spin, segments=(
+        _, (curve,) = evolve(initial_state("ix", four_spin), four_spin, (
             Evolve(HamiltonianSpec("dipolar"), tau),
             Evolve(HamiltonianSpec("burst", +1, omega1), tau),
             Evolve(HamiltonianSpec("burst", -1, omega1), tau),
             Acquire("x", 1.0e-7, 1.0e-7),
         ))
-        _, (curve,) = evolve(initial_state("ix", four_spin), plan)
         return 1.0 - curve.values[0]
 
     d1 = echo_defect(20.0 * wl)
@@ -667,8 +652,7 @@ def test_evolve_preserves_spectrum_over_ten_segments(four_spin):
     for k in range(5):
         segs.append(Pulse("x" if k % 2 else "y", 0.3 + 0.1 * k))
         segs.append(Evolve(HamiltonianSpec("dipolar"), 5.0e-6))
-    plan = PropagationPlan(cluster=four_spin, segments=tuple(segs))
-    out, _ = evolve(state, plan)
+    out, _ = evolve(state, four_spin, tuple(segs))
     w_in = np.linalg.eigvalsh(delta0)
     w_out = np.linalg.eigvalsh(out.delta)
     scale = max(1.0, np.abs(w_in).max())
@@ -696,10 +680,9 @@ def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
     # a negative tolerance fails every comparison, so the check that reads
     # the constant is the one that fires
     monkeypatch.setattr(engine, name, -1.0)
-    plan = PropagationPlan(cluster=PAIR, segments=(
-        Acquire("x", 1.0e-5, 1.0e-6),))
     with pytest.raises(InvariantViolation, match=match):
-        evolve(initial_state("ix", PAIR), plan)
+        evolve(initial_state("ix", PAIR), PAIR,
+               (Acquire("x", 1.0e-5, 1.0e-6),))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -748,19 +731,18 @@ def test_corrupted_eigenblock_of_a_middle_evolve_is_caught(monkeypatch,
         return ((s, w, v), *rest)
 
     monkeypatch.setattr(engine, "EIGENSYSTEMS", SimpleNamespace(get=get))
-    plan = PropagationPlan(cluster=a, segments=(
+    segments = (
         Evolve(HamiltonianSpec("dipolar"), 1.0e-5), Evolve(burst, t1),
         Evolve(HamiltonianSpec("burst", -1, omega1), t1),
-        Acquire("x", 1.0e-5, 1.0e-6)))
+        Acquire("x", 1.0e-5, 1.0e-6))
     with pytest.raises(InvariantViolation, match=r"segment 1 \(Evolve\)"):
-        evolve(initial_state("ix", a), plan)
+        evolve(initial_state("ix", a), a, segments)
 
 
 def test_state_dimension_mismatch_rejected(four_spin):
     state = initial_state("ix", PAIR)
-    plan = PropagationPlan(cluster=four_spin, segments=())
     with pytest.raises(ValueError, match="dimension"):
-        evolve(state, plan)
+        evolve(state, four_spin, ())
 
 
 def test_verify_zero_couplings_is_exact():

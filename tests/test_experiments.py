@@ -73,9 +73,8 @@ def test_fid_derivative_matches_finite_difference(four_spin):
 
 def acquire(cluster, times):
     """The I_x signal from I_x order through engine.evolve, at ``times``."""
-    plan = engine.PropagationPlan(cluster=cluster, segments=(
-        engine.Acquire("x", times[-1], times[1]),))
-    return engine.evolve(engine.initial_state("ix", cluster), plan)[1]
+    return engine.evolve(engine.initial_state("ix", cluster), cluster, (
+        engine.Acquire("x", times[-1], times[1]),))[1]
 
 
 @pytest.mark.parametrize("route", [ex.fid_values, ex.fid_derivative,
@@ -104,10 +103,9 @@ def test_fid_routes_refuse_an_imaginary_part(monkeypatch, four_spin, route):
 
 def test_fid_curve_matches_engine_route(four_spin):
     curve = ex.fid(four_spin)
-    plan = engine.PropagationPlan(
-        cluster=four_spin,
-        segments=(engine.Acquire("x", curve.times[-1], curve.times[1]),))
-    _, (raw,) = engine.evolve(engine.initial_state("ix", four_spin), plan)
+    _, (raw,) = engine.evolve(
+        engine.initial_state("ix", four_spin), four_spin,
+        (engine.Acquire("x", curve.times[-1], curve.times[1]),))
     np.testing.assert_allclose(curve.values, raw.values, atol=1e-12)
     np.testing.assert_allclose(curve.times, raw.times, rtol=1e-12)
     assert curve.values[0] == pytest.approx(1.0, abs=1e-13)
@@ -217,9 +215,8 @@ def test_seq1_components_sum_to_full_signal(four_spin):
     program = pp.builtin("seq1", omega1 / GAMMA_F19,
                          halfcycles=8, window_us=p_curve.times[-1] * 1e6,
                          step_us=p_curve.times[1] * 1e6)
-    plan = pp.compile(program, four_spin)
     _, (full,) = engine.evolve(engine.initial_state("dipolar", four_spin),
-                               plan)
+                               four_spin, pp.compile(program))
     total = p_curve.values + hd_curve.values
     scale = np.abs(total).max()
     np.testing.assert_allclose(full.values, total, atol=1e-10 * scale)
@@ -302,7 +299,7 @@ def test_run_program_advances_a_given_start(four_spin):
                        "acquire Iy for 5us step 1us\n")
     start = engine.initial_state("dipolar", four_spin)
     own, _ = engine.evolve(engine.initial_state("dipolar", four_spin),
-                           pp.compile(program, four_spin))
+                           four_spin, pp.compile(program))
     ex.run_program(program, four_spin, start=start)
     assert np.abs(start.delta - engine.initial_state("dipolar", four_spin)
                   .delta).max() > 1e-3 * np.abs(own.delta).max()
@@ -352,9 +349,8 @@ def test_dsl_route_matches_direct_rpw(four_spin):
     text = pp.builtin_program("rpw", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
-    plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
-    _, (dsl,) = engine.evolve(state, plan)
+    _, (dsl,) = engine.evolve(state, four_spin, pp.compile(program))
     omega1 = GAMMA_F19 * 25.3
     direct = ex.rpw_magic_echo(four_spin, omega1, 20 * np.pi / omega1,
                                window=60.0e-6, step=0.5e-6)
@@ -370,9 +366,8 @@ def test_dsl_route_matches_direct_seq2(four_spin):
     text = pp.builtin_program("seq2", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
-    plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
-    _, (dsl,) = engine.evolve(state, plan)
+    _, (dsl,) = engine.evolve(state, four_spin, pp.compile(program))
     omega1 = GAMMA_F19 * 25.3
     direct = ex.sequence2_signal(four_spin, omega1, 40 * np.pi / omega1,
                                  window=60.0e-6, step=0.5e-6)
@@ -384,9 +379,8 @@ def test_dsl_route_matches_component_sum_seq1(four_spin):
     text = pp.builtin_program("seq1", amplitude_gauss=25.3, halfcycles=40,
                               window_us=60.0, step_us=0.5)
     program = pp.parse(text)
-    plan = pp.compile(program, four_spin)
     state = engine.initial_state(program.init_kind, four_spin)
-    _, (dsl,) = engine.evolve(state, plan)
+    _, (dsl,) = engine.evolve(state, four_spin, pp.compile(program))
     omega1 = GAMMA_F19 * 25.3
     p_curve, hd_curve = ex.sequence1_components(
         four_spin, omega1, 40 * np.pi / omega1,
@@ -455,9 +449,9 @@ def test_x_mirror_of_seq1_negates_the_signal(nine_spin):
     signals = []
     for y, p, m in (("y", "+", "-"), ("-y", "-", "+")):
         program = pp.parse(body.format(y=y, p=p, m=m))
-        plan = pp.compile(program, nine_spin)
         state = engine.initial_state(program.init_kind, nine_spin)
-        signals.append(engine.evolve(state, plan)[1][0].values)
+        signals.append(engine.evolve(state, nine_spin,
+                                     pp.compile(program))[1][0].values)
     scale = np.abs(signals[0]).max()
     assert scale > 1e-3
     assert np.abs(signals[0] + signals[1]).max() <= 1e-12 * scale

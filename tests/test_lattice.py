@@ -56,6 +56,26 @@ def test_orientation_rejects_garbage():
         Orientation((float("nan"), 0.0, 0.0))
 
 
+@pytest.mark.parametrize("spec, same_as", [
+    ("1e-170,0,0", "1,0,0"),        # the raw norm underflows to 0
+    ("1e170,0,0", "1,0,0"),         # the raw norm overflows to inf
+    ("1e200,1e200,0", "1,1,0"),
+])
+def test_extreme_finite_orientation_is_its_direction(spec, same_as):
+    got = build_cluster(spec, radius=1.5, max_sites=6)
+    want = build_cluster(same_as, radius=1.5, max_sites=6)
+    assert got.orientation == want.orientation
+    assert got.couplings.tobytes() == want.couplings.tobytes()
+    assert got.hash_hex == want.hash_hex
+
+
+@pytest.mark.parametrize("spec", ["0,0,0", "0,1e-400,0", "1e400,0,0",
+                                  "1e300,nan,0", "-inf,1e-170,0"])
+def test_zero_or_non_finite_orientation_is_refused(spec):
+    with pytest.raises(ValueError, match="must be a finite nonzero"):
+        Orientation.from_spec(spec)
+
+
 def test_coupling_parallel_pair_sign_and_magnitude():
     # Vector along the field: 1 - 3cos^2 = -2, so a = -2 D / r^3.
     d = lattice.F19_SPACING

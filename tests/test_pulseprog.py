@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magicecho import engine, pulseprog as pp
-from magicecho.lattice import GAMMA_F19, build_cluster
+from magicecho.lattice import GAMMA_F19
 
 SEQ1_TEXT = """\
 init dipolar
@@ -20,14 +20,14 @@ acquire Iy for 60us step 0.5us
 def test_parse_sequence_one_shape():
     prog = pp.parse(SEQ1_TEXT)
     kinds = [type(s).__name__ for s in prog.statements]
-    assert kinds == ["Init", "Pulse", "Burst", "Burst", "Delay", "Pulse",
-                     "Acquire"]
-    init, p90, b_plus, b_minus, delay, p45, acq = prog.statements
-    assert init.kind == "dipolar"
+    assert kinds == ["Pulse", "Burst", "Burst", "Evolve", "Pulse", "Acquire"]
+    p90, b_plus, b_minus, delay, p45, acq = prog.statements
+    assert prog.init_kind == "dipolar"
     assert p90.angle == pytest.approx(np.pi / 2) and p90.axis == "y"
     assert b_plus.sign == 1 and b_minus.sign == -1
     assert b_plus.amplitude_gauss == 25.3 and b_plus.halfcycles == 40
-    assert delay.seconds == pytest.approx(1.0e-4)
+    assert delay.hamiltonian == engine.HamiltonianSpec("dipolar")
+    assert delay.duration == pytest.approx(1.0e-4)
     assert p45.angle == pytest.approx(np.pi / 4)
     assert acq.observable == "y"
     assert acq.window == pytest.approx(60.0e-6)
@@ -36,7 +36,8 @@ def test_parse_sequence_one_shape():
 
 def test_comments_and_blank_lines_ignored():
     prog = pp.parse("# header\n\ninit ix   # transverse\n\ndelay 5us\n")
-    assert len(prog.statements) == 2
+    assert prog.init_kind == "ix"
+    assert len(prog.statements) == 1
 
 
 def test_missing_init_reported():
@@ -84,6 +85,18 @@ def test_single_init():
         pp.parse("init ix\ninit dipolar\n")
 
 
+@pytest.mark.parametrize("text, message, where", [
+    ("# nothing\n\n", "empty program", (1, 1)),
+    ("# header\n\n  delay 5us\ninit ix\n", "missing init", (3, 1)),
+    ("init ix\ndelay 5us\n\n   init dipolar\n", "more than one init",
+     (4, 1)),
+])
+def test_init_errors_carry_line_and_column(text, message, where):
+    with pytest.raises(pp.ParseError, match=message) as err:
+        pp.parse(text)
+    assert (err.value.line, err.value.column) == where
+
+
 def test_frame_statement_is_rejected():
     # the grammar has no frame declaration: programs compile in the frame
     # the burst Hamiltonian is written in, and pulses carry frame changes
@@ -119,11 +132,9 @@ def test_printer_canonical_format():
 
 
 def test_compile_sequence_segments():
-    cluster = build_cluster("100", radius=1.0, max_sites=2)
     program = pp.parse(SEQ1_TEXT)
     assert program.init_kind == "dipolar"
-    plan = pp.compile(program, cluster)
-    seg = plan.segments
+    seg = pp.compile(program)
     assert isinstance(seg[0], engine.Pulse) and seg[0].angle == pytest.approx(
         np.pi / 2)
     omega1 = GAMMA_F19 * 25.3
@@ -137,10 +148,37 @@ def test_compile_sequence_segments():
     assert isinstance(seg[5], engine.Acquire) and seg[5].observable == "y"
 
 
+def test_compile_passes_engine_statements_through():
+    # a delay parses to the engine's own free dipolar evolution, and every
+    # statement but a burst reaches the engine as the parsed object itself
+    program = pp.parse("init ix\npulse 90 y\ndelay 12.5us\n"
+                       "burst + 10G 4hc\nacquire Ix for 4us step 1us\n")
+    pulse, delay, burst, acquire = program.statements
+    # microseconds times 1e-6, as every duration is read: one ulp below
+    # the literal 12.5e-6
+    assert delay == engine.Evolve(engine.HamiltonianSpec("dipolar"),
+                                  12.5 * 1e-6)
+    assert delay.duration == pytest.approx(12.5e-6, rel=1e-15)
+    segments = pp.compile(program)
+    assert len(segments) == 4
+    assert segments[0] is pulse
+    assert segments[1] is delay
+    assert segments[3] is acquire
+    assert segments[2] == engine.Evolve(
+        engine.HamiltonianSpec("burst", 1, GAMMA_F19 * 10.0),
+        4 * np.pi / (GAMMA_F19 * 10.0))
+
+
+def test_print_refuses_a_non_dipolar_evolve():
+    program = pp.PulseProgram("ix", (
+        engine.Evolve(engine.HamiltonianSpec("ideal_burst"), 1e-5),))
+    with pytest.raises(TypeError, match="unknown statement Evolve"):
+        pp.print_program(program)
+
+
 def test_compile_ideal_reversal():
-    cluster = build_cluster("100", radius=1.0, max_sites=2)
-    plan = pp.compile(pp.parse(SEQ1_TEXT), cluster, ideal_reversal=True)
-    bursts = [s for s in plan.segments
+    segments = pp.compile(pp.parse(SEQ1_TEXT), ideal_reversal=True)
+    bursts = [s for s in segments
               if isinstance(s, engine.Evolve)
               and s.hamiltonian.kind == "ideal_burst"]
     assert len(bursts) == 2
@@ -148,23 +186,21 @@ def test_compile_ideal_reversal():
 
 
 def test_compile_us_burst_duration():
-    cluster = build_cluster("100", radius=1.0, max_sites=2)
-    plan = pp.compile(pp.parse("init ix\nburst + 10G 40us\n"), cluster)
-    assert plan.segments[0].duration == pytest.approx(40.0e-6)
+    (segment,) = pp.compile(pp.parse("init ix\nburst + 10G 40us\n"))
+    assert segment.duration == pytest.approx(40.0e-6)
 
 
 def test_compile_rejects_nonpositive_amplitude():
-    prog = pp.PulseProgram(statements=(
-        pp.Init("ix"), pp.Burst(sign=1, amplitude_gauss=0.0, seconds=1e-5)))
-    cluster = build_cluster("100", radius=1.0, max_sites=2)
+    prog = pp.PulseProgram("ix", (
+        pp.Burst(sign=1, amplitude_gauss=0.0, seconds=1e-5),))
     with pytest.raises(pp.CompileError, match="amplitude"):
-        pp.compile(prog, cluster)
+        pp.compile(prog)
 
 
 def test_builtin_programs_parse_and_shape():
     for name in pp.BUILTIN_NAMES:
         prog = pp.parse(pp.builtin_program(name))
-        assert isinstance(prog.statements[0], pp.Init)
+        assert prog.init_kind == ("ix" if name == "rpw" else "dipolar")
         bursts = [s for s in prog.statements if isinstance(s, pp.Burst)]
         assert [b.sign for b in bursts] == [1, -1]
         assert all(b.halfcycles == 20 for b in bursts)
@@ -181,9 +217,12 @@ def test_builtin_delay_matches_half_burst():
     t1 = 40 * np.pi / omega1
     for name in ("seq1", "seq2"):
         prog = pp.parse(pp.builtin_program(name, halfcycles=40))
-        (delay,) = [s for s in prog.statements if isinstance(s, pp.Delay)]
-        assert delay.seconds == pytest.approx(0.5 * t1, rel=1e-11)
+        (delay,) = [s for s in prog.statements
+                    if isinstance(s, engine.Evolve)]
+        assert delay.hamiltonian == engine.HamiltonianSpec("dipolar")
+        assert delay.duration == pytest.approx(0.5 * t1, rel=1e-11)
     # rpw rewinds its own forward delay: delay equals half the burst too
     prog = pp.parse(pp.builtin_program("rpw", halfcycles=40))
-    (delay,) = [s for s in prog.statements if isinstance(s, pp.Delay)]
-    assert delay.seconds == pytest.approx(0.5 * t1, rel=1e-11)
+    (delay,) = [s for s in prog.statements if isinstance(s, engine.Evolve)]
+    assert delay.hamiltonian == engine.HamiltonianSpec("dipolar")
+    assert delay.duration == pytest.approx(0.5 * t1, rel=1e-11)
