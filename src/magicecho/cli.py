@@ -13,6 +13,11 @@ A config file (--config) holds key=value lines named after the long flags.
 Each line is read as the flag --key=value (a switch as true/false) placed
 before the command-line flags, so the file may supply any flag, required
 ones included, and a flag given on the command line wins over it.
+
+Every job, ``--version`` included, loads numpy and this module's core:
+output, lattice and errors. Each subcommand's handler imports the rest
+it runs, so a Gaussian ``thermo`` job compiles neither the engine nor the
+operators, and ``run`` never loads the thermo solver.
 """
 
 from __future__ import annotations
@@ -25,22 +30,24 @@ import time
 
 import numpy as np
 
-from . import __version__, engine, experiments, operators as ops
-from . import output, pulseprog, thermo
-from .errors import ConvergenceError, InvariantViolation
-from .lattice import (BULK_SUM_RADIUS, GAMMA_F19, build_cluster,
-                      bulk_local_field_gauss, bulk_second_moment, local_field,
-                      second_moment)
-
-TOLERANCES = {
-    "hermiticity": engine.HERMITICITY_TOL,
-    "segment_drift": engine.SEGMENT_DRIFT_TOL,
-    "signal_imaginary": engine.SIGNAL_IMAG_TOL,
-    "thermo_step": thermo.STEP_TOL,
-}
+from . import __version__, output
+from .errors import TOLERANCES, ConvergenceError, InvariantViolation
+from .lattice import (BULK_SUM_RADIUS, DEFAULT_AMPLITUDE_GAUSS,
+                      DEFAULT_HALFCYCLES, DEFAULT_KERNEL_SAMPLES,
+                      DEFAULT_M_RATIO, DEFAULT_N, DEFAULT_OFFSET_US,
+                      DEFAULT_STEP_US, DEFAULT_WINDOW_US, GAMMA_F19,
+                      build_cluster, bulk_local_field_gauss,
+                      bulk_second_moment, local_field, second_moment)
 
 
 # ----------------------------------------------------------- plumbing
+
+def _eigensystems():
+    """The engine's decomposition cache, or None if the engine is not loaded
+    (a job that never loads it decomposes nothing)."""
+    engine = sys.modules.get(f"{__package__}.engine")
+    return None if engine is None else engine.EIGENSYSTEMS
+
 
 def _resolved_config(args) -> dict:
     # "out" is recorded separately as the manifest's output field
@@ -53,6 +60,7 @@ def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
     out = getattr(args, "out", None)
     if out:
         rows = output.write_csv(out, columns, meta)
+        cache = _eigensystems()
         manifest = {
             "artifact_version": __version__,
             "command": args.subcommand,
@@ -61,8 +69,9 @@ def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
             "rows": rows,
             "output": os.path.basename(out),
             "tolerances": TOLERANCES,
-            "eigendecompositions": {"computed": engine.EIGENSYSTEMS.computed,
-                                    "reused": engine.EIGENSYSTEMS.reused},
+            "eigendecompositions": {
+                "computed": 0 if cache is None else cache.computed,
+                "reused": 0 if cache is None else cache.reused},
             **(extra or {}),
             "wall_time_s": time.perf_counter() - t_start,
         }
@@ -84,6 +93,17 @@ def _reject(args, reason, *dests) -> None:
     for dest in dests:
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} {reason}")
+
+
+def _omega1(args) -> float:
+    """GAMMA_F19 times --omega1-gauss, refused by name when the half-cycle
+    pi/omega1 overflows; a field that is not positive is left to the
+    'omega1 must be positive' checks downstream."""
+    omega1 = GAMMA_F19 * args.omega1_gauss
+    if omega1 > 0 and not np.pi / omega1 < np.inf:
+        raise ValueError(f"--omega1-gauss {args.omega1_gauss} gives a "
+                         f"non-finite half-cycle pi/omega1")
+    return omega1
 
 
 def _cluster_from_args(args):
@@ -149,6 +169,8 @@ def _cmd_lattice_info(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import engine, experiments, pulseprog
+
     t0 = time.perf_counter()
     source = args.sequence
     if not source:
@@ -162,10 +184,10 @@ def _cmd_run(args) -> int:
         with open(source, "r") as fh:
             program = pulseprog.parse(fh.read())
     elif args.t1_grid is None:
-        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS,
-                 halfcycles=pulseprog.DEFAULT_HALFCYCLES,
-                 window_us=pulseprog.DEFAULT_WINDOW_US,
-                 step_us=pulseprog.DEFAULT_STEP_US)
+        _resolve(args, omega1_gauss=DEFAULT_AMPLITUDE_GAUSS,
+                 halfcycles=DEFAULT_HALFCYCLES, window_us=DEFAULT_WINDOW_US,
+                 step_us=DEFAULT_STEP_US)
+        _omega1(args)
         program = pulseprog.builtin(
             name, args.omega1_gauss, args.halfcycles, args.window_us,
             args.step_us)
@@ -175,9 +197,9 @@ def _cmd_run(args) -> int:
         window, step = experiments.acquisition_grid(cluster, *(
             None if us is None else us * 1e-6
             for us in (args.window_us, args.step_us)))
-        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS,
+        _resolve(args, omega1_gauss=DEFAULT_AMPLITUDE_GAUSS,
                  window_us=window * 1e6, step_us=step * 1e6)
-        omega1 = GAMMA_F19 * args.omega1_gauss
+        omega1 = _omega1(args)
         curve = experiments.sweep_t1(
             name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
             ideal_reversal=args.ideal, window=window, step=step)
@@ -198,6 +220,8 @@ def _parse_cluster_spec(spec: str):
 
 
 def _cmd_thermo(args) -> int:
+    from . import thermo
+
     t0 = time.perf_counter()
     if not 0 <= args.offset_us < np.inf:
         raise ValueError("--offset-us must be nonnegative and finite")
@@ -205,7 +229,7 @@ def _cmd_thermo(args) -> int:
     if args.kernel_from_cluster:
         _reject(args, "applies to the Gaussian kernel only",
                 "orientation", "n", "m_ratio")
-        _resolve(args, kernel_samples=thermo.DEFAULT_KERNEL_SAMPLES)
+        _resolve(args, kernel_samples=DEFAULT_KERNEL_SAMPLES)
         if args.kernel_samples < 2:
             raise ValueError("--kernel-samples must be at least 2")
         if (args.kernel_tau_us is not None
@@ -225,7 +249,7 @@ def _cmd_thermo(args) -> int:
         if not args.orientation:
             raise ValueError("--orientation or --kernel-from-cluster "
                              "is required")
-        _resolve(args, n=thermo.DEFAULT_N, m_ratio=thermo.DEFAULT_M_RATIO)
+        _resolve(args, n=DEFAULT_N, m_ratio=DEFAULT_M_RATIO)
         kernel = thermo.gaussian_kernel_for_orientation(
             args.orientation, args.n, args.m_ratio,
             offset=args.offset_us * 1e-6)
@@ -233,14 +257,13 @@ def _cmd_thermo(args) -> int:
                              args.step_us * 1e-6)
     if args.divergence:
         # the unitary ideal-reversal prediction is flat at the ideal
-        # amplitude; the memory-kernel model decays. Emit both.
-        model = thermo.amplitude_curve(traj)
+        # amplitude 1; the memory-kernel model, 1 * beta, decays. Emit both.
         meta = {"ideal_amplitude": output.CSV_FLOAT_FORMAT % 1.0,
                 "macroscopic": "True", "method": traj.method,
                 "label": "divergence"}
         columns = {"t1_us": traj.times * 1e6,
-                   "model_amplitude": model.values,
-                   "ideal_amplitude": np.ones_like(model.values)}
+                   "model_amplitude": traj.beta,
+                   "ideal_amplitude": np.ones_like(traj.beta)}
     else:
         columns, meta = output.object_columns(traj)
     # record which kernel produced this trajectory
@@ -252,29 +275,36 @@ def _cmd_thermo(args) -> int:
                    extra={"thermo": history})
 
 
-_OPERATOR_BUILDERS = {
-    "ix": lambda a, w1: ops.collective("x", a.shape[0]),
-    "iy": lambda a, w1: ops.collective("y", a.shape[0]),
-    "iz": lambda a, w1: ops.collective("z", a.shape[0]),
-    "hd": lambda a, w1: ops.secular_dipolar(a),
-    "h2": lambda a, w1: ops.nonsecular_pair_raising(a)[0],
-    "hm2": lambda a, w1: ops.nonsecular_pair_raising(a)[1],
-    "p": lambda a, w1: ops.nonsecular_pair_raising(a)[2],
-    "q": lambda a, w1: ops.operator_q(a),
-    "h1": lambda a, w1: ops.magnus_first_correction(a, w1)[0],
+_OPERATOR_BUILDERS = {   # (operators module, couplings, omega1) -> matrix
+    "ix": lambda ops, a, w1: ops.collective("x", a.shape[0]),
+    "iy": lambda ops, a, w1: ops.collective("y", a.shape[0]),
+    "iz": lambda ops, a, w1: ops.collective("z", a.shape[0]),
+    "hd": lambda ops, a, w1: ops.secular_dipolar(a),
+    "h2": lambda ops, a, w1: ops.nonsecular_pair_raising(a)[0],
+    "hm2": lambda ops, a, w1: ops.nonsecular_pair_raising(a)[1],
+    "p": lambda ops, a, w1: ops.nonsecular_pair_raising(a)[2],
+    "q": lambda ops, a, w1: ops.operator_q(a),
+    "h1": lambda ops, a, w1: ops.magnus_first_correction(a, w1)[0],
 }
 
 
 def _cmd_dump_operator(args) -> int:
+    from . import operators
+
     t0 = time.perf_counter()
     cluster = _cluster_from_args(args)
+    omega1 = None
     if args.name == "h1":
-        _resolve(args, omega1_gauss=pulseprog.DEFAULT_AMPLITUDE_GAUSS)
+        _resolve(args, omega1_gauss=DEFAULT_AMPLITUDE_GAUSS)
+        omega1 = GAMMA_F19 * args.omega1_gauss
+        # H1 carries 1/(2 omega1): refuse an overflowing one before dividing
+        if omega1 > 0 and not 0.5 / omega1 < np.inf:
+            raise ValueError(f"--omega1-gauss {args.omega1_gauss} gives H1 "
+                             f"non-finite entries")
     else:
         _reject(args, "applies to --name h1 only", "omega1_gauss")
-    omega1 = (None if args.omega1_gauss is None
-              else GAMMA_F19 * args.omega1_gauss)
-    matrix = _OPERATOR_BUILDERS[args.name](cluster.couplings, omega1)
+    matrix = _OPERATOR_BUILDERS[args.name](operators, cluster.couplings,
+                                           omega1)
     # d eps max|M| bounds the rounding of a length-d inner product, so an
     # entry at or below it is the residue of terms that cancel exactly
     size = np.abs(matrix)
@@ -296,137 +326,9 @@ def _cmd_dump_operator(args) -> int:
 
 # --------------------------------------------------------------- verify
 
-def _check_rotation_unitarity(rng):
-    # pulses apply the 2x2 site factor on every site index (ops.rotate)
-    op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    op = op + op.conj().T
-    norm = np.linalg.norm(op)
-    for axis in "xyz":
-        angle = rng.uniform(-np.pi, np.pi)
-        u = ops._site_rotation(axis, angle)
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        turned = ops.rotate(op, axis, angle)
-        assert abs(np.linalg.norm(turned) - norm) < 1e-12 * norm
-        assert np.abs(turned - turned.conj().T).max() < 1e-12 * norm
-        assert np.abs(ops.rotate(turned, axis, -angle) - op).max() \
-            < 1e-12 * norm
-
-
-def _random_couplings(rng, n):
-    a = rng.normal(scale=1e4, size=(n, n))
-    a = a + a.T
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
-def _check_tilt_decomposition(rng):
-    for _ in range(20):
-        a = _random_couplings(rng, int(rng.integers(2, 6)))
-        report = ops.tilt_decompose(a, rng.uniform(0.0, np.pi))
-        assert report.residual < 1e-10 * report.reference_norm
-
-
-def _check_conserved_commutators(rng):
-    a = _random_couplings(rng, 4)
-    hd = ops.secular_dipolar(a)
-    h2, _, _ = ops.nonsecular_pair_raising(a)
-    q = ops.operator_q(a)
-    iz = ops.collective("z", 4)
-    scale = np.abs(hd).max()
-    assert np.abs(ops.commutator(hd, iz)).max() < 1e-12 * scale
-    assert np.abs(ops.commutator(iz, h2) - 2.0 * h2).max() < 1e-12 * scale
-    assert np.abs(ops.commutator(iz, ops.commutator(iz, q))
-                  - q).max() < 1e-12 * scale
-
-
-def _check_pair_fid(rng):
-    a0 = 1.0e5
-    pair = np.array([[0.0, a0], [a0, 0.0]])
-    t = np.linspace(0.0, 3e-4, 31)
-    assert np.abs(experiments.fid_values(pair, t)
-                  - np.cos(0.75 * a0 * t)).max() < 1e-12
-
-
-def _check_ideal_rpw(rng):
-    cluster = build_cluster("100", radius=1.0, max_sites=4)
-    curve = experiments.rpw_magic_echo(cluster, 1.0e6, 1.3e-5,
-                                       ideal_reversal=True)
-    assert abs(curve.values[0] - 1.0) < 1e-9
-
-
-def _check_ideal_ratio(rng):
-    cluster = build_cluster("100", radius=1.0, max_sites=4)
-    a1 = experiments.sequence1_amplitude(cluster, 1.0e6, 1.0e-5,
-                                         ideal_reversal=True)
-    a2 = experiments.sequence2_amplitude(cluster, 1.0e6, 1.0e-5,
-                                         ideal_reversal=True)
-    assert abs(a2 / a1 - 2.0) < 1e-9
-
-
-def _check_magnus_order(rng):
-    cluster = build_cluster("100", radius=1.0, max_sites=4)
-    report = engine.verify_average_hamiltonian(cluster,
-                                               10.0 * local_field(cluster))
-    assert report["err1"] < report["err0"]
-
-
-def _check_reversal_identity(rng):
-    a = np.zeros((3, 3))
-    u = engine.effective_propagator_a3(a, 1.0e6, 2 * np.pi / 1.0e6)
-    assert np.abs(u - np.eye(8)).max() < 1e-9
-
-
-def _check_thermo_cosine(rng):
-    g = (2 * np.pi * 4.0e3) ** 2
-    kernel = thermo.KernelSpec("tabulated", times=np.array([0.0, 1.0]),
-                               values=np.array([g, g]))
-    t_end = 4 * np.pi / np.sqrt(g)
-    traj = thermo.solve_beta(kernel, t_end, t_end / 50)
-    assert np.abs(traj.beta - np.cos(np.sqrt(g) * traj.times)).max() < 1e-6
-
-
-def _check_csv_roundtrip(rng):
-    import tempfile
-    values = rng.normal(size=8)
-    times = np.linspace(0.0, 1.0, 8)
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "roundtrip.csv")
-        output.write_csv(path, {"t": times, "v": values}, {"k": "v"})
-        meta, cols = output.read_csv(path)
-        assert meta["k"] == "v"
-        assert np.abs(cols["v"] - values).max() < 1e-11 * np.abs(values).max()
-
-
-VERIFY_CHECKS = [
-    ("rotation-unitarity", _check_rotation_unitarity),
-    ("tilt-decomposition", _check_tilt_decomposition),
-    ("conserved-commutators", _check_conserved_commutators),
-    ("pair-fid", _check_pair_fid),
-    ("ideal-rpw-echo", _check_ideal_rpw),
-    ("ideal-amplitude-ratio", _check_ideal_ratio),
-    ("magnus-first-order", _check_magnus_order),
-    ("reversal-identity", _check_reversal_identity),
-    ("thermo-cosine-oracle", _check_thermo_cosine),
-    ("csv-roundtrip", _check_csv_roundtrip),
-]
-
-
 def _cmd_verify(args) -> int:
-    failures = 0
-    for name, check in VERIFY_CHECKS:
-        rng = np.random.default_rng(args.seed)
-        try:
-            check(rng)
-        except Exception as exc:  # report every failing check, then exit 1
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok {name}")
-    if failures:
-        print(f"{failures} of {len(VERIFY_CHECKS)} checks failed")
-        return 1
-    print(f"all {len(VERIFY_CHECKS)} checks passed")
-    return 0
+    from . import verify
+    return verify.run(args.seed)
 
 
 # ----------------------------------------------------- parser assembly
@@ -464,10 +366,10 @@ def build_parser():
     _add_cluster_flags(p, radius=1.0, max_sites=6)
     p.add_argument("--omega1-gauss", type=float, default=None,
                    help=f"burst field in Gauss (default "
-                        f"{pulseprog.DEFAULT_AMPLITUDE_GAUSS})")
+                        f"{DEFAULT_AMPLITUDE_GAUSS})")
     p.add_argument("--halfcycles", type=int, default=None,
                    help=f"total burst half-cycles (default "
-                        f"{pulseprog.DEFAULT_HALFCYCLES}; single runs only)")
+                        f"{DEFAULT_HALFCYCLES}; single runs only)")
     p.add_argument("--t1-grid", metavar="A:B:Chc",
                    help="sweep burst lengths over half-cycle counts "
                         "START:STOP:STEP (e.g. 2:40:2hc) instead of "
@@ -476,10 +378,10 @@ def build_parser():
                    help="replace bursts with the exact reversed evolution")
     p.add_argument("--window-us", type=float, default=None,
                    help=f"acquisition window (default "
-                        f"{pulseprog.DEFAULT_WINDOW_US}, sweeps 5/omega_L)")
+                        f"{DEFAULT_WINDOW_US}, sweeps 5/omega_L)")
     p.add_argument("--step-us", type=float, default=None,
                    help=f"acquisition step (default "
-                        f"{pulseprog.DEFAULT_STEP_US}, sweeps 0.02/omega_L)")
+                        f"{DEFAULT_STEP_US}, sweeps 0.02/omega_L)")
     p.add_argument("--out", help="write CSV here (default: stdout)")
 
     p = sub("thermo", _cmd_thermo,
@@ -487,11 +389,11 @@ def build_parser():
     p.add_argument("--orientation", default=None,
                    help="field orientation with tabulated second moment")
     p.add_argument("--n", type=float, default=None,
-                   help=f"kernel amplitude factor (default {thermo.DEFAULT_N})")
+                   help=f"kernel amplitude factor (default {DEFAULT_N})")
     p.add_argument("--m-ratio", type=float, default=None,
                    help=f"kernel curvature as a fraction of M2 "
-                        f"(default {thermo.DEFAULT_M_RATIO})")
-    p.add_argument("--offset-us", type=float, default=80.0,
+                        f"(default {DEFAULT_M_RATIO})")
+    p.add_argument("--offset-us", type=float, default=DEFAULT_OFFSET_US,
                    help="onset delay (default %(default)s)")
     p.add_argument("--t-end-us", type=float, required=True,
                    help="trajectory length")
@@ -503,7 +405,7 @@ def build_parser():
                    help="microscopic kernel table extent")
     p.add_argument("--kernel-samples", type=int, default=None,
                    help=f"microscopic kernel table size (default "
-                        f"{thermo.DEFAULT_KERNEL_SAMPLES})")
+                        f"{DEFAULT_KERNEL_SAMPLES})")
     p.add_argument("--divergence", action="store_true",
                    help="also emit the flat ideal-reversal prediction")
     p.add_argument("--out", help="write CSV here (default: stdout)")
@@ -515,7 +417,7 @@ def build_parser():
     _add_cluster_flags(p, radius=1.0, max_sites=4)
     p.add_argument("--omega1-gauss", type=float, default=None,
                    help=f"burst field for the h1 correction (default "
-                        f"{pulseprog.DEFAULT_AMPLITUDE_GAUSS})")
+                        f"{DEFAULT_AMPLITUDE_GAUSS})")
     p.add_argument("--out", help="write CSV here (default: stdout)")
 
     p = sub("verify", _cmd_verify, help="run the fast invariant suite")
@@ -599,7 +501,9 @@ def main(argv=None) -> int:
     parser, registry = build_parser()
     args = parser.parse_args(_splice_config(registry, argv))
     # eigendecomposition counts in the manifest are per job
-    engine.EIGENSYSTEMS.clear()
+    cache = _eigensystems()
+    if cache is not None:
+        cache.clear()
     try:
         return args.handler(args)
     except (ConvergenceError, InvariantViolation) as exc:

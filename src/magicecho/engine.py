@@ -57,12 +57,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import operators as ops
-from .errors import InvariantViolation
+from .errors import (HERMITICITY_TOL, SEGMENT_DRIFT_TOL, SIGNAL_IMAG_TOL,
+                     InvariantViolation)
 from .memory import check_fits
-
-HERMITICITY_TOL = 1e-10    # ||Delta - Delta^dagger|| / max(1, ||Delta||)
-SEGMENT_DRIFT_TOL = 1e-9   # Tr(Delta) and ||Delta|| over each segment
-SIGNAL_IMAG_TOL = 1e-12    # |Im s(t)| / sum |m| of each phase-sum sample
 
 
 @dataclass(frozen=True)

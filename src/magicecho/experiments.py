@@ -8,7 +8,8 @@ about the center, so the outward-running grid sees the full peak, and using
 the same grid for every sequence makes amplitude ratios exact in the ideal
 limit. The echo sequences are the builtin programs of the pulseprog module,
 run by :func:`run_program` like any program; this module adds only the
-default grid, t1 validation and snapping, and the seq1 component split.
+default grid, t1 validation and snapping, and the seq1 amplitude's start
+from the double-quantum-borne part of the tilted state.
 Every run, each point of a sweep included, builds its own start state in
 the engine's sorted positions and advances it in place.
 
@@ -154,41 +155,19 @@ def _program(name, cluster, omega1, t1, ideal_reversal, window, step):
     return pulseprog.sequence(name, half, 0.5 * t1, window, step)
 
 
-def _sequence1_part(part, cluster, omega1, t1, ideal_reversal, window,
-                    step) -> SignalCurve:
-    """A seq1 component, run from its part of the state after init dipolar
-    + 90y pulse, the P-borne ('p') or the H'-borne ('hd') one (exact: the
-    tilt of H' has no other components), through the seq1 program without
-    that pulse."""
-    coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
-    start = engine.DeviationState(
-        ops.operator_sum(cluster, sorted_basis=True, **coeffs))
-    program = _program("seq1", cluster, omega1, t1, ideal_reversal, window,
-                       step)
-    return run_program(replace(program, statements=program.statements[1:]),
-                       cluster, ideal_reversal, start, f"seq1-{part}",
-                       sequence="seq1", component=part, omega1=omega1, t1=t1)
-
-
-def sequence1_components(cluster, omega1, t1, ideal_reversal=False,
-                         window=None, step=None):
-    """The two signal components of the dipolar-order reversal sequence.
-
-    Returns (p_curve, hd_curve): the readout after the 45-degree pulse of
-    the double-quantum-borne part and of the dipolar-order-borne part of
-    the state prepared by the initial 90-degree pulse. Their sum is the
-    full sequence signal (evolution is linear in the deviation).
-    """
-    return tuple(_sequence1_part(part, cluster, omega1, t1, ideal_reversal,
-                                 window, step) for part in ("p", "hd"))
-
-
 def sequence1_amplitude(cluster, omega1, t1, ideal_reversal=False,
                         window=None, step=None) -> float:
     """Peak |s| of the double-quantum-borne echo component, the only part
-    evolved."""
-    curve = _sequence1_part("p", cluster, omega1, t1, ideal_reversal, window,
-                            step)
+    evolved: the seq1 program without its 90y pulse, run from the P-borne
+    part of the state after init dipolar + 90y pulse. That state is exactly
+    -3/8 P plus an H'-borne part (the tilt of H' has no other components),
+    and the signal is linear in it."""
+    start = engine.DeviationState(
+        ops.operator_sum(cluster, sorted_basis=True, p=-3.0 / 8.0))
+    program = _program("seq1", cluster, omega1, t1, ideal_reversal, window,
+                       step)
+    curve = run_program(replace(program, statements=program.statements[1:]),
+                        cluster, ideal_reversal, start)
     return float(np.abs(curve.values).max())
 
 

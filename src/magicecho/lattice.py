@@ -52,6 +52,16 @@ REFERENCE_M2 = {"100": 2.55e10, "110": 0.99e10, "111": 0.50e10}
 
 M2_CALIBRATION_TARGET = REFERENCE_M2["100"]
 
+# Default settings of the standard experiments. pulseprog and thermo take
+# theirs from here, and the command line resolves and prints all of them;
+# they live here because this module loads with every job, so the parser
+# reads them without loading pulseprog or thermo.
+DEFAULT_AMPLITUDE_GAUSS, DEFAULT_HALFCYCLES = 25.3, 40   # builtin bursts
+DEFAULT_WINDOW_US, DEFAULT_STEP_US = 60.0, 0.5   # builtin acquisition
+DEFAULT_N, DEFAULT_M_RATIO = 0.45, 0.25          # Gaussian memory kernel
+DEFAULT_OFFSET_US = 80.0                         # memory kernel onset
+DEFAULT_KERNEL_SAMPLES = 97   # microscopic kernel table size
+
 
 _ORIENTATION_DIRECTIONS = {
     "100": (1.0, 0.0, 0.0),

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
-
-from .engine import SignalCurve
-from .thermo import BetaTrajectory
 
 CSV_FLOAT_FORMAT = "%.12g"
 CSV_ROW_CHUNK = 4096
@@ -102,13 +100,22 @@ def _flatten_meta(meta: dict) -> dict:
     return {str(k): str(v) for k, v in meta.items()}
 
 
+def _is_instance(obj, module: str, name: str) -> bool:
+    """isinstance(obj, magicecho.<module>.<name>) without importing the
+    module: an instance of the class exists only once it is loaded."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, name))
+
+
 def object_columns(obj):
     """(columns, meta) for a SignalCurve or BetaTrajectory.
 
     Signal curves get time_us/value columns (t1_us/amplitude for sweeps);
-    trajectories get t1_us/beta. Object metadata rides along.
+    trajectories get t1_us/beta. Object metadata rides along. Neither the
+    engine nor the thermo module is imported here, so emitting a result
+    loads only the module that made it.
     """
-    if isinstance(obj, SignalCurve):
+    if _is_instance(obj, "engine", "SignalCurve"):
         meta = {"label": obj.label or "signal", "observable": obj.observable,
                 "start_us": CSV_FLOAT_FORMAT % (obj.start * 1e6)}
         meta.update(_flatten_meta(obj.meta))
@@ -116,7 +123,7 @@ def object_columns(obj):
         if obj.label.endswith("-sweep"):
             return {"t1_us": times_us, "amplitude": obj.values}, meta
         return {"time_us": times_us, "value": obj.values}, meta
-    if isinstance(obj, BetaTrajectory):
+    if _is_instance(obj, "thermo", "BetaTrajectory"):
         meta = {"method": obj.method,
                 "step_us": CSV_FLOAT_FORMAT % (obj.step * 1e6),
                 "converged": str(obj.converged),

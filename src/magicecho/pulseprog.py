@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .lattice import GAMMA_F19
+from .lattice import (DEFAULT_AMPLITUDE_GAUSS, DEFAULT_HALFCYCLES,
+                      DEFAULT_STEP_US, DEFAULT_WINDOW_US, GAMMA_F19)
 
 
 class ParseError(ValueError):
@@ -287,10 +288,6 @@ def sequence(name: str, half: Burst | None, delay: float, window: float,
         return PulseProgram("ix", (*free, *burst,
                                    engine.Acquire("x", window, step)))
     raise ValueError(f"unknown builtin program {name!r}")
-
-
-DEFAULT_AMPLITUDE_GAUSS, DEFAULT_HALFCYCLES = 25.3, 40
-DEFAULT_WINDOW_US, DEFAULT_STEP_US = 60.0, 0.5
 
 
 def builtin(name: str, amplitude_gauss: float = DEFAULT_AMPLITUDE_GAUSS,

@@ -25,6 +25,10 @@ cannot show, and the point of the package is comparing the two.
 The decay rate this equation produces contains no burst field amplitude;
 that independence is structural (no such parameter exists here), not a
 numerical finding.
+
+A Gaussian solve needs only numpy: the engine and operators modules are
+imported inside :func:`microscopic_kernel` and :func:`amplitude_curve`,
+the two functions that use them.
 """
 
 from __future__ import annotations
@@ -33,22 +37,11 @@ import numpy as np
 
 from dataclasses import dataclass, field
 
-from . import engine, operators as ops
-from .engine import SignalCurve
-from .errors import ConvergenceError
-from .lattice import REFERENCE_M2
+from .errors import STEP_TOL, ConvergenceError
+from .lattice import (DEFAULT_M_RATIO, DEFAULT_N, DEFAULT_OFFSET_US,
+                      REFERENCE_M2)
 
-DEFAULT_N = 0.45
-DEFAULT_M_RATIO = 0.25
-DEFAULT_OFFSET = 80.0e-6
-DEFAULT_KERNEL_SAMPLES = 97   # microscopic kernel table size
-
-# refine until halving the step moves the whole trajectory (max norm, so
-# in particular beta(t_end)) by less than this. The criterion is trajectory
-# wide because an endpoint-only check is blind to phase error at whole
-# oscillation periods; for the order-2 stepper the true error of the finer
-# pass is about a third of the measured drift
-STEP_TOL = 1e-6
+DEFAULT_OFFSET = DEFAULT_OFFSET_US / 1e6   # seconds, bitwise 80.0e-6
 MAX_REFINEMENTS = 12
 
 KERNEL_KINDS = ("gaussian", "tabulated")
@@ -268,6 +261,8 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     [H2, H2^dagger] = 0; H2 is nilpotent, and a nonzero nilpotent matrix is
     never normal, so H2 = 0, which the norm check refuses.
     """
+    from . import engine, operators as ops   # only this kernel needs them
+
     a = ops.couplings_of(cluster)
     nspins = a.shape[0]
     tau = np.asarray(list(tau_grid), float)
@@ -329,6 +324,8 @@ def amplitude_curve(trajectory: BetaTrajectory, ideal_amplitude: float = 1.0,
     beta trajectory. Marked macroscopic=True: this is the bulk prediction
     the unitary clusters are compared against.
     """
+    from .engine import SignalCurve
+
     meta = {"macroscopic": True, "method": trajectory.method,
             "step": trajectory.step,
             "ideal_amplitude": float(ideal_amplitude)}

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -176,9 +177,11 @@ def test_one_point_sweep_equals_single_run_seq2(tmp_path):
 def test_one_point_sweep_equals_p_component_seq1(tmp_path):
     """A seq1 sweep reports only the double-quantum-borne part of the echo
     (the P component), not the full signal a single run emits, so the
-    reference is max |P component| of sequence1_components on that grid,
-    rounded to the CSV's 12 digits."""
-    from magicecho import build_cluster, experiments
+    reference is max |P component| on that grid: the seq1 program without
+    its 90y pulse, run from -3/8 P, rounded to the CSV's 12 digits."""
+    from dataclasses import replace
+
+    from magicecho import build_cluster, experiments, operators, pulseprog
 
     sweep = str(tmp_path / "sweep.csv")
     assert run_main(["run", "builtin:seq1", "--t1-grid", "12:12:2hc",
@@ -186,8 +189,15 @@ def test_one_point_sweep_equals_p_component_seq1(tmp_path):
     (amp,) = output.read_csv(sweep)[1]["amplitude"]
     cluster = build_cluster("110", radius=1.0, max_sites=5)
     omega1 = GAMMA_F19 * 30.0
-    p_curve, _ = experiments.sequence1_components(
-        cluster, omega1, 12 * np.pi / omega1, window=40e-6, step=0.5e-6)
+    t1 = 12 * np.pi / omega1
+    half = pulseprog.Burst(sign=1, amplitude_gauss=omega1 / GAMMA_F19,
+                           seconds=0.5 * t1)
+    program = pulseprog.sequence("seq1", half, 0.5 * t1, 40e-6, 0.5e-6)
+    start = engine.DeviationState(
+        operators.operator_sum(cluster, sorted_basis=True, p=-3.0 / 8.0))
+    p_curve = experiments.run_program(
+        replace(program, statements=program.statements[1:]), cluster,
+        start=start)
     peak = float(output.CSV_FLOAT_FORMAT % np.abs(p_curve.values).max())
     assert amp == pytest.approx(peak, rel=1e-12)
 
@@ -430,6 +440,35 @@ def test_dump_h1_refuses_a_non_finite_matrix(gauss, message, capsys):
     assert captured.out == ""
 
 
+def test_dump_h1_refuses_an_overflowing_field_before_dividing(capsys):
+    # 1/(2 omega1) overflows at 1e-320 G: refused before H1 is built, so
+    # numpy prints no overflow warning next to the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_main(["dump-operator", "--name", "h1", "--max-sites", "4",
+                         "--omega1-gauss", "1e-320"]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: --omega1-gauss 1e-320 gives H1 non-finite entries\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["builtin:rpw"], ["builtin:seq1", "--t1-grid", "2:4:2hc"]],
+    ids=["single", "sweep"])
+def test_run_names_an_omega1_whose_half_cycle_overflows(argv, capsys):
+    # pi/omega1 overflows at 1e-320 G; the run once failed later with
+    # "duration must be nonnegative and finite", and the sweep with two
+    # RuntimeWarnings and "cannot convert float NaN to integer"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_main(["run", *argv, "--max-sites", "2",
+                         "--omega1-gauss", "1e-320"]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: --omega1-gauss 1e-320 gives a non-finite half-cycle "
+        "pi/omega1\n")
+
+
 @pytest.mark.parametrize("offset", ["inf", "nan", "-1"])
 def test_offset_is_checked_before_either_kernel(offset, monkeypatch, capsys):
     # a bad --offset-us is refused by name before a kernel is built, not
@@ -462,6 +501,69 @@ def test_jobs_do_not_load_openssl():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _loaded_submodules(code, *args):
+    """The magicecho.* modules a fresh interpreter holds after ``code``."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('magicecho.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(eval(proc.stdout.splitlines()[-1]))
+
+
+def _job_modules(argv):
+    return _loaded_submodules(
+        "import json, sys\n"
+        "from magicecho import cli\n"
+        "try:\n"
+        "    assert cli.main(json.loads(sys.argv[1])) == 0\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n", json.dumps(argv))
+
+
+def test_import_magicecho_loads_no_submodule():
+    assert _loaded_submodules("import magicecho") == set()
+    names = _loaded_submodules(
+        "import magicecho\n"
+        "for name in magicecho.__all__:\n"
+        "    assert getattr(magicecho, name) is not None, name\n"
+        "from magicecho import *\n")
+    assert "magicecho.engine" in names and "magicecho.thermo" in names
+
+
+CORE_MODULES = {"magicecho.cli", "magicecho.errors", "magicecho.lattice",
+                "magicecho.memory", "magicecho.output"}
+ENGINE_MODULES = {"magicecho.engine", "magicecho.operators",
+                  "magicecho.pulseprog", "magicecho.experiments"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--divergence"]])
+def test_gaussian_thermo_job_loads_no_engine(extra, tmp_path):
+    loaded = _job_modules(["thermo", "--orientation", "100", "--t-end-us",
+                           "20", "--out", str(tmp_path / "b.csv"), *extra])
+    assert loaded == CORE_MODULES | {"magicecho.thermo"}
+    manifest = json.load(open(tmp_path / "b.csv.manifest.json"))
+    assert manifest["eigendecompositions"] == {"computed": 0, "reused": 0}
+
+
+def test_run_job_loads_no_thermo():
+    for argv in (["run", "builtin:seq1", "--max-sites", "4"],
+                 ["run", "builtin:seq2", "--max-sites", "4",
+                  "--t1-grid", "2:4:2hc"]):
+        loaded = _job_modules(argv)
+        assert ENGINE_MODULES <= loaded
+        assert "magicecho.thermo" not in loaded
+
+
+def test_version_pays_the_imports_every_job_pays():
+    # no early exit: --version is how the benchmark times start-up, so it
+    # loads what a job that needs nothing more (lattice-info) loads
+    assert (_job_modules(["--version"])
+            == _job_modules(["lattice-info", "--radius", "1"])
+            == CORE_MODULES)
 
 
 def test_run_needs_exactly_one_acquire(tmp_path, capsys):

@@ -8,6 +8,8 @@ tilt coefficients. Both routes sample the same grid, so the equalities and
 the 2:1 ratio hold to machine precision, not just to a tolerance band.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +24,22 @@ PAIR_A = 1.0e5
 
 def pair_couplings():
     return np.array([[0.0, PAIR_A], [PAIR_A, 0.0]])
+
+
+def seq1_component(part, cluster, omega1, t1, ideal_reversal=False,
+                   window=None, step=None):
+    """The seq1 signal borne by one part of the state after init dipolar +
+    90y pulse, 'p' (-3/8 P) or 'hd' (H'/2): the seq1 program without that
+    pulse, run by run_program from the part."""
+    coeffs = {"p": -3.0 / 8.0} if part == "p" else {"hd": 0.5}
+    start = engine.DeviationState(
+        ops.operator_sum(cluster, sorted_basis=True, **coeffs))
+    half = pp.Burst(sign=1, amplitude_gauss=omega1 / GAMMA_F19,
+                    seconds=0.5 * t1)
+    program = pp.sequence("seq1", half, 0.5 * t1,
+                          *ex.acquisition_grid(cluster, window, step))
+    return ex.run_program(replace(program, statements=program.statements[1:]),
+                          cluster, ideal_reversal, start)
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +181,8 @@ def test_ideal_seq1_amplitude_is_quarter_peak_derivative(four_spin):
 
 def test_ideal_seq1_hd_component_also_quarter(four_spin):
     # the dipolar-order-borne part contributes an equal (1/4) max|G'|
-    _, hd_curve = ex.sequence1_components(four_spin, 1.0e6, 2.0e-5,
-                                          ideal_reversal=True)
+    hd_curve = seq1_component("hd", four_spin, 1.0e6, 2.0e-5,
+                              ideal_reversal=True)
     target = 0.25 * ex.max_abs_fid_derivative(four_spin)
     assert np.abs(hd_curve.values).max() == pytest.approx(target, rel=1e-9)
 
@@ -211,7 +229,8 @@ def test_seq1_components_sum_to_full_signal(four_spin):
     # (init dipolar, 90 pulse, tail) reproduces the component sum
     omega1 = 20.0 * local_field(four_spin)
     t1 = 8 * np.pi / omega1
-    p_curve, hd_curve = ex.sequence1_components(four_spin, omega1, t1)
+    p_curve, hd_curve = (seq1_component(part, four_spin, omega1, t1)
+                         for part in ("p", "hd"))
     program = pp.builtin("seq1", omega1 / GAMMA_F19,
                          halfcycles=8, window_us=p_curve.times[-1] * 1e6,
                          step_us=p_curve.times[1] * 1e6)
@@ -382,9 +401,9 @@ def test_dsl_route_matches_component_sum_seq1(four_spin):
     state = engine.initial_state(program.init_kind, four_spin)
     _, (dsl,) = engine.evolve(state, four_spin, pp.compile(program))
     omega1 = GAMMA_F19 * 25.3
-    p_curve, hd_curve = ex.sequence1_components(
-        four_spin, omega1, 40 * np.pi / omega1,
-        window=60.0e-6, step=0.5e-6)
+    p_curve, hd_curve = (seq1_component(
+        part, four_spin, omega1, 40 * np.pi / omega1, window=60.0e-6,
+        step=0.5e-6) for part in ("p", "hd"))
     total = p_curve.values + hd_curve.values
     scale = np.abs(total).max()
     np.testing.assert_allclose(dsl.values, total, atol=1e-9 * scale)
