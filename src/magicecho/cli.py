@@ -168,6 +168,15 @@ def _cmd_lattice_info(args) -> int:
     return _finish(args, t0, columns=columns, meta=meta, cluster=cluster)
 
 
+def _curve_csv(curve, x: str, y: str):
+    """(columns, meta) of a signal curve: its times in microseconds as
+    column ``x``, its values as ``y``, and its label and metadata."""
+    meta = {"label": curve.label or "signal", "observable": curve.observable,
+            "start_us": output.CSV_FLOAT_FORMAT % (curve.start * 1e6)}
+    meta.update({str(k): str(v) for k, v in curve.meta.items()})
+    return {x: curve.times * 1e6, y: curve.values}, meta
+
+
 def _cmd_run(args) -> int:
     from . import engine, experiments, pulseprog
 
@@ -203,11 +212,12 @@ def _cmd_run(args) -> int:
         curve = experiments.sweep_t1(
             name, cluster, omega1, engine.halfcycle_duration(omega1, counts),
             ideal_reversal=args.ideal, window=window, step=step)
-        return _finish(args, t0, *output.object_columns(curve),
+        return _finish(args, t0, *_curve_csv(curve, "t1_us", "amplitude"),
                        cluster=cluster)
     curve = experiments.run_program(program, cluster, args.ideal,
                                     sequence=source)
-    return _finish(args, t0, *output.object_columns(curve), cluster=cluster)
+    return _finish(args, t0, *_curve_csv(curve, "time_us", "value"),
+                   cluster=cluster)
 
 
 def _parse_cluster_spec(spec: str):
@@ -265,7 +275,12 @@ def _cmd_thermo(args) -> int:
                    "model_amplitude": traj.beta,
                    "ideal_amplitude": np.ones_like(traj.beta)}
     else:
-        columns, meta = output.object_columns(traj)
+        meta = {"method": traj.method,
+                "step_us": output.CSV_FLOAT_FORMAT % (traj.step * 1e6),
+                "converged": str(traj.converged),
+                "refinements": str(traj.refinements)}
+        meta.update({str(k): str(v) for k, v in traj.meta.items()})
+        columns = {"t1_us": traj.times * 1e6, "beta": traj.beta}
     # record which kernel produced this trajectory
     meta["kernel"] = kernel.kind
     meta.update({str(k): str(v) for k, v in kernel.meta.items()})
@@ -303,8 +318,11 @@ def _cmd_dump_operator(args) -> int:
                              f"non-finite entries")
     else:
         _reject(args, "applies to --name h1 only", "omega1_gauss")
-    matrix = _OPERATOR_BUILDERS[args.name](operators, cluster.couplings,
-                                           omega1)
+    # H1's commutator entries over 2 omega1 can overflow where 1/(2 omega1)
+    # does not; the finiteness check below names the flag instead
+    with np.errstate(over="ignore"):
+        matrix = _OPERATOR_BUILDERS[args.name](operators, cluster.couplings,
+                                               omega1)
     # d eps max|M| bounds the rounding of a length-d inner product, so an
     # entry at or below it is the residue of terms that cancel exactly
     size = np.abs(matrix)

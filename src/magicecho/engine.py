@@ -42,7 +42,8 @@ either the pulse's work buffer or one parity-class factor in the making,
 and propagation products of at most _CHUNK_BYTES. A seq1 point so peaks
 at about 2.34 dense complex operators of 16 d^2 bytes. Before it
 allocates, a run, ``verify`` and A3 estimate their peak this way and
-refuse, with a ValueError, one that exceeds the available memory. After
+refuse, with a ValueError, one that exceeds the available memory; so
+does an acquisition its sample grid (:attr:`Acquire.times`). After
 every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are
 checked against their initial values, and every phase-sum sample must be
 real; a failure, a NaN included, raises
@@ -140,8 +141,16 @@ class Acquire:
 
     @property
     def times(self) -> np.ndarray:
-        """Sample times 0, step, 2 step, ... up to the window."""
-        return self.step * np.arange(int(self.window / self.step + 1e-9) + 1)
+        """Sample times 0, step, 2 step, ... up to the window, refused
+        (ValueError) before they are allocated if the job would not fit."""
+        samples = self.window / self.step + 1e-9
+        # a run job, its CSV text included, peaked at 111-121 traced bytes
+        # per sample with rows of 23-27 characters; rows of two 18-character
+        # numbers, the longest %.12g writes, would reach about 153
+        check_fits(f"an acquisition window of {self.window * 1e6:g} us "
+                   f"sampled every {self.step * 1e6:g} us",
+                   160 * (samples + 1))
+        return self.step * np.arange(int(samples) + 1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The memory a job may allocate, read before it allocates.
 
-The engine, before a run, ``verify`` or A3, and the lattice, before it
-enumerates points or fills a coupling table, estimate their peak and
-refuse, with a ValueError, one that exceeds the available memory.
+The engine, before a run, ``verify``, A3 or an acquisition grid, the
+lattice, before it enumerates points or fills a coupling table, and the
+thermo solver, before each pass, estimate their peak and refuse, with a
+ValueError, one that exceeds the available memory.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -94,44 +93,6 @@ def read_csv(path: str):
         raise ValueError(f"{path}: no header row")
     data = np.asarray(rows, float).reshape(len(rows), len(names))
     return meta, {name: data[:, k] for k, name in enumerate(names)}
-
-
-def _flatten_meta(meta: dict) -> dict:
-    return {str(k): str(v) for k, v in meta.items()}
-
-
-def _is_instance(obj, module: str, name: str) -> bool:
-    """isinstance(obj, magicecho.<module>.<name>) without importing the
-    module: an instance of the class exists only once it is loaded."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return mod is not None and isinstance(obj, getattr(mod, name))
-
-
-def object_columns(obj):
-    """(columns, meta) for a SignalCurve or BetaTrajectory.
-
-    Signal curves get time_us/value columns (t1_us/amplitude for sweeps);
-    trajectories get t1_us/beta. Object metadata rides along. Neither the
-    engine nor the thermo module is imported here, so emitting a result
-    loads only the module that made it.
-    """
-    if _is_instance(obj, "engine", "SignalCurve"):
-        meta = {"label": obj.label or "signal", "observable": obj.observable,
-                "start_us": CSV_FLOAT_FORMAT % (obj.start * 1e6)}
-        meta.update(_flatten_meta(obj.meta))
-        times_us = np.asarray(obj.times, float) * 1e6
-        if obj.label.endswith("-sweep"):
-            return {"t1_us": times_us, "amplitude": obj.values}, meta
-        return {"time_us": times_us, "value": obj.values}, meta
-    if _is_instance(obj, "thermo", "BetaTrajectory"):
-        meta = {"method": obj.method,
-                "step_us": CSV_FLOAT_FORMAT % (obj.step * 1e6),
-                "converged": str(obj.converged),
-                "refinements": str(obj.refinements)}
-        meta.update(_flatten_meta(obj.meta))
-        return {"t1_us": np.asarray(obj.times, float) * 1e6,
-                "beta": obj.beta}, meta
-    raise TypeError(f"cannot emit {type(obj).__name__} as CSV")
 
 
 def write_manifest(out_path: str, payload: dict) -> str:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from .errors import STEP_TOL, ConvergenceError
 from .lattice import (DEFAULT_M_RATIO, DEFAULT_N, DEFAULT_OFFSET_US,
                       REFERENCE_M2)
+from .memory import check_fits
 
 DEFAULT_OFFSET = DEFAULT_OFFSET_US / 1e6   # seconds, bitwise 80.0e-6
 MAX_REFINEMENTS = 12
@@ -154,6 +155,12 @@ def _integrate(kernel: KernelSpec, t_end: float, n_steps: int):
     """
     from numpy.fft import irfft, rfft   # not loaded by "import numpy"
 
+    # a pass peaked at 120-168 traced bytes per grid point, the most just
+    # past a power of two, where the FFTs pad most, and a job's CSV at
+    # 130-148 with rows of 27-30 characters; rows of 18-character numbers,
+    # the longest %.12g writes, would reach about 175
+    check_fits(f"a thermo pass of {n_steps + 1} grid points",
+               192 * (n_steps + 1))
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
     beta = np.ones(n_steps + 1)
@@ -221,6 +228,8 @@ def solve_beta(kernel: KernelSpec, t_end: float, step: float
         raise ValueError("step must be positive")
     if not step < t_end < np.inf:
         raise ValueError("t_end must be finite and exceed the step")
+    if not t_end / step < np.inf:
+        raise ValueError("t_end / step overflows")
     n = max(2, int(np.ceil(t_end / step - 1e-12)))
     _, beta = _integrate(kernel, t_end, n)
     drift = np.inf

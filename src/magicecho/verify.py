@@ -1,8 +1,10 @@
 """The fast invariant suite that ``magicecho verify`` runs.
 
 Each check gets a fresh generator from the same seed and raises on a
-violation. The checks cover the operators, the engine, the experiments,
-the thermo solver and the CSV round trip on small operators and clusters.
+violation, naming the measured value and its bound. The checks are
+explicit raises, not asserts, so that ``python -O`` keeps them. They
+cover the operators, the engine, the experiments, the thermo solver and
+the CSV round trip on small operators and clusters.
 The suite is a module of its own so that no other command compiles it or
 loads what it imports.
 """
@@ -14,7 +16,15 @@ import os
 import numpy as np
 
 from . import engine, experiments, operators as ops, output, thermo
+from .errors import InvariantViolation
 from .lattice import build_cluster, local_field
+
+
+def _below(what: str, value: float, bound: float) -> None:
+    """Raise unless ``value`` is below ``bound`` (a NaN is not)."""
+    if not value < bound:
+        raise InvariantViolation(f"{what} = {value:.3e}, not below "
+                                 f"{bound:.3e}")
 
 
 def _check_rotation_unitarity(rng):
@@ -25,12 +35,16 @@ def _check_rotation_unitarity(rng):
     for axis in "xyz":
         angle = rng.uniform(-np.pi, np.pi)
         u = ops._site_rotation(axis, angle)
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+        _below(f"max |U U^dagger - 1| about {axis}",
+               np.abs(u @ u.conj().T - np.eye(2)).max(), 1e-12)
         turned = ops.rotate(op, axis, angle)
-        assert abs(np.linalg.norm(turned) - norm) < 1e-12 * norm
-        assert np.abs(turned - turned.conj().T).max() < 1e-12 * norm
-        assert np.abs(ops.rotate(turned, axis, -angle) - op).max() \
-            < 1e-12 * norm
+        _below(f"| ||R(A)|| - ||A|| | about {axis}",
+               abs(np.linalg.norm(turned) - norm), 1e-12 * norm)
+        _below(f"max |R(A) - R(A)^dagger| about {axis}",
+               np.abs(turned - turned.conj().T).max(), 1e-12 * norm)
+        _below(f"max |R^-1(R(A)) - A| about {axis}",
+               np.abs(ops.rotate(turned, axis, -angle) - op).max(),
+               1e-12 * norm)
 
 
 def _random_couplings(rng, n):
@@ -44,7 +58,8 @@ def _check_tilt_decomposition(rng):
     for _ in range(20):
         a = _random_couplings(rng, int(rng.integers(2, 6)))
         report = ops.tilt_decompose(a, rng.uniform(0.0, np.pi))
-        assert report.residual < 1e-10 * report.reference_norm
+        _below("tilt residual", report.residual,
+               1e-10 * report.reference_norm)
 
 
 def _check_conserved_commutators(rng):
@@ -54,25 +69,29 @@ def _check_conserved_commutators(rng):
     q = ops.operator_q(a)
     iz = ops.collective("z", 4)
     scale = np.abs(hd).max()
-    assert np.abs(ops.commutator(hd, iz)).max() < 1e-12 * scale
-    assert np.abs(ops.commutator(iz, h2) - 2.0 * h2).max() < 1e-12 * scale
-    assert np.abs(ops.commutator(iz, ops.commutator(iz, q))
-                  - q).max() < 1e-12 * scale
+    _below("max |[H', Iz]|", np.abs(ops.commutator(hd, iz)).max(),
+           1e-12 * scale)
+    _below("max |[Iz, H2] - 2 H2|",
+           np.abs(ops.commutator(iz, h2) - 2.0 * h2).max(), 1e-12 * scale)
+    _below("max |[Iz, [Iz, Q]] - Q|",
+           np.abs(ops.commutator(iz, ops.commutator(iz, q)) - q).max(),
+           1e-12 * scale)
 
 
 def _check_pair_fid(rng):
     a0 = 1.0e5
     pair = np.array([[0.0, a0], [a0, 0.0]])
     t = np.linspace(0.0, 3e-4, 31)
-    assert np.abs(experiments.fid_values(pair, t)
-                  - np.cos(0.75 * a0 * t)).max() < 1e-12
+    _below("max |G(t) - cos(3 a t / 4)|",
+           np.abs(experiments.fid_values(pair, t)
+                  - np.cos(0.75 * a0 * t)).max(), 1e-12)
 
 
 def _check_ideal_rpw(rng):
     cluster = build_cluster("100", radius=1.0, max_sites=4)
     curve = experiments.rpw_magic_echo(cluster, 1.0e6, 1.3e-5,
                                        ideal_reversal=True)
-    assert abs(curve.values[0] - 1.0) < 1e-9
+    _below("|s(0) - 1|", abs(curve.values[0] - 1.0), 1e-9)
 
 
 def _check_ideal_ratio(rng):
@@ -81,20 +100,20 @@ def _check_ideal_ratio(rng):
                                          ideal_reversal=True)
     a2 = experiments.sequence2_amplitude(cluster, 1.0e6, 1.0e-5,
                                          ideal_reversal=True)
-    assert abs(a2 / a1 - 2.0) < 1e-9
+    _below("|seq2 / seq1 - 2|", abs(a2 / a1 - 2.0), 1e-9)
 
 
 def _check_magnus_order(rng):
     cluster = build_cluster("100", radius=1.0, max_sites=4)
     report = engine.verify_average_hamiltonian(cluster,
                                                10.0 * local_field(cluster))
-    assert report["err1"] < report["err0"]
+    _below("first-order error err1", report["err1"], report["err0"])
 
 
 def _check_reversal_identity(rng):
     a = np.zeros((3, 3))
     u = engine.effective_propagator_a3(a, 1.0e6, 2 * np.pi / 1.0e6)
-    assert np.abs(u - np.eye(8)).max() < 1e-9
+    _below("max |U - 1|", np.abs(u - np.eye(8)).max(), 1e-9)
 
 
 def _check_thermo_cosine(rng):
@@ -103,7 +122,8 @@ def _check_thermo_cosine(rng):
                                values=np.array([g, g]))
     t_end = 4 * np.pi / np.sqrt(g)
     traj = thermo.solve_beta(kernel, t_end, t_end / 50)
-    assert np.abs(traj.beta - np.cos(np.sqrt(g) * traj.times)).max() < 1e-6
+    _below("max |beta - cos(sqrt(g) t)|",
+           np.abs(traj.beta - np.cos(np.sqrt(g) * traj.times)).max(), 1e-6)
 
 
 def _check_csv_roundtrip(rng):
@@ -114,8 +134,11 @@ def _check_csv_roundtrip(rng):
         path = os.path.join(d, "roundtrip.csv")
         output.write_csv(path, {"t": times, "v": values}, {"k": "v"})
         meta, cols = output.read_csv(path)
-        assert meta["k"] == "v"
-        assert np.abs(cols["v"] - values).max() < 1e-11 * np.abs(values).max()
+        if meta["k"] != "v":
+            raise InvariantViolation(f"metadata k read back as "
+                                     f"{meta['k']!r}, not 'v'")
+        _below("max |v read - v written|", np.abs(cols["v"] - values).max(),
+               1e-11 * np.abs(values).max())
 
 
 VERIFY_CHECKS = [

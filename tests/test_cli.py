@@ -4,6 +4,7 @@ Each test invokes cli.main(argv) in process and inspects the exit code,
 captured stdout, or emitted CSV/manifest files.
 """
 
+import ast
 import json
 import os
 import re
@@ -112,6 +113,39 @@ def test_run_single_builtin_echo(tmp_path):
     assert np.argmax(cols["value"]) == 0
     assert meta["sequence"] == "builtin:rpw"
     assert meta["macroscopic"] == "False"
+
+
+def test_run_curve_columns_and_metadata(tmp_path):
+    # a single run: sample times from the window start in us, the values,
+    # and the curve's label, observable, start and metadata
+    pp = tmp_path / "late.pp"
+    pp.write_text("init ix\ndelay 5us\nacquire Iy for 20us step 4us\n")
+    out = str(tmp_path / "late.csv")
+    assert run_main(["run", str(pp), "--max-sites", "3", "--out", out]) == 0
+    meta, cols = output.read_csv(out)
+    assert list(cols) == ["time_us", "value"]
+    np.testing.assert_allclose(cols["time_us"], [0, 4, 8, 12, 16, 20],
+                               rtol=1e-12)
+    assert meta["label"] == "signal"
+    assert meta["observable"] == "y"
+    assert meta["start_us"] == "5"
+    assert meta["orientation"] == "100"
+    assert meta["sequence"] == str(pp)
+
+
+def test_run_sweep_columns_and_metadata(capsys):
+    assert run_main(["run", "builtin:seq2", "--max-sites", "3",
+                     "--omega1-gauss", "30", "--t1-grid", "2:4:2hc"]) == 0
+    out = capsys.readouterr().out
+    meta = stdout_meta(out)
+    assert out.splitlines()[len(meta)] == "t1_us,amplitude"
+    assert meta["label"] == "seq2-sweep"
+    assert meta["observable"] == "y"
+    assert meta["start_us"] == "0"
+    assert meta["sequence"] == "seq2"
+    t1_us = [float(row.split(",")[0]) for row in out.splitlines()[-2:]]
+    t1 = engine.halfcycle_duration(GAMMA_F19 * 30, np.array([2, 4]))
+    np.testing.assert_allclose(t1_us, t1 * 1e6, rtol=1e-11)
 
 
 def test_run_halfcycles_default_and_where_it_applies(tmp_path, capsys):
@@ -362,6 +396,54 @@ def test_a_radius_over_the_available_memory_exits_2(monkeypatch, capsys):
                          r"but only 1024 MiB", err), err
 
 
+def _one_error_line(argv, capsys):
+    """The stderr of a job that must exit 2 with no warning or traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_an_acquisition_over_the_available_memory_exits_2(
+        tmp_path, monkeypatch, capsys):
+    # a 1e-12 us step once died in np.arange with a 437 TiB allocation
+    err = _one_error_line(["run", "builtin:rpw", "--max-sites", "4",
+                           "--step-us", "1e-12"], capsys)
+    assert "an acquisition window of 60 us sampled every 1e-12 us" in err
+    # 10,001 samples: the estimate is refused, not the machine's memory
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
+    pp = tmp_path / "fine.pp"
+    pp.write_text("init ix\nacquire Ix for 100us step 0.01us\n")
+    for argv in (["run", "builtin:rpw", "--window-us", "100",
+                  "--step-us", "0.01"], ["run", str(pp)]):
+        err = _one_error_line(argv + ["--max-sites", "2"], capsys)
+        assert ("an acquisition window of 100 us sampled every 0.01 us "
+                "would allocate an estimated 2 MiB, but only 1 MiB") in err
+
+
+@pytest.mark.parametrize("t_end, step", [("1e12", "1"), ("1e300", "1e-300")])
+def test_a_first_thermo_pass_over_the_available_memory_exits_2(
+        t_end, step, capsys):
+    # each once died with a traceback: a 7.28 TiB allocation, and an
+    # infinite step count that no int holds
+    _one_error_line(["thermo", "--orientation", "100", "--t-end-us", t_end,
+                     "--step-us", step], capsys)
+
+
+def test_a_halved_thermo_step_over_the_available_memory_exits_2(
+        monkeypatch, capsys):
+    # 1000 steps fit, and so do the halvings up to 16000; the job needs
+    # 64000, and the pass of 32000 is refused before it allocates
+    monkeypatch.setattr(memory, "available_bytes", lambda: 4 * 2**20)
+    err = _one_error_line(["thermo", "--orientation", "100",
+                           "--t-end-us", "2000"], capsys)
+    assert err.startswith("error: a thermo pass of 32001 grid points would "
+                          "allocate an estimated 6 MiB, but only 4 MiB"), err
+
+
 # each probe reaches one check with an infinite or NaN value (1e400 reads
 # as inf). Each once passed it: a zero-length burst, a beta held at 1, a
 # NaN drift or an OverflowError. Run in process, an uncaught exception
@@ -441,15 +523,15 @@ def test_dump_h1_refuses_a_non_finite_matrix(gauss, message, capsys):
 
 
 def test_dump_h1_refuses_an_overflowing_field_before_dividing(capsys):
-    # 1/(2 omega1) overflows at 1e-320 G: refused before H1 is built, so
-    # numpy prints no overflow warning next to the one error line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_main(["dump-operator", "--name", "h1", "--max-sites", "4",
-                         "--omega1-gauss", "1e-320"]) == 2
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == (
-        "error: --omega1-gauss 1e-320 gives H1 non-finite entries\n")
+    # 1/(2 omega1) overflows at 1e-320 G: refused before H1 is built. At
+    # 1e-306 and 1e-310 G it is finite, but the commutator entries over
+    # 2 omega1 overflow; either way numpy prints no overflow warning next
+    # to the one error line
+    for gauss in ("1e-306", "1e-310", "1e-320"):
+        assert _one_error_line(["dump-operator", "--name", "h1",
+                                "--max-sites", "4", "--omega1-gauss", gauss],
+                               capsys) == (
+            f"error: --omega1-gauss {gauss} gives H1 non-finite entries\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -643,6 +725,24 @@ def test_thermo_gaussian_defaults(tmp_path):
     # onset delay: nothing decays during the first 80 us
     early = cols["beta"][cols["t1_us"] < 80.0]
     assert early.min() >= 0.99
+
+
+def test_thermo_trajectory_columns_and_metadata(capsys):
+    assert run_main(["thermo", "--orientation", "111",
+                     "--t-end-us", "100"]) == 0
+    out = capsys.readouterr().out
+    meta = stdout_meta(out)
+    rows = out.splitlines()[len(meta):]
+    assert rows[0] == "t1_us,beta"
+    t1_us = np.array([float(row.split(",")[0]) for row in rows[1:]])
+    assert t1_us[-1] == 100.0
+    assert float(meta["step_us"]) == pytest.approx(t1_us[1], rel=1e-11)
+    assert rows[1] == "0,1"
+    assert meta["method"] == "heun-trapezoid"
+    assert meta["converged"] == "True"
+    # the default 2 us step, halved once per refinement
+    assert len(rows) - 2 == 50 * 2 ** int(meta["refinements"])
+    assert meta["kernel"] == "gaussian"
 
 
 def test_thermo_manifest_records_refinement_history(tmp_path, capsys):
@@ -839,6 +939,32 @@ def test_verify_all_checks_pass(capsys):
     assert "all 10 checks passed" in out
     assert "FAIL" not in out
     assert out.count("ok ") == 10
+
+
+def test_verify_names_the_value_and_bound_of_a_failed_check(
+        monkeypatch, capsys):
+    from magicecho import experiments, verify
+
+    monkeypatch.setattr(experiments, "fid_values",
+                        lambda pair, t: np.cos(0.75e5 * t) + 1e-9)
+    assert verify.run(20260819) == 1
+    out = capsys.readouterr().out
+    assert "FAIL pair-fid: max |G(t) - cos(3 a t / 4)| = 1.000e-09, " \
+           "not below 1.000e-12\n" in out
+    assert out.endswith("1 of 10 checks failed\n")
+
+
+def test_package_has_no_assert_statements():
+    # python -O drops assert statements, and with them any check they make
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # --------------------------------------------------------------------- config

@@ -28,6 +28,7 @@ the phase sum returned real samples under one imaginary-part bound:
 
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -132,6 +133,17 @@ def test_verify_stdout_golden(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN_DIR / "verify.txt").read_bytes()
+
+
+def test_verify_stdout_golden_under_optimize():
+    # python -O drops assert statements: the checks must still run
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-m", "magicecho.cli",
+                           "verify"], env=env, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "verify.txt").read_bytes()
 
 
 def test_list_metadata_compared_elementwise_at_rtol():

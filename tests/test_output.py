@@ -6,16 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from magicecho import output, thermo
-from magicecho.engine import SignalCurve
-
-
-def curve(label="fid", n=5):
-    times = np.linspace(0.0, 4.0e-5, n)
-    values = np.cos(1.0e5 * times)
-    return SignalCurve(times=times, values=values, observable="x",
-                       start=0.0, label=label,
-                       meta={"orientation": "100", "macroscopic": False})
+from magicecho import output
 
 
 def test_write_read_round_trip(tmp_path):
@@ -75,10 +66,9 @@ def test_csv_text_matches_file(tmp_path):
 
 
 def test_empty_curve_emits_header_only(tmp_path):
-    empty = SignalCurve(times=np.array([]), values=np.array([]),
-                        observable="y", start=0.0, label="fid", meta={})
     path = str(tmp_path / "empty.csv")
-    assert output.write_csv(path, *output.object_columns(empty)) == 0
+    assert output.write_csv(path, {"time_us": [], "value": []},
+                            {"label": "fid"}) == 0
     lines = open(path).read().splitlines()
     assert lines[-1] == "time_us,value"
     meta, cols = output.read_csv(path)
@@ -94,45 +84,6 @@ def test_write_csv_validation(tmp_path):
     with pytest.raises(ValueError, match="one column"):
         output.write_csv(path, {})
     assert not os.path.exists(path)
-
-
-def test_emit_curve_columns(tmp_path):
-    path = str(tmp_path / "c.csv")
-    c = curve()
-    output.write_csv(path, *output.object_columns(c))
-    meta, cols = output.read_csv(path)
-    assert list(cols) == ["time_us", "value"]
-    np.testing.assert_allclose(cols["time_us"], c.times * 1e6, rtol=1e-11)
-    assert meta["label"] == "fid"
-    assert meta["observable"] == "x"
-    assert meta["orientation"] == "100"
-
-
-def test_emit_sweep_columns(tmp_path):
-    path = str(tmp_path / "s.csv")
-    output.write_csv(path, *output.object_columns(curve(label="seq1-sweep")))
-    _, cols = output.read_csv(path)
-    assert list(cols) == ["t1_us", "amplitude"]
-
-
-def test_emit_trajectory_columns(tmp_path):
-    kernel = thermo.KernelSpec("gaussian", n=0.45, omega_loc=5.0e4,
-                               curvature=1.0e9)
-    traj = thermo.solve_beta(kernel, 1.0e-4, 2.0e-6)
-    path = str(tmp_path / "beta.csv")
-    rows = output.write_csv(path, *output.object_columns(traj))
-    assert rows == len(traj.times)
-    meta, cols = output.read_csv(path)
-    assert list(cols) == ["t1_us", "beta"]
-    assert cols["beta"][0] == 1.0
-    assert meta["method"] == "heun-trapezoid"
-    assert meta["converged"] == "True"
-
-
-def test_emit_rejects_unknown_type(tmp_path):
-    with pytest.raises(TypeError, match="cannot emit"):
-        output.write_csv(str(tmp_path / "x.csv"),
-                         *output.object_columns({"not": "a curve"}))
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
