@@ -7,7 +7,9 @@ as CSV), verify (fast invariant suite).
 
 Times on the command line and in files are microseconds; half-cycle counts
 parameterize burst lengths. Exit codes: 0 success, 1 numerical failure
-(non-convergence, invariant violation), 2 configuration error.
+(non-convergence, invariant violation), 2 configuration error. Each
+result is one CSV, written by output.write_csv to --out (with a JSON
+manifest beside it) or to stdout, the same bytes either way.
 
 A config file (--config) holds key=value lines named after the long flags.
 Each line is read as the flag --key=value (a switch as true/false) placed
@@ -56,12 +58,12 @@ def _resolved_config(args) -> dict:
 
 
 def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
-    """Emit the result to --out or stdout, plus a manifest for files."""
+    """Write the CSV to --out or stdout, and a manifest next to a file."""
     out = getattr(args, "out", None)
+    rows = output.write_csv(out or sys.stdout, columns, meta)
     if out:
-        rows = output.write_csv(out, columns, meta)
         cache = _eigensystems()
-        manifest = {
+        output.write_manifest(out, {
             "artifact_version": __version__,
             "command": args.subcommand,
             "config": _resolved_config(args),
@@ -74,10 +76,7 @@ def _finish(args, t_start, columns, meta, cluster=None, extra=None) -> int:
                 "reused": 0 if cache is None else cache.reused},
             **(extra or {}),
             "wall_time_s": time.perf_counter() - t_start,
-        }
-        output.write_manifest(out, manifest)
-    else:
-        sys.stdout.write(output.csv_text(columns, meta))
+        })
     return 0
 
 

@@ -144,9 +144,9 @@ class Acquire:
         """Sample times 0, step, 2 step, ... up to the window, refused
         (ValueError) before they are allocated if the job would not fit."""
         samples = self.window / self.step + 1e-9
-        # a run job, its CSV text included, peaked at 111-121 traced bytes
-        # per sample with rows of 23-27 characters; rows of two 18-character
-        # numbers, the longest %.12g writes, would reach about 153
+        # a run job peaked at 33-36 traced bytes per sample, --out and
+        # stdout alike, its CSV written a chunk at a time; 160 keeps a
+        # wide margin over that
         check_fits(f"an acquisition window of {self.window * 1e6:g} us "
                    f"sampled every {self.step * 1e6:g} us",
                    160 * (samples + 1))
@@ -320,7 +320,8 @@ def _segment_factors(spec: HamiltonianSpec, a: np.ndarray, t: float):
     burst(-) is X burst(+) X, and X keeps each parity class for even n and
     swaps the two for odd n, so the burst(-) factor of class k is the
     burst(+) factor of class k XOR (n mod 2), its rows and columns indexed
-    by the spin flip.
+    by the spin flip: formed from the rows of burst(+)'s eigenvectors v
+    taken in that order, as v[i] diag(exp(-i w t)) v[i]^T.
     """
     if spec.kind != "burst" or spec.sign > 0:
         yield from _factors(EIGENSYSTEMS.get(spec, a), t)
@@ -331,7 +332,7 @@ def _segment_factors(spec: HamiltonianSpec, a: np.ndarray, t: float):
     for k, (c, w, v) in enumerate(plus):
         s = layout.parities[k ^ n % 2]
         i = layout.flip[s] - c.start
-        yield s, _factor(w, v, t)[np.ix_(i, i)]
+        yield s, _factor(w, v[i], t)
 
 
 def _propagate(delta: np.ndarray, factors) -> None:
@@ -445,6 +446,8 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
         seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
         for seg in segments if not isinstance(seg, Pulse)], 0,
         any(isinstance(seg, Pulse) for seg in segments))
+    # each sample grid is made, or refused, before the first segment runs
+    grids = [seg.times for seg in segments if isinstance(seg, Acquire)]
     delta = state.delta
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
@@ -463,7 +466,7 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
         elif isinstance(seg, Acquire):
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
             obs = ops.collective_blocks(seg.observable, n)
-            times = seg.times
+            times = grids[len(curves)]
             # times 1 / Tr(O^2) = 4 / (n 2^n) for I_x, I_y and I_z: a product
             # with the reciprocal keeps the recorded samples bit for bit
             s = phase_sum([w for _, w, _ in blocks],

@@ -3,12 +3,15 @@
 One file format for everything: '#'-prefixed metadata lines (key=value,
 sorted keys), a header row, then numeric rows with 12 significant digits,
 comma separated, LF line endings. Times in files are microseconds; the
-library computes in seconds internally. Writes are atomic (temp file in
-the target directory, then rename), so readers never see partial output.
+library computes in seconds internally. A CSV is written in one pass,
+CSV_ROW_CHUNK rows at a time, to an open stream or atomically to a file
+(temp file in the target directory, then rename), so readers never see
+partial output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -19,12 +22,14 @@ CSV_FLOAT_FORMAT = "%.12g"
 CSV_ROW_CHUNK = 4096
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text stream that replaces ``path`` when closed without an error."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-csv-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.chmod(tmp, 0o644)   # mkstemp defaults to owner-only
         os.replace(tmp, path)
     except BaseException:
@@ -33,7 +38,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _build_csv(columns: dict, meta: dict | None):
+def write_csv(path, columns: dict, meta: dict | None = None) -> int:
+    """Write named numeric columns with metadata to ``path``, a file name or
+    an open text stream, once every column is checked; returns the row count.
+    """
     names = list(columns)
     if not names:
         raise ValueError("need at least one column")
@@ -43,28 +51,18 @@ def _build_csv(columns: dict, meta: dict | None):
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"column {name!r} is not a 1-d array of "
                              f"length {length}")
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, so both finite means every value is
+        if length and not np.isfinite([arr.min(), arr.max()]).all():
             raise ValueError(f"column {name!r} contains non-finite values")
-    lines = [f"# {key}={meta[key]}" for key in sorted(meta or {})]
-    lines.append(",".join(names))
-    # one % per chunk of rows; chunking bounds the temporary value tuple
-    row = ",".join([CSV_FLOAT_FORMAT] * len(names)) + "\n"
-    table = np.column_stack(arrays)
-    body = [(row * len(block)) % tuple(block.ravel().tolist())
-            for block in (table[k:k + CSV_ROW_CHUNK]
-                          for k in range(0, length, CSV_ROW_CHUNK))]
-    return "\n".join(lines) + "\n" + "".join(body), length
-
-
-def csv_text(columns: dict, meta: dict | None = None) -> str:
-    """The CSV payload as a string (for stdout emission)."""
-    return _build_csv(columns, meta)[0]
-
-
-def write_csv(path: str, columns: dict, meta: dict | None = None) -> int:
-    """Write named numeric columns with metadata; returns the row count."""
-    text, length = _build_csv(columns, meta)
-    _atomic_write(path, text)
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else _atomic_file(path)) as fh:
+        lines = [f"# {key}={meta[key]}" for key in sorted(meta or {})]
+        fh.write("\n".join(lines + [",".join(names)]) + "\n")
+        # one % per chunk of rows, each chunk written before the next is made
+        row = ",".join([CSV_FLOAT_FORMAT] * len(names)) + "\n"
+        for k in range(0, length, CSV_ROW_CHUNK):
+            block = np.column_stack([a[k:k + CSV_ROW_CHUNK] for a in arrays])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     return length
 
 
@@ -98,6 +96,7 @@ def read_csv(path: str):
 def write_manifest(out_path: str, payload: dict) -> str:
     """Write the run manifest next to an output file; returns its path."""
     path = out_path + ".manifest.json"
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                   default=str) + "\n")
+    with _atomic_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str)
+                 + "\n")
     return path

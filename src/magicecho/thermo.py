@@ -156,9 +156,10 @@ def _integrate(kernel: KernelSpec, t_end: float, n_steps: int):
     from numpy.fft import irfft, rfft   # not loaded by "import numpy"
 
     # a pass peaked at 120-168 traced bytes per grid point, the most just
-    # past a power of two, where the FFTs pad most, and a job's CSV at
-    # 130-148 with rows of 27-30 characters; rows of 18-character numbers,
-    # the longest %.12g writes, would reach about 175
+    # past a power of two, where the FFTs pad most, and whole Gaussian,
+    # microscopic and --divergence jobs at 141-154, in their last pass;
+    # writing the CSV a chunk at a time peaks lower, at 25-34 with the
+    # trajectory held
     check_fits(f"a thermo pass of {n_steps + 1} grid points",
                192 * (n_steps + 1))
     h = t_end / n_steps

@@ -317,6 +317,27 @@ def test_fresh_processes_print_the_same_bytes(tmp_path):
         assert first and first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice-info", "--orientation", "110", "--radius", "1.5"],
+    ["run", "builtin:rpw", "--max-sites", "4", "--halfcycles", "8"],
+    ["run", "builtin:seq1", "--max-sites", "4", "--t1-grid", "2:6:2hc"],
+    ["thermo", "--orientation", "100", "--t-end-us", "100"],
+    ["thermo", "--orientation", "111", "--t-end-us", "100", "--divergence"],
+    ["dump-operator", "--name", "h1", "--max-sites", "3"],
+])
+def test_out_and_stdout_write_the_same_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    assert run_main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    rows = [line for line in printed.splitlines()
+            if not line.startswith("#")][1:]
+    manifest = json.loads((tmp_path / "result.csv.manifest.json").read_text())
+    assert manifest["rows"] == len(rows) > 0
+
+
 def test_run_manifest_counts_eigendecompositions(tmp_path):
     out = str(tmp_path / "sweep.csv")
     argv = ["run", "builtin:seq1", "--orientation", "100", "--radius", "1",
@@ -422,6 +443,22 @@ def test_an_acquisition_over_the_available_memory_exits_2(
         err = _one_error_line(argv + ["--max-sites", "2"], capsys)
         assert ("an acquisition window of 100 us sampled every 0.01 us "
                 "would allocate an estimated 2 MiB, but only 1 MiB") in err
+
+
+def test_an_acquisition_grid_is_refused_before_the_first_segment(
+        tmp_path, monkeypatch, capsys):
+    # the grid of 10^10 samples is refused before the burst ahead of it
+    # is decomposed or run
+    monkeypatch.setattr(memory, "available_bytes", lambda: 2**30)
+    pp = tmp_path / "late.pp"
+    pp.write_text("init ix\nburst + 30G 40hc\n"
+                  "acquire Ix for 10us step 1e-9us\n")
+    err = _one_error_line(["run", str(pp), "--radius", "2",
+                           "--max-sites", "8"], capsys)
+    assert err.startswith("error: an acquisition window of 10 us sampled "
+                          "every 1e-09 us would allocate an estimated "), err
+    assert err.endswith("but only 1024 MiB is available\n"), err
+    assert engine.EIGENSYSTEMS.computed == 0
 
 
 @pytest.mark.parametrize("t_end, step", [("1e12", "1"), ("1e300", "1e-300")])

@@ -1,7 +1,9 @@
 """Tests for CSV/manifest emission: format, round-trip fidelity, atomicity."""
 
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,15 +56,38 @@ def test_csv_body_matches_per_value_formatting():
         expected = "# k=v\nt,v,w\n" + "".join(
             ",".join(fmt % cols[name][k] for name in cols) + "\n"
             for k in range(length))
-        assert output.csv_text(cols, {"k": "v"}) == expected
+        stream = io.StringIO()
+        assert output.write_csv(stream, cols, {"k": "v"}) == length
+        assert stream.getvalue() == expected
 
 
-def test_csv_text_matches_file(tmp_path):
+def test_csv_stream_matches_file(tmp_path):
     cols = {"a": [1.5, 2.5], "b": [0.25, 0.75]}
     meta = {"k": "v"}
     path = str(tmp_path / "t.csv")
-    output.write_csv(path, cols, meta)
-    assert open(path).read() == output.csv_text(cols, meta)
+    stream = io.StringIO()
+    assert output.write_csv(path, cols, meta) == 2
+    assert output.write_csv(stream, cols, meta) == 2
+    assert open(path).read() == stream.getvalue()
+
+
+def test_csv_memory_stays_at_one_chunk(tmp_path):
+    # rows are formatted and written a chunk at a time, to a file or a
+    # stream alike, so the peak does not grow with the row count (this
+    # CSV is 6.0 MB)
+    length = 200_000
+    cols = {"t": np.linspace(0.0, 1.0, length),
+            "v": np.random.default_rng(5).normal(size=length)}
+    path = str(tmp_path / "big.csv")
+    with open(tmp_path / "stream.csv", "w") as stream:
+        for dest in (path, stream):
+            tracemalloc.start()
+            try:
+                assert output.write_csv(dest, cols, {"k": "v"}) == length
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (dest, peak)
 
 
 def test_empty_curve_emits_header_only(tmp_path):
@@ -84,6 +109,16 @@ def test_write_csv_validation(tmp_path):
     with pytest.raises(ValueError, match="one column"):
         output.write_csv(path, {})
     assert not os.path.exists(path)
+    # every column is checked before the first byte goes to a stream
+    stream = io.StringIO()
+    for bad in ([1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="'b' contains non-finite"):
+            output.write_csv(stream, {"a": np.arange(len(bad), dtype=float),
+                                      "b": bad}, {"k": "v"})
+    with pytest.raises(ValueError, match="length"):
+        output.write_csv(stream, {"a": [1.0], "b": [[1.0]]})
+    assert stream.getvalue() == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
