@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__, output
 from .errors import TOLERANCES, ConvergenceError, InvariantViolation
+from .memory import check_fits
 from .lattice import (BULK_SUM_RADIUS, DEFAULT_AMPLITUDE_GAUSS,
                       DEFAULT_HALFCYCLES, DEFAULT_KERNEL_SAMPLES,
                       DEFAULT_M_RATIO, DEFAULT_N, DEFAULT_OFFSET_US,
@@ -134,6 +135,13 @@ def _parse_t1_grid(text: str) -> np.ndarray:
     if not (0 <= start <= stop < np.inf and 0 < step < np.inf):
         raise ValueError(f"--t1-grid {text!r} must have finite "
                          f"0 <= START <= STOP and STEP > 0")
+    points = (stop - start) / step + 1.0
+    if not points < np.inf:
+        raise ValueError(f"--t1-grid {text!r} has too many points to count")
+    # each point is held as Python floats and arrays several times over
+    # (requested, executed, amplitude, the CSV columns and metadata), about
+    # 200 bytes in all
+    check_fits(f"--t1-grid {text!r}", 256 * points)
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -249,6 +257,9 @@ def _cmd_thermo(args) -> int:
                    if args.kernel_tau_us is None
                    else args.kernel_tau_us * 1e-6)
         _resolve(args, kernel_tau_us=tau_max * 1e6)
+        # a kernel job peaked at 49-52 traced bytes per lag sample
+        check_fits(f"--kernel-samples {args.kernel_samples}",
+                   160 * args.kernel_samples)
         tau = np.linspace(0.0, tau_max, args.kernel_samples)
         kernel = thermo.microscopic_kernel(cluster, tau,
                                            offset=args.offset_us * 1e-6)

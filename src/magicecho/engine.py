@@ -31,22 +31,24 @@ over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
 observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
 meeting one block of Delta. Delta is then advanced by the propagator of the
 whole window. A pulse is one call,
-:func:`~magicecho.operators.rotate_sorted`: it permutes Delta into the
-product basis in place, applies the single-site 2x2 factor to every site
-index and permutes it back, all through one d x d work buffer.
+:func:`~magicecho.operators.rotate_sorted`: it applies the single-site 2x2
+factor to every site index of Delta in place, a slab of columns and then
+a slab of rows at a time, each permuted into the product basis and back
+through two slab buffers.
 
 Memory: a run holds one d x d Delta, the state's own. Besides it there
 are the cached real eigenvectors (a quarter of a dense operator per
-decomposed burst or average Hamiltonian, under a tenth for H'), then
-either the pulse's work buffer or one parity-class factor in the making,
-and propagation products of at most _CHUNK_BYTES. A seq1 point so peaks
-at about 2.34 dense complex operators of 16 d^2 bytes. Before it
-allocates, a run, ``verify`` and A3 estimate their peak this way and
-refuse, with a ValueError, one that exceeds the available memory; so
-does an acquisition its sample grid (:attr:`Acquire.times`). After
-every segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are
-checked against their initial values, and every phase-sum sample must be
-real; a failure, a NaN included, raises
+decomposed burst or average Hamiltonian, under a tenth for H'), one
+parity-class factor in the making and propagation products of at most
+_CHUNK_BYTES; a pulse's slabs are under a tenth of an operator from
+n = 10 up. A seq1 point so peaks at about 1.9 dense complex operators
+of 16 d^2 bytes at n = 11 and 12 (2.0 at n = 10). Before it allocates,
+a run, ``verify`` and A3 estimate their peak this way and refuse, with a
+ValueError, one that exceeds the available memory; so does an
+acquisition its sample grid (:attr:`Acquire.times`). After every
+segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are checked
+against their initial values, and every phase-sum sample must be real;
+a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
 
@@ -399,17 +401,15 @@ def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
     return terms
 
 
-def _check_memory(what: str, n: int, specs, arrays: int,
-                  pulses: bool = False) -> None:
+def _check_memory(what: str, n: int, specs, arrays: int) -> None:
     """Refuse (ValueError) a job whose estimated peak exceeds the available
     memory, before it allocates.
 
     The estimate: ``arrays`` dense complex d x d arrays of 16 d^2 bytes,
     the real eigenvectors EIGENSYSTEMS keeps for ``specs`` (8 bytes per
     block entry: H' per sector, a burst or the average kind per parity
-    class; burst(-) and the ideal burst share theirs), and the larger of
-    a pulse's work buffer and the class factors being formed (three
-    complex (d/2) x (d/2) blocks).
+    class; burst(-) and the ideal burst share theirs), and the class
+    factors being formed (three complex (d/2) x (d/2) blocks).
     """
     d = 2**n
     spectra = {"dipolar" if s.kind in ("dipolar", "ideal_burst")
@@ -419,7 +419,7 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     cached = sum(8 * math.comb(2 * n, n) if key == "dipolar" else 4 * d * d
                  for key in spectra)
     check_fits(f"{what} at n = {n}", 16 * d * d * arrays + cached
-               + max(16 * d * d * pulses, 12 * d * d))
+               + 12 * d * d)
 
 
 def _check_drift(delta, norm0, tr0, where):
@@ -444,8 +444,7 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
         raise ValueError("state dimension does not match the cluster")
     _check_memory("this run", n, [
         seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
-        for seg in segments if not isinstance(seg, Pulse)], 0,
-        any(isinstance(seg, Pulse) for seg in segments))
+        for seg in segments if not isinstance(seg, Pulse)], 0)
     # each sample grid is made, or refused, before the first segment runs
     grids = [seg.times for seg in segments if isinstance(seg, Acquire)]
     delta = state.delta

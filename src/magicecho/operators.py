@@ -26,6 +26,9 @@ observables.
 a new array: it applies the single-site 2x2 factor to every site index of
 the operator, O(N 4^N) instead of the O(8^N) of two dense products.
 :func:`rotate_sorted`, a run's pulse, does so in place in sorted positions.
+Both run one kernel, which works in place a slab of rows or columns at a
+time (:func:`_rotate_slabs`), so a rotation allocates two slabs, not a
+second d x d operator.
 
 Sign conventions, fixed once here and relied on everywhere else:
 
@@ -126,12 +129,20 @@ def _entries(a, states, hd=0.0, p=0.0, q=0.0, iz=0.0, ix=0.0, iy=0.0):
         yield rows.ravel(), cols.ravel(), values.ravel()
 
 
+# columns whose entries _dense lists at once: about 40 bytes per coupled
+# pair and column, so the lists stay under 1 MiB at n = 12
+_DENSE_COLUMNS = 256
+
+
 def _dense(a, sorted_basis=False, **coeffs) -> np.ndarray:
     layout = sector_layout(a.shape[0])
     states = layout.order if sorted_basis else np.arange(layout.order.size)
     out = np.zeros((states.size, states.size), complex)
-    for rows, cols, values in _entries(a, states, **coeffs):
-        out[layout.position[rows] if sorted_basis else rows, cols] = values
+    for start in range(0, states.size, _DENSE_COLUMNS):
+        for rows, cols, values in _entries(
+                a, states[start:start + _DENSE_COLUMNS], **coeffs):
+            out[layout.position[rows] if sorted_basis else rows,
+                cols + start] = values
     return out
 
 
@@ -295,9 +306,14 @@ def _site_rotation(axis: str, angle: float) -> np.ndarray:
             - 2.0j * np.sin(theta / 2.0) * _S[axis])
 
 
-# site indices per product in rotate: a 16x16 factor keeps each of the 2n/4
-# steps one BLAS product; on 2 cores it beat 1, 2, 3 and 5 sites at n = 7..11
+# site indices per product: a 16x16 factor keeps each of a slab's n/4
+# steps one BLAS product; on 2 cores it tied 3 sites and beat 2, 5 and 6
+# at n = 10 and 12
 _FACTOR_SITES = 4
+# rows or columns per slab of a rotation: each row of a column slab is one
+# 512-byte run, and the two slab buffers are 64/d of a dense operator;
+# 16 and 64 were slower at n = 12 on 2 cores
+_SLAB_WIDTH = 32
 
 
 def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
@@ -306,29 +322,20 @@ def rotate(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
 
     R is the kron of n copies of the site factor u, so op, read as a tensor
     of n row and n column site indices, gets u on every row index and u* on
-    every column index (:func:`_conjugate_sites`): O(n 4^n), with no dense R.
+    every column index (:func:`_rotate_slabs`): O(n 4^n), with no dense R.
     """
     out = np.array(op, complex, order="C")
-    return _conjugate_sites(out, np.empty_like(out), axis, angle)
+    identity = np.arange(out.shape[0])
+    return _rotate_slabs(out, axis, angle, identity, identity)
 
 
 def rotate_sorted(op: np.ndarray, axis: str, angle: float) -> np.ndarray:
     """:func:`rotate` in place of op, complex128 and C-contiguous (else
-    ValueError) and held in sorted positions; returns op. op is permuted
-    into the product basis, conjugated and permuted back, through one work
-    buffer like op."""
+    ValueError) and held in sorted positions; returns op."""
     if op.dtype != complex or not op.flags.c_contiguous:
         raise ValueError("rotate_sorted needs a complex C-contiguous array")
     layout = sector_layout(_sites(op))
-    work = np.empty_like(op)
-    # rows into work, then columns back into op; with mode 'clip' take
-    # writes straight into out ('raise' buffers a whole copy)
-    np.take(op, layout.position, axis=0, out=work, mode="clip")
-    np.take(work, layout.position, axis=1, out=op, mode="clip")
-    _conjugate_sites(op, work, axis, angle)
-    np.take(op, layout.order, axis=0, out=work, mode="clip")
-    np.take(work, layout.order, axis=1, out=op, mode="clip")
-    return op
+    return _rotate_slabs(op, axis, angle, layout.position, layout.order)
 
 
 def _sites(op) -> int:
@@ -338,21 +345,54 @@ def _sites(op) -> int:
     return n
 
 
-def _conjugate_sites(out, spare, axis, angle):
-    """R out R^dagger into out, through spare (an array like it). Each
-    product takes the leading _FACTOR_SITES indices (u kron u ... as one
-    small factor) and moves them to the back, so after all of them the
-    index order is restored. The products alternate between the two
-    buffers, and as their count is even the result lands in out."""
-    n = _sites(out)
+def _rotate_slabs(op, axis, angle, position, order):
+    """R op R^dagger in place of op, whose row and column of product state
+    k sit at position[k] (order is the inverse permutation); returns op.
+
+    The row pass applies u to every row site index of each slab of w
+    columns, and the column pass u* to every column site index of each
+    slab of w rows. Each slab is gathered into a buffer with its product
+    index in order, leading, taken through the site products and written
+    back where it was read: its output depends only on its input, so two
+    slab buffers are all the work space.
+    """
+    d = op.shape[0]
+    n = _sites(op)
     u1 = _site_rotation(axis, angle)
     factors = [reduce(np.kron, [u1] * min(_FACTOR_SITES, n - k))
                for k in range(0, n, _FACTOR_SITES)]
-    for f in factors + [f.conj() for f in factors]:
-        np.matmul(out.reshape(f.shape[0], -1).T, f.T,
-                  out=spare.reshape(-1, f.shape[0]))
-        out, spare = spare, out
-    return out
+    w = min(d, _SLAB_WIDTH)
+    a, b = np.empty((2, d, w), complex)
+    # chunk p (d / w) + j of op is op[p, j w:(j + 1) w]; mode 'clip' lets
+    # take write straight into out ('raise' buffers a whole copy)
+    chunks = op.reshape(-1, w)
+    for j in range(d // w):
+        rows = position * (d // w) + j
+        np.take(chunks, rows, axis=0, out=a, mode="clip")
+        done = _site_products(a, b, factors)
+        chunks[rows] = done.reshape(w, d).T
+    conj = [f.conj() for f in factors]
+    for i in range(0, d, w):
+        np.copyto(b, op[i:i + w].T)
+        np.take(b, position, axis=0, out=a, mode="clip")
+        done = _site_products(a, b, conj)
+        np.take(done.reshape(w, d), order, axis=1, out=op[i:i + w],
+                mode="clip")
+    return op
+
+
+def _site_products(x, y, factors):
+    """Apply the site factors to the product index of the (d, w) slab x,
+    alternating between x and y; returns the buffer holding the result,
+    laid out (w, d). Each product takes the leading _FACTOR_SITES indices
+    (u kron u ... as one small factor) and moves them behind the rest, so
+    after all of them the slab index leads and the site order is restored.
+    """
+    for f in factors:
+        np.matmul(x.reshape(f.shape[0], -1).T, f.T,
+                  out=y.reshape(-1, f.shape[0]))
+        x, y = y, x
+    return x
 
 
 class TiltReport(NamedTuple):

@@ -886,6 +886,25 @@ def test_thermo_kernel_samples_must_be_at_least_two(capsys):
             in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 5e14 points: np.arange asked for 3.55 PiB and raised a traceback
+    (["run", "builtin:seq1", "--max-sites", "4", "--t1-grid", "2:1e15:2hc"],
+     r"error: --t1-grid '2:1e15:2hc' would allocate an estimated \d+ MiB"),
+    # (STOP - START) / STEP overflows: numpy said "Maximum allowed size
+    # exceeded", naming no flag
+    (["run", "builtin:seq1", "--max-sites", "4", "--t1-grid", "0:1:1e-320hc"],
+     r"error: --t1-grid '0:1:1e-320hc' has too many points to count"),
+    # np.linspace asked for 745 GiB and raised a traceback
+    (["thermo", "--kernel-from-cluster=100:1:4", "--kernel-samples",
+      "100000000000", "--t-end-us", "50"],
+     r"error: --kernel-samples 100000000000 would allocate an estimated "
+     r"\d+ MiB"),
+], ids=["t1-grid-too-big", "t1-grid-uncountable", "kernel-samples-too-big"])
+def test_a_grid_too_big_to_hold_is_refused_by_its_flag(argv, message,
+                                                       capsys):
+    assert re.match(message, _one_error_line(argv, capsys))
+
+
 def test_thermo_kernel_tau_needs_kernel_from_cluster(capsys):
     # without a microscopic kernel the span would be silently ignored
     for tau in ("-3", "20"):

@@ -401,9 +401,10 @@ def test_pp_run_peak_memory_is_bounded():
 
 # the same program at n = 9 (d = 512) as a single run through
 # experiments.run_program: the run builds its start in sorted positions and
-# owns it, so it holds Delta, a pulse's work buffer and the cached
-# eigenvectors (measured 2.35)
-RUN_PEAK_OPERATORS = 2.5
+# owns it, so it holds Delta and the cached eigenvectors, and its peak is a
+# burst's class factors in the making; a pulse adds two slabs of 32 rows
+# (measured 2.02; 2.35 while a pulse held a d x d work buffer)
+RUN_PEAK_OPERATORS = 2.1
 
 
 def test_single_run_peak_memory_is_bounded():
@@ -426,9 +427,15 @@ def test_single_run_peak_memory_is_bounded():
     assert peak <= RUN_PEAK_OPERATORS * 16 * 512**2
 
 
+# a seq1 sweep at n = 9, each point a run from its own start: the peak is
+# a point's acquisition, whose phase sums at this size outweigh a burst
+# (measured 2.37)
+SWEEP_PEAK_OPERATORS = 2.5
+
+
 def test_sweep_peak_memory_is_bounded():
     # every point of a sweep builds its own start and the run advances it
-    # in place, so a sweep peaks as a single run does (measured 2.37)
+    # in place, so a sweep peaks as one of its points does
     import tracemalloc
 
     from magicecho import experiments
@@ -447,7 +454,7 @@ def test_sweep_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert curve.values.size == 3
-    assert peak <= RUN_PEAK_OPERATORS * 16 * 512**2
+    assert peak <= SWEEP_PEAK_OPERATORS * 16 * 512**2
 
 
 def test_sorted_state_is_the_runs_own(four_spin):
@@ -493,10 +500,12 @@ def test_state_delta_cannot_be_rebound(four_spin):
 
 
 def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
-    cluster = build_cluster("100", radius=2.0, max_sites=8)
+    cluster = build_cluster("100", radius=2.0, max_sites=9)
     omega1 = 10.0 * local_field(cluster)
     segments = (Pulse("y", 0.5), Acquire("x", 1e-5, 1e-6))
-    # n = 8: a dense operator is 1 MiB, so no job fits in 1 MiB
+    # n = 9: a dense operator is 4 MiB, and each job's estimate holds at
+    # least the three quarters of one that a class factor takes, so none
+    # fits in 1 MiB
     monkeypatch.setattr(memory, "available_bytes", lambda: 2**20)
     message = r"an estimated \d+ MiB, but only 1 MiB is available"
     with pytest.raises(ValueError, match="this run .*" + message):
@@ -507,6 +516,20 @@ def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
         effective_propagator_a3(cluster, omega1, 1e-6)
     monkeypatch.setattr(memory, "available_bytes", lambda: 2**30)
     evolve(initial_state("ix", cluster), cluster, segments)
+
+
+def test_a_pulse_run_fits_without_a_second_operator(monkeypatch):
+    # a pulse works through two slabs, so the estimate has no pulse term:
+    # a pulse-only run at n = 10 (16 MiB operators, an estimate of 12 MiB)
+    # runs in 14 MiB, which the 16 MiB work-buffer term once refused
+    cluster = build_cluster("100", radius=2.0, max_sites=10)
+    state = initial_state("dipolar", cluster)
+    norm0 = np.linalg.norm(state.delta)
+    monkeypatch.setattr(memory, "available_bytes", lambda: 14 * 2**20)
+    out, curves = evolve(state, cluster, (Pulse("y", np.pi / 4),
+                                          Pulse("-x", 0.5)))
+    assert out is state and curves == []
+    assert np.linalg.norm(state.delta) == pytest.approx(norm0, rel=1e-12)
 
 
 def test_available_memory_without_proc_meminfo(monkeypatch):

@@ -324,6 +324,49 @@ def test_sorted_builds_and_in_place_permutations(a):
                                   layout.sort(ops.rotate(product, "x", 0.4)))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rotations_match_the_dense_conjugation(n):
+    # rotate and rotate_sorted share one slab kernel, so each is checked
+    # against R op R^dagger with R the kron of site factors: n below
+    # _FACTOR_SITES and not a multiple of it, one slab (d <= _SLAB_WIDTH)
+    # and several
+    rng = np.random.default_rng(100 + n)
+    d = 2**n
+    layout = ops.sector_layout(n)
+    general = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for op in (general + general.conj().T, general):
+        atol = 1e-14 * np.linalg.norm(op)
+        for axis in ("x", "y", "z", "-x", "-y", "-z"):
+            angle = rng.uniform(-np.pi, np.pi)
+            r = rotation(axis, angle, n)
+            want = r @ op @ r.conj().T
+            np.testing.assert_allclose(ops.rotate(op, axis, angle), want,
+                                       rtol=0, atol=atol)
+            got = layout.sort(op)
+            assert ops.rotate_sorted(got, axis, angle) is got
+            np.testing.assert_allclose(got, layout.sort(want), rtol=0,
+                                       atol=atol)
+
+
+def test_rotate_sorted_allocates_no_second_operator():
+    # a pulse works through two slabs of _SLAB_WIDTH rows or columns; at
+    # n = 10 they are a sixteenth of a dense operator (a d x d work buffer
+    # was one)
+    import tracemalloc
+
+    n = 10
+    rng = np.random.default_rng(5)
+    op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    ops.sector_layout(n)
+    tracemalloc.start()
+    try:
+        ops.rotate_sorted(op, "y", 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * 16 * 4**n
+
+
 def test_rotate_sorted_refuses_a_real_or_fortran_array():
     # either would be rotated as a copy, and the caller's array would keep
     # the unrotated operator
