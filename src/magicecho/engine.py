@@ -39,16 +39,20 @@ through two slab buffers.
 Memory: a run holds one d x d Delta, the state's own. Besides it there
 are the cached real eigenvectors (a quarter of a dense operator per
 decomposed burst or average Hamiltonian, under a tenth for H'), one
-parity-class factor in the making and propagation products of at most
-_CHUNK_BYTES; a pulse's slabs are under a tenth of an operator from
-n = 10 up. A seq1 point so peaks at about 1.9 dense complex operators
-of 16 d^2 bytes at n = 11 and 12 (2.0 at n = 10). Before it allocates,
-a run, ``verify`` and A3 estimate their peak this way and refuse, with a
-ValueError, one that exceeds the available memory; so does an
-acquisition its sample grid (:attr:`Acquire.times`). After every
-segment Tr(Delta) and the Frobenius norm sqrt(Tr(Delta^2)) are checked
-against their initial values, and every phase-sum sample must be real;
-a failure, a NaN included, raises
+block factor in the making and propagation products of at most an
+eighth of Delta; a pulse's slabs are under a tenth of an operator from
+n = 10 up. An acquisition holds only the phase rows of its current term
+and, over one block of sample times, only the terms being summed. A
+seq1 point so peaks at about 1.9 dense complex operators of 16 d^2
+bytes at n = 9 to 12 and at 2.5 at n = 8, where the phase rows of 251
+sample times set it. Before it allocates, a run, ``verify`` and A3
+estimate their peak this way and refuse, with a ValueError, one that
+exceeds the available memory; so does an acquisition its sample grid
+(:attr:`Acquire.times`). After every segment Tr(Delta) and the
+Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
+values, every phase-sum sample must be real, and an acquisition's first
+sample must be Tr(Delta O), read from the blocks of Delta the observable
+meets; a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
 
@@ -61,7 +65,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import (HERMITICITY_TOL, SEGMENT_DRIFT_TOL, SIGNAL_IMAG_TOL,
-                     InvariantViolation)
+                     WINDOW_START_TOL, InvariantViolation)
 from .memory import check_fits
 
 
@@ -297,9 +301,9 @@ EIGENSYSTEMS = EigenCache()
 """Process-wide cache used by :func:`evolve` and the spectral helpers."""
 
 _DIPOLAR = HamiltonianSpec("dipolar")
-_PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase table
-_CHUNK_BYTES = 2**24     # product slab of a propagation pass; d <= 1024 is
-                         # one slab
+_PHASE_SUM_BLOCK = 256   # sample times per block, bounds the phase rows
+_CHUNK_BYTES = 2**24     # product slab of a propagation pass, at most; an
+                         # eighth of Delta is less up to n = 11
 
 
 def _factors(blocks, t: float):
@@ -340,9 +344,11 @@ def _segment_factors(spec: HamiltonianSpec, a: np.ndarray, t: float):
 def _propagate(delta: np.ndarray, factors) -> None:
     """delta <- U delta U^dagger in place, from U's blocks (slice, u),
     applying each block's row and column passes together (left and right
-    commute), in slabs of at most _CHUNK_BYTES of product."""
+    commute), in slabs of product of at most an eighth of delta and of
+    _CHUNK_BYTES, but at least 32 columns (rows) wide."""
+    slab = min(_CHUNK_BYTES, 2 * delta.size)
     for s, u in factors:
-        step = max(1, _CHUNK_BYTES // (16 * u.shape[0]))
+        step = max(32, slab // (16 * u.shape[0]))
         for k in range(0, delta.shape[0], step):
             delta[s, k:k + step] = u @ delta[s, k:k + step]
         np.conjugate(u, out=u)
@@ -351,7 +357,7 @@ def _propagate(delta: np.ndarray, factors) -> None:
         del u   # before the next factor is formed
 
 
-def phase_sum(spectra, terms, times, what: str) -> np.ndarray:
+def phase_sum(spectra, terms, times, what: str, start=None) -> np.ndarray:
     """The real samples s(t) = sum over (r, c, m) in ``terms`` of
     sum_jk m_jk exp(-i (w_r[j] - w_c[k]) t), w_k = spectra[k], at every t
     in ``times``; the one place a spectral sample becomes a number.
@@ -361,55 +367,90 @@ def phase_sum(spectra, terms, times, what: str) -> np.ndarray:
     exp(iHt) O) is the phase sum of m = Delta~ * O~.T. Each term is one
     nonzero block of m, so only the blocks the observable reaches are
     summed. A term is evaluated as e_r(t) @ m @ e_c(t)* per row, in blocks
-    of sample times, and each block's phases e_k(t) = exp(-i w_k t) are
-    computed once per block of times.
+    of sample times. ``terms`` may be any iterable: within one block of
+    times each term is read once, as it comes, so a generator's are never
+    all held; over several blocks they are listed and the blocks looped
+    outermost. The only phase rows held are the current term's, e_r and
+    e_c* (conjugated in place as needed), the previous term's reused where
+    it shares a sector, so with terms in the order of
+    :func:`~magicecho.operators.collective_blocks` each block's phases
+    e_k(t) = exp(-i w_k t) are computed once per block of times.
 
     Every caller's sum is real, and sum |m| bounds |s(t)| at every t, so
     an imaginary part above SIGNAL_IMAG_TOL sum |m| at any sample, or a
-    NaN, raises InvariantViolation naming ``what``.
+    NaN, raises InvariantViolation naming ``what``; so does, with
+    ``start`` given, a first sample (times[0] = 0, where s is sum m) off
+    ``start`` by more than WINDOW_START_TOL sum |m|.
     """
     times = np.atleast_1d(np.asarray(times, float))
+    if times.size > _PHASE_SUM_BLOCK:
+        terms = list(terms)
     out = np.zeros(times.shape, complex)
+    scale = 0.0
     for k in range(0, times.size, _PHASE_SUM_BLOCK):
         t = times[k:k + _PHASE_SUM_BLOCK, None]
-        phases = {}
+        rows = {}   # sector: [exp(-i w t), or its conjugate, conjugated?]
         for r, c, m in terms:
-            for i in (r, c):
-                if i not in phases:
-                    phases[i] = np.exp(-1j * t * spectra[i])
+            rows = {i: rows[i] for i in (r, c) if i in rows}
             out[k:k + _PHASE_SUM_BLOCK] += np.einsum(
-                "tj,tj->t", phases[r] @ m, phases[c].conj())
-    scale = sum(float(np.abs(m).sum()) for _, _, m in terms)
+                "tj,tj->t", _phase_row(rows, r, False, t, spectra) @ m,
+                _phase_row(rows, c, True, t, spectra))
+            if k == 0:
+                scale += float(np.abs(m).sum())
     if not np.all(np.abs(out.imag) <= SIGNAL_IMAG_TOL * scale):
         raise InvariantViolation(f"{what} acquired an imaginary part")
+    if start is not None and not abs(out[0] - start) <= (WINDOW_START_TOL
+                                                         * scale):
+        raise InvariantViolation(
+            f"{what} starts at {out[0].real:.17g}, not at its identity "
+            f"value {complex(start).real:.17g}")
     return out.real
 
 
-def _acquire_terms(blocks, obs, delta: np.ndarray) -> list:
-    """Phase-sum terms of Tr(Delta(t) O) under the H' eigenblocks.
+def _phase_row(rows, i, conjugated, t, spectra):
+    """The phase row exp(-i w_i t) of sector i, or its conjugate, from
+    ``rows``: computed there if absent, conjugated in place if it is not
+    the one asked for, which keeps every bit."""
+    if i not in rows:
+        row = -1j * t * spectra[i]
+        rows[i] = [np.exp(row, out=row), False]
+    row = rows[i]
+    if row[1] != conjugated:
+        np.conjugate(row[0], out=row[0])
+        row[1] = conjugated
+    return row[0]
+
+
+def _acquire_terms(blocks, obs, delta: np.ndarray):
+    """Yield the phase-sum terms of Tr(Delta(t) O) under the H' eigenblocks.
 
     ``obs`` holds the nonzero blocks (r, c, coeff, f) of O, as
     :func:`~magicecho.operators.collective_blocks` gives them. The block
     O[r, c] meets Delta's block (c, r) only, so each term is
     Delta~[c, r] * O~[r, c].T, two small basis changes apiece.
     """
-    terms = []
     for r, c, coeff, f in obs:
         (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]
         o_rc = coeff * (v_r.T @ f @ v_c)
-        terms.append((c, r, (v_c.T @ delta[s_c, s_r] @ v_r) * o_rc.T))
-    return terms
+        yield c, r, (v_c.T @ delta[s_c, s_r] @ v_r) * o_rc.T
 
 
-def _check_memory(what: str, n: int, specs, arrays: int) -> None:
+def _check_memory(what: str, n: int, specs, arrays: int,
+                  samples: int = 0) -> None:
     """Refuse (ValueError) a job whose estimated peak exceeds the available
     memory, before it allocates.
 
     The estimate: ``arrays`` dense complex d x d arrays of 16 d^2 bytes,
     the real eigenvectors EIGENSYSTEMS keeps for ``specs`` (8 bytes per
     block entry: H' per sector, a burst or the average kind per parity
-    class; burst(-) and the ideal burst share theirs), and the class
-    factors being formed (three complex (d/2) x (d/2) blocks).
+    class; burst(-) and the ideal burst share theirs), and the larger of
+    two work sets. A propagation holds a factor in the making, three
+    complex blocks of the largest eigenblock (a parity class if ``specs``
+    holds a burst or the average kind, else a sector), and one product
+    slab. An acquisition of up to ``samples`` samples holds four phase
+    rows of a block of times (three, and numpy's buffer while one is
+    formed) and four terms, each row and term at most a largest sector
+    wide, and every term when its times span more than one block.
     """
     d = 2**n
     spectra = {"dipolar" if s.kind in ("dipolar", "ideal_burst")
@@ -418,8 +459,16 @@ def _check_memory(what: str, n: int, specs, arrays: int) -> None:
     # the two classes
     cached = sum(8 * math.comb(2 * n, n) if key == "dipolar" else 4 * d * d
                  for key in spectra)
+    sector = math.comb(n, n // 2)
+    block = sector if spectra <= {"dipolar"} else d // 2
+    evolution = 48 * block * block + min(_CHUNK_BYTES, 2 * d * d)
+    # the terms of I_x or I_y are 2 C(2n, n + 1) < 2 C(2n, n) entries
+    acquisition = 16 * (4 * min(samples, _PHASE_SUM_BLOCK) * sector
+                        + 4 * sector * sector
+                        + (samples > _PHASE_SUM_BLOCK) * 2
+                        * math.comb(2 * n, n))
     check_fits(f"{what} at n = {n}", 16 * d * d * arrays + cached
-               + 12 * d * d)
+               + max(evolution, acquisition))
 
 
 def _check_drift(delta, norm0, tr0, where):
@@ -442,11 +491,12 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
     n = a.shape[0]
     if state.delta.shape != (2**n, 2**n):
         raise ValueError("state dimension does not match the cluster")
-    _check_memory("this run", n, [
-        seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
-        for seg in segments if not isinstance(seg, Pulse)], 0)
     # each sample grid is made, or refused, before the first segment runs
     grids = [seg.times for seg in segments if isinstance(seg, Acquire)]
+    _check_memory("this run", n, [
+        seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
+        for seg in segments if not isinstance(seg, Pulse)], 0,
+        max((grid.size for grid in grids), default=0))
     delta = state.delta
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
@@ -466,11 +516,18 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
             obs = ops.collective_blocks(seg.observable, n)
             times = grids[len(curves)]
+            # the sum at t = 0 is Tr(Delta O) = sum of Tr(Delta[c, r] O[r, c]),
+            # read from O's real blocks and, Delta being Hermitian, from the
+            # conjugate of Delta[r, c], which is stored in f's row order
+            start = sum(coeff * np.einsum("ij,ij->", delta[blocks[r][0],
+                                                           blocks[c][0]],
+                                          f).conjugate()
+                        for r, c, coeff, f in obs)
             # times 1 / Tr(O^2) = 4 / (n 2^n) for I_x, I_y and I_z: a product
             # with the reciprocal keeps the recorded samples bit for bit
             s = phase_sum([w for _, w, _ in blocks],
                           _acquire_terms(blocks, obs, delta), times,
-                          f"the signal of {where}") * (4 / (n * 2**n))
+                          f"the signal of {where}", start) * (4 / (n * 2**n))
             _propagate(delta, _factors(blocks, seg.window))
             curves.append(SignalCurve(
                 times=times, values=s, observable=seg.observable,

@@ -262,6 +262,9 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     Tr(H2 Hm2). Reality is checked numerically, by :func:`engine.phase_sum`;
     evenness in the lag follows: the weights are squared moduli, so
     G1(-tau) = conj G1(tau), and |G1(tau) - G1(-tau)| is 2 |Im G1(tau)|.
+    So is the zero-lag identity G1(0) = (9/64) sum ||[H2_ij, Hm2]||^2 /
+    Tr(H2 Hm2), whose sum needs no eigenvectors: a G1(0) off it raises
+    :class:`~magicecho.errors.InvariantViolation`.
 
     Taken literally, the stated operator ordering gives
     G1(0) = -sum ||[H2_ij, Hm2]||^2 / norm, and a kernel negative at zero
@@ -297,6 +300,7 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
     # commutator conserves the magnetization, so only the diagonal sector
     # blocks are nonzero
     wmat = [np.zeros((s.stop - s.start,) * 2) for s in sectors]
+    zero_lag = 0.0   # sum ||c||^2, which each orthogonal v keeps
     for i, j in zip(*np.nonzero(np.triu(a, 1))):
         # H2_ij has a_ij at each (dst, src), two sectors apart
         aij = a[i, j]
@@ -313,11 +317,13 @@ def microscopic_kernel(cluster, tau_grid, offset: float = 0.0) -> KernelSpec:
                     :, dst[down] - sectors[k - 2].start]
             v = blocks[k][2]
             wmat[k] += np.abs(v.T @ c @ v) ** 2
+            zero_lag += float(np.vdot(c, c))
     # conjugation at half rate: phases exp(-i gap t/2) per lag t; a product
-    # with 1 / norm keeps the recorded kernels bit for bit
+    # with 1 / norm keeps the recorded kernels bit for bit. At lag 0 the
+    # sum is sum |v^T c v|^2 = sum ||c||^2, which needs no eigenvectors
     values = (9.0 / 64.0) * engine.phase_sum(
         [w for _, w, _ in blocks], [(k, k, m) for k, m in enumerate(wmat)],
-        0.5 * tau, "the microscopic kernel") * (1.0 / norm)
+        0.5 * tau, "the microscopic kernel", zero_lag) * (1.0 / norm)
     return KernelSpec("tabulated", times=tau, values=values,
                       offset=float(offset),
                       meta={"ordering_flipped": True,

@@ -66,6 +66,7 @@ def test_manifest_tolerances_are_the_checked_constants(tmp_path):
         "hermiticity": engine.HERMITICITY_TOL,
         "segment_drift": engine.SEGMENT_DRIFT_TOL,
         "signal_imaginary": engine.SIGNAL_IMAG_TOL,
+        "window_start": engine.WINDOW_START_TOL,
         "thermo_step": thermo.STEP_TOL}
 
 
@@ -399,6 +400,50 @@ def test_jobs_over_the_available_memory_exit_2(monkeypatch, capsys):
         assert run_main(argv) == 2
         err = capsys.readouterr().err
         assert re.search(r"an estimated \d+ MiB, but only 1 MiB", err), err
+
+
+def test_a_transposed_acquire_block_fails_the_run(monkeypatch, capsys):
+    # an acquire that reads Delta's (r, c) block transposed, in place of
+    # its (c, r) block, keeps every per-segment invariant, so the run once
+    # exited 0 with a wrong signal. For I_y it reads -s(t) at t = 0, where
+    # the run checks s(0) = Tr(Delta O): seq2 starts at its echo maximum
+    # and fails. seq1's signal is odd about its window start, so s(0) = 0
+    # with the fault as without; only the slope at t = 0 could see it
+    def transposed_terms(blocks, obs, delta):
+        for r, c, coeff, f in obs:
+            (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]
+            o_rc = coeff * (v_r.T @ f @ v_c)
+            yield c, r, (v_c.T @ delta[s_r, s_c].T @ v_r) * o_rc.T
+
+    base = ["--orientation", "100", "--radius", "2", "--max-sites", "7",
+            "--window-us", "20", "--step-us", "1"]
+    for name in ("seq1", "seq2"):
+        assert run_main(["run", f"builtin:{name}", *base]) == 0
+    monkeypatch.setattr(engine, "_acquire_terms", transposed_terms)
+    assert run_main(["run", "builtin:seq1", *base]) == 0
+    capsys.readouterr()
+    assert run_main(["run", "builtin:seq2", *base]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the signal of segment 4 \(Acquire\) starts "
+                        r"at \S+, not at its identity value \S+\n", err), err
+
+
+def test_a_kernel_from_perturbed_eigenvectors_fails(monkeypatch, capsys):
+    # G1(0) is sum ||c||^2 over the commutator blocks, which needs no
+    # eigenvectors; eigenvectors 1e-6 longer than unit, which keep the
+    # kernel real, move its first value off it by 4e-6
+    class Perturbed(engine.EigenCache):
+        def get(self, spec, cluster_or_matrix):
+            return tuple((s, w, v * (1.0 + 1e-6)) for s, w, v
+                         in super().get(spec, cluster_or_matrix))
+
+    argv = ["thermo", "--kernel-from-cluster", "100:1:6", "--t-end-us", "100"]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(engine, "EIGENSYSTEMS", Perturbed())
+    assert run_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the microscopic kernel starts at "), err
 
 
 def test_a_radius_over_the_available_memory_exits_2(monkeypatch, capsys):

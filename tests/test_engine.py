@@ -371,9 +371,11 @@ pulse 45 y
 acquire Iy for 60us step 0.5us
 """
 # peak traced numpy data of that run, in dense complex operators of
-# 16 d^2 bytes: the run's Delta and one work buffer, plus the eigenblocks
-# (measured 2.39; a dense acquire and dense Hamiltonians peak near 8.8)
-PEAK_OPERATORS = 4.5
+# 16 d^2 bytes: the run's Delta and the eigenblocks, plus the acquire's
+# phase rows and terms, which set the peak at this size (measured 2.11;
+# 2.39 while a phase sum held every sector's rows; a dense acquire and
+# dense Hamiltonians peak near 8.8)
+PEAK_OPERATORS = 2.2
 
 
 def test_pp_run_peak_memory_is_bounded():
@@ -403,8 +405,9 @@ def test_pp_run_peak_memory_is_bounded():
 # experiments.run_program: the run builds its start in sorted positions and
 # owns it, so it holds Delta and the cached eigenvectors, and its peak is a
 # burst's class factors in the making; a pulse adds two slabs of 32 rows
-# (measured 2.02; 2.35 while a pulse held a d x d work buffer)
-RUN_PEAK_OPERATORS = 2.1
+# (measured 1.88; 2.02 while a propagation slab was half of Delta, 2.35
+# while a pulse held a d x d work buffer)
+RUN_PEAK_OPERATORS = 1.95
 
 
 def test_single_run_peak_memory_is_bounded():
@@ -428,9 +431,10 @@ def test_single_run_peak_memory_is_bounded():
 
 
 # a seq1 sweep at n = 9, each point a run from its own start: the peak is
-# a point's acquisition, whose phase sums at this size outweigh a burst
-# (measured 2.37)
-SWEEP_PEAK_OPERATORS = 2.5
+# still a point's acquisition, now its current phase rows and terms, level
+# with a burst (measured 1.97; 2.37 while a phase sum held every sector's
+# rows)
+SWEEP_PEAK_OPERATORS = 2.05
 
 
 def test_sweep_peak_memory_is_bounded():
@@ -520,7 +524,7 @@ def test_memory_estimate_refuses_what_does_not_fit(monkeypatch):
 
 def test_a_pulse_run_fits_without_a_second_operator(monkeypatch):
     # a pulse works through two slabs, so the estimate has no pulse term:
-    # a pulse-only run at n = 10 (16 MiB operators, an estimate of 12 MiB)
+    # a pulse-only run at n = 10 (16 MiB operators, an estimate of 5 MiB)
     # runs in 14 MiB, which the 16 MiB work-buffer term once refused
     cluster = build_cluster("100", radius=2.0, max_sites=10)
     state = initial_state("dipolar", cluster)
@@ -530,6 +534,50 @@ def test_a_pulse_run_fits_without_a_second_operator(monkeypatch):
                                           Pulse("-x", 0.5)))
     assert out is state and curves == []
     assert np.linalg.norm(state.delta) == pytest.approx(norm0, rel=1e-12)
+
+
+def test_only_a_burst_run_is_charged_class_factors(monkeypatch):
+    # n = 10: an I_x acquire is estimated at its cached H' eigenvectors and
+    # a sector factor with its slab, 6.3 MiB, so it runs in 10 MiB. It was
+    # charged 12 MiB of class factors on top (13.4 MiB), as a run with a
+    # burst still is (19.5 MiB with the burst's eigenvectors)
+    cluster = build_cluster("100", radius=2.0, max_sites=10)
+    state = initial_state("ix", cluster)
+    monkeypatch.setattr(memory, "available_bytes", lambda: 10 * 2**20)
+    _, (curve,) = evolve(state, cluster, (Acquire("x", 1e-5, 1e-6),))
+    assert curve.values[0] == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"this run at n = 10 would "
+                       r"allocate an estimated 19 MiB, but only 10 MiB"):
+        evolve(state, cluster, (Evolve(HamiltonianSpec("burst", 1, 3e5),
+                                       1e-6), Acquire("x", 1e-5, 1e-6)))
+
+
+@pytest.mark.parametrize("segments", [
+    (Acquire("x", 1e-5, 4e-8),),                       # one block of times
+    (Acquire("y", 1e-5, 1e-8),),                       # four blocks
+    (Pulse("y", 0.5), Evolve(HamiltonianSpec("burst", -1, 5e5), 2e-5),
+     Evolve(HamiltonianSpec("dipolar"), 1e-5), Acquire("y", 1e-5, 1e-7)),
+], ids=["acquire", "long-acquire", "burst-program"])
+def test_run_estimate_bounds_its_traced_peak(monkeypatch, segments):
+    # a run's estimate leaves out its own Delta, so it must bound the peak
+    # traced above it, eigendecompositions included
+    import tracemalloc
+
+    cluster = build_cluster("100", radius=2.0, max_sites=8)
+    state = initial_state("ix", cluster)
+    for axis in "xy":
+        ops.collective_blocks(axis, 8)
+    engine.EIGENSYSTEMS.clear()
+    needs = {}
+    monkeypatch.setattr(engine, "check_fits",
+                        lambda what, need: needs.setdefault(what, need))
+    tracemalloc.start()
+    try:
+        evolve(state, cluster, segments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs["this run at n = 8"]
 
 
 def test_available_memory_without_proc_meminfo(monkeypatch):
@@ -622,6 +670,50 @@ def test_phase_sum_blocks_match_direct_sum():
             engine.phase_sum(spectra, leaky_terms, times, "the test sum")
 
 
+@pytest.mark.parametrize("size", [200, 700])   # one block of times, three
+def test_phase_sum_reads_any_iterable_of_terms(size):
+    # a generator's terms are read once, as they come; a list's may be
+    # read once per block of times. Every order of the terms gives the same
+    # bits both ways, each phase row reused or computed afresh
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 5.0, size)
+    spectra = [rng.normal(size=k) for k in (3, 5, 4)]
+    terms = []
+    for r, c in ((0, 1), (1, 1), (2, 0), (1, 2), (2, 2)):
+        m = rng.normal(size=(spectra[r].size, spectra[c].size)) \
+            + 1j * rng.normal(size=(spectra[r].size, spectra[c].size))
+        terms += [(r, c, m), (c, r, m.conj().T)]
+    direct = [sum((m * np.exp(-1j * np.subtract.outer(spectra[r], spectra[c])
+                              * t)).sum() for r, c, m in terms)
+              for t in times]
+    for order in (terms, terms[::-1], [terms[k] for k in rng.permutation(10)]):
+        listed = engine.phase_sum(spectra, order, times, "s")
+        streamed = engine.phase_sum(spectra, iter(order), times, "s")
+        np.testing.assert_array_equal(streamed, listed)
+        np.testing.assert_allclose(listed, direct, rtol=0, atol=1e-12)
+
+
+def test_propagation_slabs_match_one_pass(monkeypatch):
+    # slabs of 32 columns (rows), forced by a 1-byte chunk, and the dense
+    # U Delta U^dagger agree to round-off
+    n = 8
+    rng = np.random.default_rng(6)
+    a = rng.normal(scale=1e4, size=(n, n))
+    a = a + a.T
+    delta = rng.normal(size=(2**n,) * 2) + 1j * rng.normal(size=(2**n,) * 2)
+    delta += delta.conj().T
+    u = np.zeros_like(delta)
+    for s, f in engine._segment_factors(HamiltonianSpec("burst", -1, 3e5),
+                                        a, 2e-5):
+        u[s, s] = f
+    expected = u @ delta @ u.conj().T
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    engine._propagate(delta, engine._segment_factors(
+        HamiltonianSpec("burst", -1, 3e5), a, 2e-5))
+    np.testing.assert_allclose(delta, expected, rtol=0,
+                               atol=1e-13 * np.abs(expected).max())
+
+
 def test_eigen_cache_holds_one_coupling_table():
     cache = engine.EigenCache()
     spec = HamiltonianSpec("dipolar")
@@ -698,7 +790,8 @@ def test_deviation_state_hermiticity_reads_its_tolerance():
 
 
 @pytest.mark.parametrize("name,match", [("SEGMENT_DRIFT_TOL", "drifted"),
-                                        ("SIGNAL_IMAG_TOL", "imaginary")])
+                                        ("SIGNAL_IMAG_TOL", "imaginary"),
+                                        ("WINDOW_START_TOL", "identity")])
 def test_evolve_checks_read_their_tolerances(monkeypatch, name, match):
     # a negative tolerance fails every comparison, so the check that reads
     # the constant is the one that fires
