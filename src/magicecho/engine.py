@@ -21,16 +21,16 @@ slices of that basis, each built real symmetric in sorted positions.
 :func:`_factors` forms each block of exp(-iHt) from two real products, one
 block at a time, for propagation in place, the verify errors and A3. The
 global spin flip X maps burst(+) onto burst(-), so a burst(-) block factor
-is a burst(+) one with rows and columns permuted by X, and the ideal burst
--H'/2 is H' with the eigenvalues scaled by -1/2; neither is decomposed
+is a burst(+) one with rows and columns permuted by X, not decomposed
 again. Decompositions are cached process-wide for the most recent coupling
-table, so a sweep decomposes each distinct Hamiltonian once.
+table, so a sweep decomposes each distinct Hamiltonian once. A delay, an
+ideal burst (-H'/2) and an acquisition window evolve under H', so each
+stretch of them is one H' pass for its net time, none if that is exactly 0.
 
 Acquisition works in the eigenbasis of H', where each sample is a phase sum
 over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
 observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
-meeting one block of Delta. Delta is then advanced by the propagator of the
-whole window. A pulse is one call,
+meeting one block of Delta. A pulse is one call,
 :func:`~magicecho.operators.rotate_sorted`: it applies the single-site 2x2
 factor to every site index of Delta in place, a slab of columns and then
 a slab of rows at a time, each permuted into the product basis and back
@@ -48,8 +48,8 @@ bytes at n = 9 to 12 and at 2.5 at n = 8, where the phase rows of 251
 sample times set it. Before it allocates, a run, ``verify`` and A3
 estimate their peak this way and refuse, with a ValueError, one that
 exceeds the available memory; so does an acquisition its sample grid
-(:attr:`Acquire.times`). After every segment Tr(Delta) and the
-Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
+(:attr:`Acquire.times`). After every pulse, burst and H' pass Tr(Delta)
+and the Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
 values, every phase-sum sample must be real, and an acquisition's first
 sample must be Tr(Delta O), read from the blocks of Delta the observable
 meets; a failure, a NaN included, raises
@@ -80,8 +80,9 @@ class HamiltonianSpec:
 
     with omega1 = gamma * B1 in rad/s and sign the burst phase. kind
     'ideal_burst' is the infinite-omega1 limit, -1/2 H', which reverses the
-    free dipolar evolution at half speed. kind 'average' is -1/2 H' + H1 at
-    omega1, the burst's average Hamiltonian to first order.
+    free dipolar evolution at half speed: :func:`evolve` runs it as H' at
+    rate -1/2. kind 'average' is -1/2 H' + H1 at omega1, the burst's
+    average Hamiltonian to first order.
     """
 
     kind: str
@@ -234,15 +235,14 @@ class EigenCache:
     """Blockwise eigendecompositions of the Hamiltonians of one coupling table.
 
     :meth:`get` returns a tuple of (slice, w, v) blocks in the sorted basis:
-    one per magnetization sector for H' and the ideal burst, one per parity
-    class for a burst and the average kind. The ideal burst is derived
-    from H' (see the module docstring); a run takes burst(-) from the
-    burst(+) entry (:func:`_segment_factors`). Only
-    the most recent coupling table is held: a lookup with another table
-    drops every entry, so memory is bounded by the distinct Hamiltonian
-    specs of one cluster. ``computed`` counts lookups since the last
-    :meth:`clear` that ran an eigendecomposition and ``reused`` the rest,
-    derived spectra included. The returned arrays are shared and read-only.
+    one per magnetization sector for H', one per parity class for a burst
+    and the average kind; a run takes burst(-) from the burst(+) entry
+    (:func:`_segment_factors`). Only the most recent coupling table is
+    held: a lookup with another table drops every entry, so memory is
+    bounded by the distinct Hamiltonian specs of one cluster. ``computed``
+    counts lookups since the last :meth:`clear` that ran an
+    eigendecomposition and ``reused`` the rest. The returned arrays are
+    shared and read-only.
     """
 
     def __init__(self):
@@ -268,28 +268,23 @@ class EigenCache:
     def _blocks(self, spec: HamiltonianSpec, a: np.ndarray) -> tuple:
         if spec in self._eigs:
             return self._eigs[spec]
-        if spec.kind == "ideal_burst":
-            blocks = [(s, -0.5 * w, v)
-                      for s, w, v in self._blocks(_DIPOLAR, a)]
-        else:
-            # I_z, H', P and H1 have real matrix elements, so each block is
-            # built real symmetric, straight in sorted positions
-            layout = ops.sector_layout(a.shape[0])
-            slices = layout.sectors if spec.kind == "dipolar" \
-                else layout.parities
-            h1 = (ops.h1_parity_blocks(a, spec.omega1)
-                  if spec.kind == "average" else None)
-            blocks = []
-            for s in slices:
-                if h1 is None:
-                    h = ops.sector_block(a, s, s, **spec.terms)
-                else:   # H1's class block first: forming it is the peak
-                    _, h, cross = next(h1)
-                    h += cross
-                    del cross
-                    h += ops.sector_block(a, s, s, **spec.terms)
-                blocks.append((s, *np.linalg.eigh(h)))
-            self.computed += 1
+        # I_z, H', P and H1 have real matrix elements, so each block is
+        # built real symmetric, straight in sorted positions
+        layout = ops.sector_layout(a.shape[0])
+        slices = layout.sectors if spec.kind == "dipolar" else layout.parities
+        h1 = (ops.h1_parity_blocks(a, spec.omega1)
+              if spec.kind == "average" else None)
+        blocks = []
+        for s in slices:
+            if h1 is None:
+                h = ops.sector_block(a, s, s, **spec.terms)
+            else:   # H1's class block first: forming it is the peak
+                _, h, cross = next(h1)
+                h += cross
+                del cross
+                h += ops.sector_block(a, s, s, **spec.terms)
+            blocks.append((s, *np.linalg.eigh(h)))
+        self.computed += 1
         for _, w, v in blocks:
             w.setflags(write=False)
             v.setflags(write=False)
@@ -344,11 +339,11 @@ def _segment_factors(spec: HamiltonianSpec, a: np.ndarray, t: float):
 def _propagate(delta: np.ndarray, factors) -> None:
     """delta <- U delta U^dagger in place, from U's blocks (slice, u),
     applying each block's row and column passes together (left and right
-    commute), in slabs of product of at most an eighth of delta and of
-    _CHUNK_BYTES, but at least 32 columns (rows) wide."""
-    slab = min(_CHUNK_BYTES, 2 * delta.size)
+    commute), in slabs of product of at most _CHUNK_BYTES and an eighth of
+    delta, or 128 KiB if that is more."""
+    slab = min(_CHUNK_BYTES, max(2 * delta.size, 2**17))
     for s, u in factors:
-        step = max(32, slab // (16 * u.shape[0]))
+        step = slab // (16 * u.shape[0])
         for k in range(0, delta.shape[0], step):
             delta[s, k:k + step] = u @ delta[s, k:k + step]
         np.conjugate(u, out=u)
@@ -443,7 +438,7 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     The estimate: ``arrays`` dense complex d x d arrays of 16 d^2 bytes,
     the real eigenvectors EIGENSYSTEMS keeps for ``specs`` (8 bytes per
     block entry: H' per sector, a burst or the average kind per parity
-    class; burst(-) and the ideal burst share theirs), and the larger of
+    class; burst(-) shares burst(+)'s), and the larger of
     two work sets. A propagation holds a factor in the making, three
     complex blocks of the largest eigenblock (a parity class if ``specs``
     holds a burst or the average kind, else a sector), and one product
@@ -453,15 +448,15 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     wide, and every term when its times span more than one block.
     """
     d = 2**n
-    spectra = {"dipolar" if s.kind in ("dipolar", "ideal_burst")
-               else (s.kind, s.omega1) for s in specs}
+    spectra = {"dipolar" if s.kind == "dipolar" else (s.kind, s.omega1)
+               for s in specs}
     # sum_k C(n, k)^2 = C(2n, n) entries over the sectors, d^2 / 2 over
     # the two classes
     cached = sum(8 * math.comb(2 * n, n) if key == "dipolar" else 4 * d * d
                  for key in spectra)
     sector = math.comb(n, n // 2)
     block = sector if spectra <= {"dipolar"} else d // 2
-    evolution = 48 * block * block + min(_CHUNK_BYTES, 2 * d * d)
+    evolution = 48 * block * block + min(_CHUNK_BYTES, max(2 * d**2, 2**17))
     # the terms of I_x or I_y are 2 C(2n, n + 1) < 2 C(2n, n) entries
     acquisition = 16 * (4 * min(samples, _PHASE_SUM_BLOCK) * sector
                         + 4 * sector * sector
@@ -494,15 +489,27 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
     # each sample grid is made, or refused, before the first segment runs
     grids = [seg.times for seg in segments if isinstance(seg, Acquire)]
     _check_memory("this run", n, [
-        seg.hamiltonian if isinstance(seg, Evolve) else _DIPOLAR
+        seg.hamiltonian if isinstance(seg, Evolve)
+        and seg.hamiltonian.kind in ("burst", "average") else _DIPOLAR
         for seg in segments if not isinstance(seg, Pulse)], 0,
         max((grid.size for grid in grids), default=0))
     delta = state.delta
     norm0 = float(np.linalg.norm(delta))
     tr0 = complex(np.trace(delta))
     curves = []
-    t_abs = 0.0
-    for k, seg in enumerate(segments):
+    t_abs, net, first = 0.0, 0.0, 0   # net: H' time pending from `first`
+    for k, seg in enumerate([*segments, None]):
+        if isinstance(seg, Evolve) and seg.hamiltonian.kind in (
+                "dipolar", "ideal_burst"):
+            net += seg.hamiltonian.terms["hd"] * seg.duration
+            t_abs += seg.duration
+            continue
+        if net != 0.0:   # exactly: a net of 0 runs no pass
+            _propagate(delta, _factors(EIGENSYSTEMS.get(_DIPOLAR, a), net))
+            _check_drift(delta, norm0, tr0, f"segments {first} to {k - 1}")
+        net, first = 0.0, k + 1
+        if seg is None:
+            break
         where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Pulse):
             # positive-gamma pulse convention: conjugate by exp(+i angle I)
@@ -528,11 +535,12 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
             s = phase_sum([w for _, w, _ in blocks],
                           _acquire_terms(blocks, obs, delta), times,
                           f"the signal of {where}", start) * (4 / (n * 2**n))
-            _propagate(delta, _factors(blocks, seg.window))
             curves.append(SignalCurve(
                 times=times, values=s, observable=seg.observable,
                 start=t_abs))
             t_abs += seg.window
+            net, first = seg.window, k   # Delta is advanced with what follows
+            continue
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         _check_drift(delta, norm0, tr0, where)
@@ -564,7 +572,7 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
     specs = (HamiltonianSpec("burst", 1, omega1),
              HamiltonianSpec("average", omega1=omega1))
     _check_memory("verify", n, (_DIPOLAR, *specs), 0)
-    ideal = EIGENSYSTEMS.get(HamiltonianSpec("ideal_burst"), a)
+    sectors = EIGENSYSTEMS.get(_DIPOLAR, a)
     # exp(-i omega1 I_z t1) is diagonal: one phase per sorted state, from
     # its I_z eigenvalue n/2 - (number of down spins)
     down = (ops.sector_layout(n).order[:, None] >> np.arange(n) & 1).sum(1)
@@ -577,8 +585,9 @@ def verify_average_hamiltonian(cluster_or_matrix, omega1: float,
         approx *= -u_z[c]
         approx += u
         squares[1] += np.linalg.norm(approx) ** 2
-        # the ideal burst's sectors of class k are every other one from k
-        for s, f in _factors(ideal[k::2], t1):
+        # the ideal burst -H'/2 over t1 is H' over -t1/2, and the H'
+        # sectors of class k are every other one from k
+        for s, f in _factors(sectors[k::2], -0.5 * t1):
             r = slice(s.start - c.start, s.stop - c.start)
             u[r, r] -= u_z[s] * f
         squares[0] += np.linalg.norm(u) ** 2

@@ -348,10 +348,12 @@ def test_run_manifest_counts_eigendecompositions(tmp_path):
         assert run_main(argv) == 0
         manifest = json.load(open(out + ".manifest.json"))
         # burst + and H' once each; burst - is derived from burst + by the
-        # global spin flip, and every later lookup is reused (3 points x
-        # 4 lookups for the P component, the only one a sweep evolves)
+        # global spin flip, and every later lookup is reused. A sweep
+        # evolves only the P component, 5 lookups a point: burst +,
+        # burst - (burst +'s), the delay's H' pass before the read pulse,
+        # the acquire's H', and the H' pass of its window; 3 x 5 - 2
         assert manifest["eigendecompositions"] == {"computed": 2,
-                                                   "reused": 10}
+                                                   "reused": 13}
 
 
 def test_run_pp_burst_pair_computes_two_eigendecompositions(tmp_path):
@@ -363,8 +365,10 @@ def test_run_pp_burst_pair_computes_two_eigendecompositions(tmp_path):
                      "--max-sites", "5", "--out", out]) == 0
     manifest = json.load(open(out + ".manifest.json"))
     # burst + and H' are decomposed; burst - comes from burst + by the
-    # global spin flip; the acquire reuses the delay's H'
-    assert manifest["eigendecompositions"] == {"computed": 2, "reused": 2}
+    # global spin flip. In lookup order: burst + (computed), burst -
+    # (reused), the delay's H' pass before the acquire (computed), the
+    # acquire's H' and the H' pass of its window (both reused)
+    assert manifest["eigendecompositions"] == {"computed": 2, "reused": 3}
 
 
 def test_run_negative_orientation_space_separated(tmp_path):

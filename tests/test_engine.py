@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magicecho import engine, memory, operators as ops
 from magicecho.engine import (
@@ -287,8 +287,27 @@ def blocked_cases(draw):
     return a, m + m.conj().T, tuple(segments)
 
 
+def _fixed_case(n, *segments):
+    """A blocked_cases case of ``segments`` on a seeded coupling table."""
+    rng = np.random.default_rng(n)
+    a = np.triu(rng.normal(scale=3e4, size=(n, n)), 1)
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return a + a.T, m + m.conj().T, segments
+
+
+_HD, _IDEAL = HamiltonianSpec("dipolar"), HamiltonianSpec("ideal_burst")
+
+
 @settings(max_examples=80, deadline=None)
 @given(blocked_cases())
+# a net H' time of exactly 0, which runs no pass
+@example(_fixed_case(4, Evolve(_HD, 2e-5), Evolve(_IDEAL, 2e-5),
+                     Evolve(_IDEAL, 2e-5)))
+# an acquire's window merged with the delay after it
+@example(_fixed_case(3, Acquire("x", 6e-6, 2e-6), Evolve(_HD, 1e-5),
+                     Acquire("y", 4e-6, 2e-6)))
+# a run that ends on a pending H' time
+@example(_fixed_case(5, Pulse("x", 0.7), Evolve(_IDEAL, 1.5e-5)))
 def test_blocked_evolve_matches_dense_oracle(case):
     a, delta0, segments = case
     layout = ops.sector_layout(a.shape[0])
@@ -694,8 +713,8 @@ def test_phase_sum_reads_any_iterable_of_terms(size):
 
 
 def test_propagation_slabs_match_one_pass(monkeypatch):
-    # slabs of 32 columns (rows), forced by a 1-byte chunk, and the dense
-    # U Delta U^dagger agree to round-off
+    # slabs of 32 columns (rows) of the 128-wide class blocks, forced by a
+    # 64 KiB chunk, and the dense U Delta U^dagger agree to round-off
     n = 8
     rng = np.random.default_rng(6)
     a = rng.normal(scale=1e4, size=(n, n))
@@ -707,7 +726,7 @@ def test_propagation_slabs_match_one_pass(monkeypatch):
                                         a, 2e-5):
         u[s, s] = f
     expected = u @ delta @ u.conj().T
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 2**16)
     engine._propagate(delta, engine._segment_factors(
         HamiltonianSpec("burst", -1, 3e5), a, 2e-5))
     np.testing.assert_allclose(delta, expected, rtol=0,
@@ -720,10 +739,10 @@ def test_eigen_cache_holds_one_coupling_table():
     blocks = cache.get(spec, PAIR)
     assert cache.get(spec, PAIR) is blocks
     (_, w, v), *_ = blocks
-    cache.get(HamiltonianSpec("ideal_burst"), PAIR)   # derived from H'
     cache.get(spec, 2.0 * PAIR)      # a new table drops the old entries
     cache.get(spec, PAIR)
-    assert (cache.computed, cache.reused) == (3, 2)
+    # H' computed, reused, computed for 2 PAIR, computed again for PAIR
+    assert (cache.computed, cache.reused) == (3, 1)
     with pytest.raises(ValueError):
         w[0] = 0.0
     cache.clear()
@@ -853,6 +872,24 @@ def test_corrupted_eigenblock_of_a_middle_evolve_is_caught(monkeypatch,
         Acquire("x", 1.0e-5, 1.0e-6))
     with pytest.raises(InvariantViolation, match=r"segment 1 \(Evolve\)"):
         evolve(initial_state("ix", a), a, segments)
+
+
+def test_drift_after_a_merged_pass_names_its_segments(monkeypatch,
+                                                     four_spin):
+    # a pass that scales Delta fails the norm check after the one H' pass
+    # of segments 1 to 3, a net H' time of 1.5e-5 s
+    propagate = engine._propagate
+
+    def scaled(delta, factors):
+        propagate(delta, factors)
+        delta *= 1.01
+
+    monkeypatch.setattr(engine, "_propagate", scaled)
+    segments = (Pulse("y", np.pi / 2), Evolve(_HD, 1e-5),
+                Evolve(_IDEAL, 1e-5), Evolve(_HD, 1e-5), Pulse("y", 0.3))
+    with pytest.raises(InvariantViolation,
+                       match=r"Tr\(Delta\^2\) drifted after segments 1 to 3$"):
+        evolve(initial_state("dipolar", four_spin), four_spin, segments)
 
 
 def test_state_dimension_mismatch_rejected(four_spin):

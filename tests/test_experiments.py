@@ -337,10 +337,37 @@ def test_sweep_single_point_matches_direct_call(four_spin):
 
 
 def test_sweep_ideal_is_flat(four_spin):
+    # the ideal bursts cancel the delay's H' time exactly, a net of 0 that
+    # runs no pass, so every point acquires from the same Delta as t1 = 0
     grid = [0.0, 1.1e-5, 2.3e-5]
-    curve = ex.sweep_t1("seq1", four_spin, 1.0e6, grid, ideal_reversal=True)
-    np.testing.assert_allclose(curve.times, grid, rtol=1e-12)
-    assert np.ptp(curve.values) <= 1e-9 * curve.values[0]
+    for sequence in ("seq1", "seq2"):
+        curve = ex.sweep_t1(sequence, four_spin, 1.0e6, grid,
+                            ideal_reversal=True)
+        np.testing.assert_allclose(curve.times, grid, rtol=1e-12)
+        assert np.all(curve.values == curve.values[0])
+
+
+@pytest.mark.parametrize("name,ideal,passes", [
+    ("seq1", True, 1), ("seq2", True, 1), ("rpw", True, 1),
+    ("seq1", False, 4)])
+def test_h_prime_runs_one_pass_per_stretch(monkeypatch, four_spin, name,
+                                           ideal, passes):
+    # the delay and the ideal bursts are one net H' time of exactly 0, which
+    # runs no pass, so an ideal run's one pass advances Delta past the
+    # acquire's window, from H' alone; a finite seq1 run makes a pass per
+    # burst, one for the delay and one for the window
+    calls = []
+    propagate = engine._propagate
+    monkeypatch.setattr(engine, "_propagate",
+                        lambda delta, factors: calls.append(1)
+                        or propagate(delta, factors))
+    cache = engine.EigenCache()
+    monkeypatch.setattr(engine, "EIGENSYSTEMS", cache)
+    ex.run_program(pp.builtin(name), four_spin, ideal_reversal=ideal)
+    assert len(calls) == passes
+    if ideal:
+        assert list(cache._eigs) == [engine.HamiltonianSpec("dipolar")]
+        assert cache.computed == 1
 
 
 def test_sweep_snaps_to_even_halfcycles(four_spin):
