@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Wall time, peak memory and exact-identity residuals of a seq1 point, a
-seq1 sweep, an acquire, verify, the ideal seq2/seq1 ratio, the FID
-curvature, the seq1 X mirror, three pulses and the microscopic kernel,
-by n.
+seq2 point, a seq1 sweep, an acquire, verify, the ideal seq2/seq1 ratio,
+the FID curvature, the seq1 X mirror, three pulses and the microscopic
+kernel, by n.
 
     python3 bench/scale.py [--sizes 8 9 10 11] [--src DIR] [--save FILE]
 
@@ -13,6 +13,8 @@ The tasks are
 
 * ``seq1``: ``experiments.sequence1_amplitude`` at omega1 = gamma * 30 G
   and t1 = 8 half-cycles, on the default 251-sample grid;
+* ``seq2``: ``experiments.sequence2_amplitude`` at the seq1 point's omega1
+  and t1 on the same grid, where the acquire follows the delay directly;
 * ``sweep``: ``experiments.sweep_t1("seq1", ...)`` at the seq1 point's
   omega1 over t1 and 2 t1. The record's value is the amplitude at 2 t1;
 * ``acquire``: a program of I_x order and one I_x acquire over the same
@@ -64,8 +66,8 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-TASKS = ("seq1", "sweep", "acquire", "verify", "ratio", "curvature", "mirror",
-         "pulse", "kernel")
+TASKS = ("seq1", "seq2", "sweep", "acquire", "verify", "ratio", "curvature",
+         "mirror", "pulse", "kernel")
 
 
 def child(src: str, n: int, task: str) -> dict:
@@ -98,6 +100,8 @@ def child(src: str, n: int, task: str) -> dict:
     def run():
         if task == "seq1":
             return experiments.sequence1_amplitude(cluster, omega1, t1)
+        if task == "seq2":
+            return experiments.sequence2_amplitude(cluster, omega1, t1)
         if task == "sweep":
             return experiments.sweep_t1("seq1", cluster, omega1,
                                         [t1, 2 * t1]).values[-1]

@@ -28,13 +28,13 @@ ideal burst (-H'/2) and an acquisition window evolve under H', so each
 stretch of them is one H' pass for its net time, none if that is exactly 0.
 
 Acquisition works in the eigenbasis of H', where each sample is a phase sum
-over eigenvalue gaps (:func:`phase_sum`). Only the nonzero blocks of the
-observable enter it, (m, m +- 1) for I_x and I_y and (m, m) for I_z, each
-meeting one block of Delta. A pulse is one call,
-:func:`~magicecho.operators.rotate_sorted`: it applies the single-site 2x2
-factor to every site index of Delta in place, a slab of columns and then
-a slab of rows at a time, each permuted into the product basis and back
-through two slab buffers.
+over eigenvalue gaps (:func:`phase_sum`) at the pending H' time plus its
+offset, so it only reads Delta. Only the nonzero blocks of O enter it,
+(m, m +- 1) for I_x and I_y and (m, m) for I_z, each meeting one block of
+Delta. A pulse is one call, :func:`~magicecho.operators.rotate_sorted`: it
+applies the single-site 2x2 factor to every site index of Delta in place,
+a slab of columns and then a slab of rows at a time, each permuted into
+the product basis and back through two slab buffers.
 
 Memory: a run holds one d x d Delta, the state's own. Besides it there
 are the cached real eigenvectors (a quarter of a dense operator per
@@ -50,9 +50,9 @@ estimate their peak this way and refuse, with a ValueError, one that
 exceeds the available memory; so does an acquisition its sample grid
 (:attr:`Acquire.times`). After every pulse, burst and H' pass Tr(Delta)
 and the Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
-values, every phase-sum sample must be real, and an acquisition's first
-sample must be Tr(Delta O), read from the blocks of Delta the observable
-meets; a failure, a NaN included, raises
+values, every phase-sum sample must be real, and an acquisition's sum at
+t = 0, the sum of its terms, must be Tr(Delta O), read from the blocks of
+Delta O meets; a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
 
@@ -259,15 +259,12 @@ class EigenCache:
         key = a.tobytes()
         if key != self._couplings:
             self._couplings, self._eigs = key, {}
-        computed = self.computed
-        blocks = self._blocks(spec, a)
-        if self.computed == computed:
+        if spec in self._eigs:
             self.reused += 1
-        return blocks
+            return self._eigs[spec]
+        return self._blocks(spec, a)
 
     def _blocks(self, spec: HamiltonianSpec, a: np.ndarray) -> tuple:
-        if spec in self._eigs:
-            return self._eigs[spec]
         # I_z, H', P and H1 have real matrix elements, so each block is
         # built real symmetric, straight in sorted positions
         layout = ops.sector_layout(a.shape[0])
@@ -374,14 +371,14 @@ def phase_sum(spectra, terms, times, what: str, start=None) -> np.ndarray:
     Every caller's sum is real, and sum |m| bounds |s(t)| at every t, so
     an imaginary part above SIGNAL_IMAG_TOL sum |m| at any sample, or a
     NaN, raises InvariantViolation naming ``what``; so does, with
-    ``start`` given, a first sample (times[0] = 0, where s is sum m) off
-    ``start`` by more than WINDOW_START_TOL sum |m|.
+    ``start`` given, s(0) = sum m (every phase is 1 there, whatever
+    ``times`` holds) off ``start`` by more than WINDOW_START_TOL sum |m|.
     """
     times = np.atleast_1d(np.asarray(times, float))
     if times.size > _PHASE_SUM_BLOCK:
         terms = list(terms)
     out = np.zeros(times.shape, complex)
-    scale = 0.0
+    zero = scale = 0.0   # s(0), where every phase is 1, and its bound
     for k in range(0, times.size, _PHASE_SUM_BLOCK):
         t = times[k:k + _PHASE_SUM_BLOCK, None]
         rows = {}   # sector: [exp(-i w t), or its conjugate, conjugated?]
@@ -391,14 +388,14 @@ def phase_sum(spectra, terms, times, what: str, start=None) -> np.ndarray:
                 "tj,tj->t", _phase_row(rows, r, False, t, spectra) @ m,
                 _phase_row(rows, c, True, t, spectra))
             if k == 0:
+                zero += m.sum()
                 scale += float(np.abs(m).sum())
     if not np.all(np.abs(out.imag) <= SIGNAL_IMAG_TOL * scale):
         raise InvariantViolation(f"{what} acquired an imaginary part")
-    if start is not None and not abs(out[0] - start) <= (WINDOW_START_TOL
-                                                         * scale):
+    if start is not None and not abs(zero - start) <= WINDOW_START_TOL * scale:
         raise InvariantViolation(
-            f"{what} starts at {out[0].real:.17g}, not at its identity "
-            f"value {complex(start).real:.17g}")
+            f"{what} starts at {complex(zero).real:.17g}, not at its "
+            f"identity value {complex(start).real:.17g}")
     return out.real
 
 
@@ -499,27 +496,13 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
     curves = []
     t_abs, net, first = 0.0, 0.0, 0   # net: H' time pending from `first`
     for k, seg in enumerate([*segments, None]):
+        where = f"segment {k} ({type(seg).__name__})"
         if isinstance(seg, Evolve) and seg.hamiltonian.kind in (
                 "dipolar", "ideal_burst"):
             net += seg.hamiltonian.terms["hd"] * seg.duration
             t_abs += seg.duration
             continue
-        if net != 0.0:   # exactly: a net of 0 runs no pass
-            _propagate(delta, _factors(EIGENSYSTEMS.get(_DIPOLAR, a), net))
-            _check_drift(delta, norm0, tr0, f"segments {first} to {k - 1}")
-        net, first = 0.0, k + 1
-        if seg is None:
-            break
-        where = f"segment {k} ({type(seg).__name__})"
-        if isinstance(seg, Pulse):
-            # positive-gamma pulse convention: conjugate by exp(+i angle I)
-            ops.rotate_sorted(delta, seg.axis, -seg.angle)
-        elif isinstance(seg, Evolve):
-            if seg.duration > 0.0:
-                _propagate(delta, _segment_factors(seg.hamiltonian, a,
-                                                   seg.duration))
-                t_abs += seg.duration
-        elif isinstance(seg, Acquire):
+        if isinstance(seg, Acquire):   # reads Delta at the pending H' time
             blocks = EIGENSYSTEMS.get(_DIPOLAR, a)
             obs = ops.collective_blocks(seg.observable, n)
             times = grids[len(curves)]
@@ -533,14 +516,28 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
             # times 1 / Tr(O^2) = 4 / (n 2^n) for I_x, I_y and I_z: a product
             # with the reciprocal keeps the recorded samples bit for bit
             s = phase_sum([w for _, w, _ in blocks],
-                          _acquire_terms(blocks, obs, delta), times,
+                          _acquire_terms(blocks, obs, delta), net + times,
                           f"the signal of {where}", start) * (4 / (n * 2**n))
             curves.append(SignalCurve(
                 times=times, values=s, observable=seg.observable,
                 start=t_abs))
+            net += seg.window
             t_abs += seg.window
-            net, first = seg.window, k   # Delta is advanced with what follows
             continue
+        if net != 0.0:   # exactly: a net of 0 runs no pass
+            _propagate(delta, _factors(EIGENSYSTEMS.get(_DIPOLAR, a), net))
+            _check_drift(delta, norm0, tr0, f"segments {first} to {k - 1}")
+        net, first = 0.0, k + 1
+        if seg is None:
+            break
+        if isinstance(seg, Pulse):
+            # positive-gamma pulse convention: conjugate by exp(+i angle I)
+            ops.rotate_sorted(delta, seg.axis, -seg.angle)
+        elif isinstance(seg, Evolve):
+            if seg.duration > 0.0:
+                _propagate(delta, _segment_factors(seg.hamiltonian, a,
+                                                   seg.duration))
+                t_abs += seg.duration
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         _check_drift(delta, norm0, tr0, where)

@@ -366,9 +366,10 @@ def test_run_pp_burst_pair_computes_two_eigendecompositions(tmp_path):
     manifest = json.load(open(out + ".manifest.json"))
     # burst + and H' are decomposed; burst - comes from burst + by the
     # global spin flip. In lookup order: burst + (computed), burst -
-    # (reused), the delay's H' pass before the acquire (computed), the
-    # acquire's H' and the H' pass of its window (both reused)
-    assert manifest["eigendecompositions"] == {"computed": 2, "reused": 3}
+    # (reused), the acquire's H' (computed), which reads Delta at the
+    # delay's pending H' time, so no H' pass runs before it, and the one H'
+    # pass of the delay and the window (reused)
+    assert manifest["eigendecompositions"] == {"computed": 2, "reused": 2}
 
 
 def test_run_negative_orientation_space_separated(tmp_path):
@@ -409,10 +410,12 @@ def test_jobs_over_the_available_memory_exit_2(monkeypatch, capsys):
 def test_a_transposed_acquire_block_fails_the_run(monkeypatch, capsys):
     # an acquire that reads Delta's (r, c) block transposed, in place of
     # its (c, r) block, keeps every per-segment invariant, so the run once
-    # exited 0 with a wrong signal. For I_y it reads -s(t) at t = 0, where
-    # the run checks s(0) = Tr(Delta O): seq2 starts at its echo maximum
-    # and fails. seq1's signal is odd about its window start, so s(0) = 0
-    # with the fault as without; only the slope at t = 0 could see it
+    # exited 0 with a wrong signal. The run checks the phase sum at t = 0
+    # against Tr(Delta O), on the Delta the acquire reads: for seq2 that is
+    # Delta before the delay folded into its grid, where the fault moves
+    # the sum by about a tenth of sum |m|, so the run fails. seq1's sum
+    # there is 0 with the fault as without (its signal is odd about the
+    # window start); only the slope at t = 0 could see it
     def transposed_terms(blocks, obs, delta):
         for r, c, coeff, f in obs:
             (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]

@@ -308,6 +308,12 @@ _HD, _IDEAL = HamiltonianSpec("dipolar"), HamiltonianSpec("ideal_burst")
                      Acquire("y", 4e-6, 2e-6)))
 # a run that ends on a pending H' time
 @example(_fixed_case(5, Pulse("x", 0.7), Evolve(_IDEAL, 1.5e-5)))
+# a nonzero net H' time folded into an acquire's sample times
+@example(_fixed_case(4, Evolve(_HD, 3e-5), Evolve(_IDEAL, 1e-5),
+                     Acquire("y", 6e-6, 2e-6)))
+# two acquires back to back, the second sampled after the first's window
+@example(_fixed_case(3, Pulse("y", 0.4), Acquire("x", 4e-6, 2e-6),
+                     Acquire("z", 6e-6, 2e-6)))
 def test_blocked_evolve_matches_dense_oracle(case):
     a, delta0, segments = case
     layout = ops.sector_layout(a.shape[0])
@@ -687,6 +693,25 @@ def test_phase_sum_blocks_match_direct_sum():
                 engine.phase_sum(spectra, leaky_terms, times, "the test sum")
         else:
             engine.phase_sum(spectra, leaky_terms, times, "the test sum")
+
+
+def test_phase_sum_start_is_the_sum_of_its_terms():
+    # at t = 0 every phase is 1, so s(0) = sum m whatever the grid: on one
+    # that does not start at 0 the true sum m passes as ``start``, and one
+    # off by 1e-8 sum |m| (100x WINDOW_START_TOL) raises
+    rng = np.random.default_rng(4)
+    spectra = [rng.normal(size=size) for size in (3, 5)]
+    m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    terms = [(0, 1, m), (1, 0, m.conj().T), (1, 1, h + h.conj().T)]
+    zero = sum(t.sum() for _, _, t in terms).real
+    scale = sum(np.abs(t).sum() for _, _, t in terms)
+    times = np.linspace(0.3, 2.0, 9)
+    engine.phase_sum(spectra, terms, times, "s", zero)
+    with pytest.raises(InvariantViolation, match="the test sum starts at "
+                       r"\S+, not at its identity value"):
+        engine.phase_sum(spectra, terms, times, "the test sum",
+                         zero + 1e-8 * scale)
 
 
 @pytest.mark.parametrize("size", [200, 700])   # one block of times, three

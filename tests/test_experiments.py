@@ -349,13 +349,15 @@ def test_sweep_ideal_is_flat(four_spin):
 
 @pytest.mark.parametrize("name,ideal,passes", [
     ("seq1", True, 1), ("seq2", True, 1), ("rpw", True, 1),
-    ("seq1", False, 4)])
+    ("seq1", False, 4), ("seq2", False, 3), ("rpw", False, 4)])
 def test_h_prime_runs_one_pass_per_stretch(monkeypatch, four_spin, name,
                                            ideal, passes):
     # the delay and the ideal bursts are one net H' time of exactly 0, which
     # runs no pass, so an ideal run's one pass advances Delta past the
-    # acquire's window, from H' alone; a finite seq1 run makes a pass per
-    # burst, one for the delay and one for the window
+    # acquire's window, from H' alone. A finite run makes a pass per burst
+    # and one for the window; seq1's read pulse and rpw's bursts follow the
+    # delay, so it is a pass of its own, but seq2's acquire reads Delta at
+    # the delay's pending time, and the delay runs with the window
     calls = []
     propagate = engine._propagate
     monkeypatch.setattr(engine, "_propagate",
