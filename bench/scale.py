@@ -52,7 +52,9 @@ caches are already built) and ``peak_ops``, the same peak in dense complex
 d x d operators of 16 d^2 bytes. ``maxrss_mb`` is the child's peak
 resident set. Each record is one JSON line, printed and appended to
 ``--save``. A last line per task estimates n = MAX_SIZE + 1 from the two
-largest sizes (time and peak scaled by their last ratio); it is never run.
+largest sizes (time and peak scaled by their last ratio); it is never run,
+and left out where that n exceeds ``operators.MAX_SITES``, which a run
+refuses.
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(src, int(args.child[0]), args.child[1])))
         return 0
+    sys.path.insert(0, src)
+    from magicecho.operators import MAX_SITES
     records = []
     info = machine()
     for task in TASKS:
@@ -194,7 +198,7 @@ def main(argv=None) -> int:
                  "--child", str(n), task],
                 check=True, capture_output=True, text=True).stdout
             rows.append(json.loads(out.splitlines()[-1]))
-        if len(rows) >= 2:
+        if len(rows) >= 2 and rows[-1]["n"] < MAX_SITES:
             last, prev = rows[-1], rows[-2]
             rows.append({"n": last["n"] + 1, "task": task, "estimated": True,
                          **{key: last[key] * last[key] / prev[key]

@@ -311,6 +311,10 @@ _OPERATOR_BUILDERS = {   # (operators module, couplings, omega1) -> matrix
     "q": lambda ops, a, w1: ops.operator_q(a),
     "h1": lambda ops, a, w1: ops.magnus_first_correction(a, w1)[0],
 }
+# a dump's traced peak in dense complex operators of 16 d^2 bytes, its
+# CSV included, measured at n = 10: h1 5.26, h2, hm2 and p (built as a
+# triple) 3.01, the rest 1.58-1.65; each charged with a margin
+_DUMP_OPERATORS = {"h1": 6, "h2": 3.5, "hm2": 3.5, "p": 3.5}
 
 
 def _cmd_dump_operator(args) -> int:
@@ -328,6 +332,8 @@ def _cmd_dump_operator(args) -> int:
                              f"non-finite entries")
     else:
         _reject(args, "applies to --name h1 only", "omega1_gauss")
+    check_fits(f"the {args.name} matrix at n = {cluster.n_sites}",
+               _DUMP_OPERATORS.get(args.name, 2) * 16 * 4**cluster.n_sites)
     # H1's commutator entries over 2 omega1 can overflow where 1/(2 omega1)
     # does not; the finiteness check below names the flag instead
     with np.errstate(over="ignore"):

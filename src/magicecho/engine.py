@@ -41,18 +41,20 @@ are the cached real eigenvectors (a quarter of a dense operator per
 decomposed burst or average Hamiltonian, under a tenth for H'), one
 block factor in the making and propagation products of at most an
 eighth of Delta; a pulse's slabs are under a tenth of an operator from
-n = 10 up. An acquisition holds only the phase rows of its current term
-and, over one block of sample times, only the terms being summed. A
-seq1 point so peaks at about 1.9 dense complex operators of 16 d^2
-bytes at n = 9 to 12 and at 2.5 at n = 8, where the phase rows of 251
-sample times set it. Before it allocates, a run, ``verify`` and A3
-estimate their peak this way and refuse, with a ValueError, one that
+n = 10 up. An acquisition holds, over one block of sample times, the
+phase rows and the product of its current term and only the terms being
+summed. A seq1 point so peaks at about 1.9 dense complex operators of
+16 d^2 bytes at n = 9 to 12 and at 2.25 at n = 8, where the phase rows
+of 251 sample times set it. Before it allocates, a run, ``verify`` and
+A3 estimate their peak this way and refuse, with a ValueError, one that
 exceeds the available memory; so does an acquisition its sample grid
 (:attr:`Acquire.times`). After every pulse, burst and H' pass Tr(Delta)
 and the Frobenius norm sqrt(Tr(Delta^2)) are checked against their initial
-values, every phase-sum sample must be real, and an acquisition's sum at
-t = 0, the sum of its terms, must be Tr(Delta O), read from the blocks of
-Delta O meets; a failure, a NaN included, raises
+values, every phase-sum sample must be real, and every phase sum at
+t = 0, the sum of its terms, must be its exact value: Tr(Delta O) for an
+acquisition, read from the blocks of Delta O meets, G(0) = 1 and
+dG/dt(0) = 0 for the FID, and sum ||[H2_ij, H-2]||^2 for the microscopic
+kernel; a failure, a NaN included, raises
 :class:`~magicecho.errors.InvariantViolation`.
 """
 
@@ -349,7 +351,7 @@ def _propagate(delta: np.ndarray, factors) -> None:
         del u   # before the next factor is formed
 
 
-def phase_sum(spectra, terms, times, what: str, start=None) -> np.ndarray:
+def phase_sum(spectra, terms, times, what: str, start) -> np.ndarray:
     """The real samples s(t) = sum over (r, c, m) in ``terms`` of
     sum_jk m_jk exp(-i (w_r[j] - w_c[k]) t), w_k = spectra[k], at every t
     in ``times``; the one place a spectral sample becomes a number.
@@ -358,59 +360,51 @@ def phase_sum(spectra, terms, times, what: str, start=None) -> np.ndarray:
     of a block-diagonal H (one spectrum per block), Tr(exp(-iHt) Delta
     exp(iHt) O) is the phase sum of m = Delta~ * O~.T. Each term is one
     nonzero block of m, so only the blocks the observable reaches are
-    summed. A term is evaluated as e_r(t) @ m @ e_c(t)* per row, in blocks
-    of sample times. ``terms`` may be any iterable: within one block of
-    times each term is read once, as it comes, so a generator's are never
-    all held; over several blocks they are listed and the blocks looped
-    outermost. The only phase rows held are the current term's, e_r and
-    e_c* (conjugated in place as needed), the previous term's reused where
-    it shares a sector, so with terms in the order of
-    :func:`~magicecho.operators.collective_blocks` each block's phases
-    e_k(t) = exp(-i w_k t) are computed once per block of times.
+    summed. ``terms`` may be any iterable: within one block of times each
+    term is read once, as it comes, so a generator's are never all held;
+    over several blocks they are listed and the blocks looped outermost.
+    A sector's phase row e_k(t) = exp(-i w_k t) over one block of times
+    is formed only when a term needs it and kept only while the next term
+    does, so with terms in the order of
+    :func:`~magicecho.operators.collective_blocks` each is formed once per
+    block. A term (r, c, m) forms x = e_r(t) @ m, conjugates it in place
+    and adds sum_k conj(x)_k e_c(t)_k: the conjugate of its share of s(t)
+    from the same products, so no row is conjugated, and the real part
+    and |imaginary part| are those of s(t) bit for bit.
 
     Every caller's sum is real, and sum |m| bounds |s(t)| at every t, so
     an imaginary part above SIGNAL_IMAG_TOL sum |m| at any sample, or a
-    NaN, raises InvariantViolation naming ``what``; so does, with
-    ``start`` given, s(0) = sum m (every phase is 1 there, whatever
-    ``times`` holds) off ``start`` by more than WINDOW_START_TOL sum |m|.
+    NaN, raises InvariantViolation naming ``what``; so does s(0) = sum m
+    (every phase is 1 there, whatever ``times`` holds) off ``start``, the
+    caller's exact value of s(0), by more than WINDOW_START_TOL sum |m|.
     """
     times = np.atleast_1d(np.asarray(times, float))
     if times.size > _PHASE_SUM_BLOCK:
         terms = list(terms)
-    out = np.zeros(times.shape, complex)
+    out = np.zeros(times.shape, complex)   # conj(s(t))
     zero = scale = 0.0   # s(0), where every phase is 1, and its bound
     for k in range(0, times.size, _PHASE_SUM_BLOCK):
         t = times[k:k + _PHASE_SUM_BLOCK, None]
-        rows = {}   # sector: [exp(-i w t), or its conjugate, conjugated?]
+        rows = {}   # sector: exp(-i w t)
         for r, c, m in terms:
             rows = {i: rows[i] for i in (r, c) if i in rows}
-            out[k:k + _PHASE_SUM_BLOCK] += np.einsum(
-                "tj,tj->t", _phase_row(rows, r, False, t, spectra) @ m,
-                _phase_row(rows, c, True, t, spectra))
+            for i in {r, c} - rows.keys():
+                rows[i] = -1j * t * spectra[i]
+                np.exp(rows[i], out=rows[i])
+            x = rows[r] @ m
+            np.conjugate(x, out=x)
+            out[k:k + _PHASE_SUM_BLOCK] += np.einsum("tj,tj->t", x, rows[c])
+            del x   # before the next term's rows are formed
             if k == 0:
                 zero += m.sum()
                 scale += float(np.abs(m).sum())
     if not np.all(np.abs(out.imag) <= SIGNAL_IMAG_TOL * scale):
         raise InvariantViolation(f"{what} acquired an imaginary part")
-    if start is not None and not abs(zero - start) <= WINDOW_START_TOL * scale:
+    if not abs(zero - start) <= WINDOW_START_TOL * scale:
         raise InvariantViolation(
             f"{what} starts at {complex(zero).real:.17g}, not at its "
             f"identity value {complex(start).real:.17g}")
     return out.real
-
-
-def _phase_row(rows, i, conjugated, t, spectra):
-    """The phase row exp(-i w_i t) of sector i, or its conjugate, from
-    ``rows``: computed there if absent, conjugated in place if it is not
-    the one asked for, which keeps every bit."""
-    if i not in rows:
-        row = -1j * t * spectra[i]
-        rows[i] = [np.exp(row, out=row), False]
-    row = rows[i]
-    if row[1] != conjugated:
-        np.conjugate(row[0], out=row[0])
-        row[1] = conjugated
-    return row[0]
 
 
 def _acquire_terms(blocks, obs, delta: np.ndarray):
@@ -439,10 +433,11 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     two work sets. A propagation holds a factor in the making, three
     complex blocks of the largest eigenblock (a parity class if ``specs``
     holds a burst or the average kind, else a sector), and one product
-    slab. An acquisition of up to ``samples`` samples holds four phase
-    rows of a block of times (three, and numpy's buffer while one is
-    formed) and four terms, each row and term at most a largest sector
-    wide, and every term when its times span more than one block.
+    slab. An acquisition of up to ``samples`` samples holds three phase
+    rows of a block of times (two, and their product or one in the
+    making), numpy's casting buffers of 2 x 8192 complex entries while a
+    row is formed, and four terms, each row and term at most a largest
+    sector wide, and every term when its times span more than one block.
     """
     d = 2**n
     spectra = {"dipolar" if s.kind == "dipolar" else (s.kind, s.omega1)
@@ -455,8 +450,8 @@ def _check_memory(what: str, n: int, specs, arrays: int,
     block = sector if spectra <= {"dipolar"} else d // 2
     evolution = 48 * block * block + min(_CHUNK_BYTES, max(2 * d**2, 2**17))
     # the terms of I_x or I_y are 2 C(2n, n + 1) < 2 C(2n, n) entries
-    acquisition = 16 * (4 * min(samples, _PHASE_SUM_BLOCK) * sector
-                        + 4 * sector * sector
+    acquisition = 16 * (3 * min(samples, _PHASE_SUM_BLOCK) * sector
+                        + 4 * sector * sector + 2 * 8192
                         + (samples > _PHASE_SUM_BLOCK) * 2
                         * math.comb(2 * n, n))
     check_fits(f"{what} at n = {n}", 16 * d * d * arrays + cached
@@ -516,7 +511,8 @@ def evolve(state: DeviationState, cluster_or_matrix, segments):
             # times 1 / Tr(O^2) = 4 / (n 2^n) for I_x, I_y and I_z: a product
             # with the reciprocal keeps the recorded samples bit for bit
             s = phase_sum([w for _, w, _ in blocks],
-                          _acquire_terms(blocks, obs, delta), net + times,
+                          _acquire_terms(blocks, obs, delta),
+                          net + times if net != 0.0 else times,
                           f"the signal of {where}", start) * (4 / (n * 2**n))
             curves.append(SignalCurve(
                 times=times, values=s, observable=seg.observable,

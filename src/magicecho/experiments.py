@@ -74,14 +74,16 @@ def _fid_terms(cluster, derivative=False):
 
 
 def fid_values(cluster, times) -> np.ndarray:
-    """G(t) = Tr(I_x(t) I_x) / Tr(I_x^2) at arbitrary times (even in t)."""
-    return engine.phase_sum(*_fid_terms(cluster), times, "the FID")
+    """G(t) = Tr(I_x(t) I_x) / Tr(I_x^2) at arbitrary times (even in t),
+    checked at G(0) = 1."""
+    return engine.phase_sum(*_fid_terms(cluster), times, "the FID", 1.0)
 
 
 def fid_derivative(cluster, times) -> np.ndarray:
-    """dG/dt evaluated analytically from the same eigendecomposition."""
+    """dG/dt evaluated analytically from the same eigendecomposition,
+    checked at dG/dt(0) = 0 (G is even)."""
     return engine.phase_sum(*_fid_terms(cluster, derivative=True), times,
-                            "dG/dt")
+                            "dG/dt", 0.0)
 
 
 def fid(cluster, window=None, step=None) -> SignalCurve:

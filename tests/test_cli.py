@@ -15,8 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from magicecho import cli, engine, memory, output, thermo
+from magicecho import (cli, engine, experiments, lattice, memory, operators,
+                       output, thermo)
 from magicecho.lattice import GAMMA_F19
+from test_golden import GOLDEN_RTOL
 
 
 def run_main(argv):
@@ -407,50 +409,145 @@ def test_jobs_over_the_available_memory_exit_2(monkeypatch, capsys):
         assert re.search(r"an estimated \d+ MiB, but only 1 MiB", err), err
 
 
-def test_a_transposed_acquire_block_fails_the_run(monkeypatch, capsys):
-    # an acquire that reads Delta's (r, c) block transposed, in place of
-    # its (c, r) block, keeps every per-segment invariant, so the run once
-    # exited 0 with a wrong signal. The run checks the phase sum at t = 0
-    # against Tr(Delta O), on the Delta the acquire reads: for seq2 that is
-    # Delta before the delay folded into its grid, where the fault moves
-    # the sum by about a tenth of sum |m|, so the run fails. seq1's sum
-    # there is 0 with the fault as without (its signal is odd about the
-    # window start); only the slope at t = 0 could see it
-    def transposed_terms(blocks, obs, delta):
-        for r, c, coeff, f in obs:
-            (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]
-            o_rc = coeff * (v_r.T @ f @ v_c)
-            yield c, r, (v_c.T @ delta[s_r, s_c].T @ v_r) * o_rc.T
+# ---------------------------------------------------------- fault catalogue
+# ROADMAP D15's engine faults, each a one-line edit of engine.py written as
+# a monkeypatch: (module, attribute, the faulty attribute made from the
+# original)
 
-    base = ["--orientation", "100", "--radius", "2", "--max-sites", "7",
-            "--window-us", "20", "--step-us", "1"]
-    for name in ("seq1", "seq2"):
-        assert run_main(["run", f"builtin:{name}", *base]) == 0
-    monkeypatch.setattr(engine, "_acquire_terms", transposed_terms)
-    assert run_main(["run", "builtin:seq1", *base]) == 0
-    capsys.readouterr()
-    assert run_main(["run", "builtin:seq2", *base]) == 1
+def _unconjugated_propagate(delta, factors):
+    # engine._propagate without np.conjugate(u): U Delta U^T
+    slab = min(engine._CHUNK_BYTES, max(2 * delta.size, 2**17))
+    for s, u in factors:
+        step = slab // (16 * u.shape[0])
+        for k in range(0, delta.shape[0], step):
+            delta[s, k:k + step] = u @ delta[s, k:k + step]
+        for k in range(0, delta.shape[0], step):
+            delta[k:k + step, s] = delta[k:k + step, s] @ u.T
+
+
+def _unflipped_factors(segment_factors):
+    # burst(-)'s class factors taken from burst(+)'s eigenvectors without
+    # permuting their rows by the spin flip
+    def factors(spec, a, t):
+        if spec.kind != "burst" or spec.sign > 0:
+            yield from segment_factors(spec, a, t)
+            return
+        n = a.shape[0]
+        plus = engine.EIGENSYSTEMS.get(engine.HamiltonianSpec(
+            "burst", 1, spec.omega1), a)
+        for k, (_, w, v) in enumerate(plus):
+            yield (operators.sector_layout(n).parities[k ^ n % 2],
+                   engine._factor(w, v, t))
+    return factors
+
+
+def _transposed_terms(blocks, obs, delta):
+    # the acquire reads Delta's (r, c) block transposed, in place of its
+    # (c, r) block
+    for r, c, coeff, f in obs:
+        (s_r, _, v_r), (s_c, _, v_c) = blocks[r], blocks[c]
+        o_rc = coeff * (v_r.T @ f @ v_c)
+        yield c, r, (v_c.T @ delta[s_r, s_c].T @ v_r) * o_rc.T
+
+
+ENGINE_FAULTS = {
+    "unconjugated-column-pass": (
+        engine, "_propagate", lambda _: _unconjugated_propagate),
+    "unflipped-burst-minus": (
+        engine, "_segment_factors", _unflipped_factors),
+    "pulse-sign-flipped": (
+        operators, "rotate_sorted",
+        lambda rotate: lambda op, axis, angle: rotate(op, axis, -angle)),
+    # exp(+iwt) at t is exp(-iwt) at -t
+    "phases-exp-plus-iwt": (
+        engine, "phase_sum",
+        lambda phase_sum: lambda spectra, terms, times, what, start:
+        phase_sum(spectra, terms, -np.asarray(times), what, start)),
+    "transposed-acquire-block": (
+        engine, "_acquire_terms", lambda _: _transposed_terms),
+}
+
+# what catches each fault in a user's finite run at n = 7: the
+# InvariantViolation the run exits 1 with, or None where no check fires
+# and only the CSV shows it. A transposed block leaves seq1's sum at t = 0
+# at 0 (its signal is odd about the window start), so only the slope
+# there could see it; seq2's check reads Delta before the delay folded
+# into its grid, where the fault moves the sum by about a tenth of
+# sum |m|. A pulse of the wrong sign is unitary, and conjugated phases
+# give s(-t), which no check at t = 0 sees
+CATALOGUE = [
+    ("unconjugated-column-pass", "seq1",
+     r"Tr\(Delta\) drifted after segment 1 \(Evolve\)"),
+    ("unconjugated-column-pass", "seq2",
+     r"Tr\(Delta\) drifted after segment 1 \(Evolve\)"),
+    ("unflipped-burst-minus", "seq1", None),
+    ("unflipped-burst-minus", "seq2", None),
+    ("pulse-sign-flipped", "seq1", None),
+    ("pulse-sign-flipped", "seq2", None),
+    ("phases-exp-plus-iwt", "seq1", None),
+    ("phases-exp-plus-iwt", "seq2", None),
+    ("transposed-acquire-block", "seq1", None),
+    ("transposed-acquire-block", "seq2",
+     r"the signal of segment 4 \(Acquire\) starts at \S+, not at its "
+     r"identity value \S+"),
+]
+
+
+@pytest.mark.parametrize("fault, name, detector", CATALOGUE,
+                         ids=[f"{fault}-{name}" for fault, name, _
+                              in CATALOGUE])
+def test_an_engine_fault_is_caught(fault, name, detector, tmp_path,
+                                   monkeypatch, capsys):
+    argv = ["run", f"builtin:{name}", "--orientation", "100", "--radius",
+            "2", "--max-sites", "7", "--window-us", "20", "--step-us", "1",
+            "--out"]
+    clean, faulted = str(tmp_path / "clean.csv"), str(tmp_path / "f.csv")
+    assert run_main(argv + [clean]) == 0
+    module, attribute, make = ENGINE_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, make(getattr(module, attribute)))
+    code = run_main(argv + [faulted])
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: the signal of segment 4 \(Acquire\) starts "
-                        r"at \S+, not at its identity value \S+\n", err), err
+    if detector is not None:
+        assert code == 1 and re.fullmatch(f"error: {detector}\n", err), err
+        return
+    assert code == 0, err
+    want, got = (output.read_csv(path)[1]["value"]
+                 for path in (clean, faulted))
+    assert np.abs(got - want).max() > GOLDEN_RTOL * np.abs(want).max()
+
+
+class _PerturbedEigensystems(engine.EigenCache):
+    # eigenvectors 1e-6 longer than unit, which keep every phase sum real
+    def get(self, spec, cluster_or_matrix):
+        return tuple((s, w, v * (1.0 + 1e-6)) for s, w, v
+                     in super().get(spec, cluster_or_matrix))
 
 
 def test_a_kernel_from_perturbed_eigenvectors_fails(monkeypatch, capsys):
     # G1(0) is sum ||c||^2 over the commutator blocks, which needs no
-    # eigenvectors; eigenvectors 1e-6 longer than unit, which keep the
-    # kernel real, move its first value off it by 4e-6
-    class Perturbed(engine.EigenCache):
-        def get(self, spec, cluster_or_matrix):
-            return tuple((s, w, v * (1.0 + 1e-6)) for s, w, v
-                         in super().get(spec, cluster_or_matrix))
-
+    # eigenvectors; the perturbed ones move the kernel's first value off
+    # it by 4e-6
     argv = ["thermo", "--kernel-from-cluster", "100:1:6", "--t-end-us", "100"]
     assert run_main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(engine, "EIGENSYSTEMS", Perturbed())
+    monkeypatch.setattr(engine, "EIGENSYSTEMS", _PerturbedEigensystems())
     assert run_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the microscopic kernel starts at "), err
+
+
+def test_a_fid_from_perturbed_eigenvectors_fails(monkeypatch):
+    # G(0) = 1, and the perturbed eigenvectors move it to 1 + 4e-6. dG/dt's
+    # terms are odd under swapping each block with its mirror, so its sum
+    # at t = 0 stays 0 and the same fault passes its check
+    cluster = lattice.build_cluster("100", radius=2.0, max_sites=7)
+    times = np.linspace(0.0, 2e-5, 21)
+    monkeypatch.setattr(engine, "EIGENSYSTEMS", _PerturbedEigensystems())
+    with pytest.raises(engine.InvariantViolation,
+                       match=r"the FID starts at 1\.000004\d*, not at its "
+                             r"identity value 1$"):
+        experiments.fid_values(cluster, times)
+    experiments.fid_derivative(cluster, times)
 
 
 def test_a_radius_over_the_available_memory_exits_2(monkeypatch, capsys):
@@ -1015,6 +1112,21 @@ def test_dump_operator_h1_needs_omega1(tmp_path):
         run_main(["dump-operator", "--name", "bogus", "--orientation", "100",
                   "--radius", "1"])
     assert err.value.code == 2
+
+
+def test_dump_operator_refuses_a_matrix_that_will_not_fit(
+        tmp_path, monkeypatch, capsys):
+    # estimated from d and --name before the matrix is built: at n = 10
+    # (16 MiB operators) h1's six operators do not fit in 64 MiB, where
+    # H' and its two fit. Without the estimate h1 was built and exited 0
+    monkeypatch.setattr(memory, "available_bytes", lambda: 64 * 2**20)
+    base = ["--radius", "2", "--max-sites", "10"]
+    assert _one_error_line(["dump-operator", "--name", "h1", *base],
+                           capsys) == (
+        "error: the h1 matrix at n = 10 would allocate an estimated 96 MiB, "
+        "but only 64 MiB is available\n")
+    assert run_main(["dump-operator", "--name", "hd", *base,
+                     "--out", str(tmp_path / "hd.csv")]) == 0
 
 
 def test_dump_operator_lists_no_rounding_residue(tmp_path):

@@ -397,10 +397,9 @@ acquire Iy for 60us step 0.5us
 """
 # peak traced numpy data of that run, in dense complex operators of
 # 16 d^2 bytes: the run's Delta and the eigenblocks, plus the acquire's
-# phase rows and terms, which set the peak at this size (measured 2.11;
-# 2.39 while a phase sum held every sector's rows; a dense acquire and
-# dense Hamiltonians peak near 8.8)
-PEAK_OPERATORS = 2.2
+# phase rows and terms, which set the peak at this size (measured 1.98;
+# a dense acquire and dense Hamiltonians peak near 8.8)
+PEAK_OPERATORS = 2.07
 
 
 def test_pp_run_peak_memory_is_bounded():
@@ -678,7 +677,9 @@ def test_phase_sum_blocks_match_direct_sum():
     direct = [sum((m * np.exp(-1j * np.subtract.outer(spectra[r], spectra[c])
                               * t)).sum() for r, c, m in terms)
               for t in times]
-    np.testing.assert_allclose(engine.phase_sum(spectra, terms, times, "s"),
+    zero = sum(m.sum() for _, _, m in terms)
+    np.testing.assert_allclose(engine.phase_sum(spectra, terms, times, "s",
+                                                zero),
                                direct, rtol=0, atol=1e-12)
     # an imaginary diagonal entry adds i eps to every sample: 2x the bound
     # SIGNAL_IMAG_TOL sum |m| raises, 0.5x does not
@@ -687,12 +688,15 @@ def test_phase_sum_blocks_match_direct_sum():
         leaky = terms[0][2].copy()
         leaky[0, 0] += 1j * factor * engine.SIGNAL_IMAG_TOL * scale
         leaky_terms = [(0, 0, leaky), *terms[1:]]
+        leaky_zero = sum(m.sum() for _, _, m in leaky_terms)
         if rejected:
             with pytest.raises(InvariantViolation,
                                match="the test sum acquired an imaginary"):
-                engine.phase_sum(spectra, leaky_terms, times, "the test sum")
+                engine.phase_sum(spectra, leaky_terms, times, "the test sum",
+                                 leaky_zero)
         else:
-            engine.phase_sum(spectra, leaky_terms, times, "the test sum")
+            engine.phase_sum(spectra, leaky_terms, times, "the test sum",
+                             leaky_zero)
 
 
 def test_phase_sum_start_is_the_sum_of_its_terms():
@@ -730,9 +734,10 @@ def test_phase_sum_reads_any_iterable_of_terms(size):
     direct = [sum((m * np.exp(-1j * np.subtract.outer(spectra[r], spectra[c])
                               * t)).sum() for r, c, m in terms)
               for t in times]
+    zero = sum(m.sum() for _, _, m in terms)
     for order in (terms, terms[::-1], [terms[k] for k in rng.permutation(10)]):
-        listed = engine.phase_sum(spectra, order, times, "s")
-        streamed = engine.phase_sum(spectra, iter(order), times, "s")
+        listed = engine.phase_sum(spectra, order, times, "s", zero)
+        streamed = engine.phase_sum(spectra, iter(order), times, "s", zero)
         np.testing.assert_array_equal(streamed, listed)
         np.testing.assert_allclose(listed, direct, rtol=0, atol=1e-12)
 
